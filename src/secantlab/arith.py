@@ -11,6 +11,14 @@ from dataclasses import dataclass
 
 DEFAULT_PRIME = 32003
 
+# The rank routine (homalg._rank_mod) eliminates in float64 with updates
+# delayed over RANK_BLOCK pivots, so every intermediate value is at most
+# RANK_BLOCK * (p - 1)^2 + p.  That is exact while it stays below 2^53, i.e.
+# for p <= 5931642; MAX_PRIME is the largest prime in that range and the
+# largest modulus PrimeField accepts.
+RANK_BLOCK = 256
+MAX_PRIME = 5931641
+
 # Witnesses making Miller-Rabin deterministic for everything below 3.3 * 10^24,
 # far beyond any machine-word modulus we accept.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -50,13 +58,16 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The field F_p for an odd prime p fitting in a machine word."""
+    """The field F_p for an odd prime p <= MAX_PRIME."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int = DEFAULT_PRIME):
         if p == 2 or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime, got {p}")
+        if p > MAX_PRIME:
+            raise ValueError(f"modulus {p} exceeds the largest supported "
+                             f"prime {MAX_PRIME}")
         self.p = p
 
     def add(self, a: int, b: int) -> int:

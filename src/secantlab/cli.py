@@ -3,9 +3,10 @@ verification reports.
 
 Subcommands: curve, secant, betti, verify, bench.  Exit codes form the CI
 contract: 0 success / all rows match, 1 mismatch, 2 input error, 3 resource
-limit.  The environment variable SECANTLAB_PAIR_BUDGET overrides the default
-S-pair budget.  JSON output is deterministic for a fixed (config, seed,
-prime): wall-clock timings are confined to text output.
+limit, 4 internal error (a Betti table broke a run-time identity).  The
+environment variable SECANTLAB_PAIR_BUDGET overrides the default S-pair
+budget.  JSON output is deterministic for a fixed (config, seed, prime):
+wall-clock timings are confined to text output.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import sys
 import time
 from multiprocessing import Pool
 
-from .arith import PrimeField, is_prime
+from .arith import PrimeField
 from .curves import embed, parse_curve_file, rational_normal_curve
 from .gb import Ideal, ResourceLimit
-from .homalg import (check_ndp, hilbert_data, is_acm, max_ndp_steps,
-                     minimal_free_resolution, projective_dimension,
-                     regularity)
+from .homalg import (InternalIdentityError, check_ndp, hilbert_data, is_acm,
+                     max_ndp_steps, minimal_free_resolution,
+                     projective_dimension, regularity)
 from .ideal_ops import secant_join
 from .oracle import verify
 from .poly import MonomialOrder, ParseError, PolyRing
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(ValueError):
@@ -92,7 +94,10 @@ def parse_ideal_file(text: str) -> Ideal:
             raise InputError(f"line {lineno}: expected 'key: value'")
         key, value = key.strip().lower(), value.strip()
         if key == "field":
-            prime = int(value)
+            try:
+                prime = int(value)
+            except ValueError:
+                raise InputError(f"line {lineno}: field must be an integer")
         elif key == "variables":
             names = [v.strip() for v in value.split(",") if v.strip()]
         elif key == "generator":
@@ -101,9 +106,11 @@ def parse_ideal_file(text: str) -> Ideal:
             raise InputError(f"line {lineno}: unknown key {key!r}")
     if prime is None or names is None:
         raise InputError("ideal file needs 'field:' and 'variables:' lines")
-    if not is_prime(prime):
-        raise InputError(f"{prime} is not prime")
-    ring = PolyRing(names, PrimeField(prime), MonomialOrder.grevlex())
+    try:
+        field = PrimeField(prime)
+    except ValueError as e:
+        raise InputError(str(e))
+    ring = PolyRing(names, field, MonomialOrder.grevlex())
     gens = []
     for lineno, text_ in raw_gens:
         try:
@@ -260,7 +267,13 @@ def cmd_verify(args) -> int:
                              f"{row['computed']!s:<10} {row['verdict']}")
         payload = "\n".join(lines) + "\n"
     _emit(payload, args.output)
+    for rep in reports:
+        if "error" in rep["instance"]:
+            print(f"internal error: {rep['instance']['curve_file']}: "
+                  f"{rep['instance']['error']}", file=sys.stderr)
     rows = [r for rep in reports for r in rep["rows"]]
+    if any(r["verdict"].startswith("error") for r in rows):
+        return EXIT_INTERNAL
     if any(r["verdict"] == "mismatch" for r in rows):
         return EXIT_MISMATCH
     if any("resource" in r["verdict"] for r in rows):
@@ -357,6 +370,9 @@ def main(argv=None) -> int:
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InternalIdentityError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

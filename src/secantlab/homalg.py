@@ -6,9 +6,13 @@ Tor_i(S/I, k)_j, computed as linear algebra on the Koszul strands), and the
 derived invariants: regularity, projective dimension, ACM-ness, the N_{d,p}
 syzygy properties, and Koszul cohomology dimensions.
 
-The Betti computation is windowed by a certified regularity bound obtained
-from the Bayer-Stillman criterion, so no free resolution is ever built; the
-Hilbert and Betti pipelines stay independent and cross-check each other.
+Before any strand is built, I is cut by seeded generic linear forms, each
+kept only if the Hilbert numerator certifies it a nonzerodivisor on S/I; the
+Betti table of the cut ideal is that of I (Artinian reduction).  When the
+cuts reach Krull dimension 0 (the ACM case) the strand window is the top
+degree of the h-vector; only when they stop above dimension 0 is the window
+certified by the Bayer-Stillman criterion.  No free resolution is ever
+built, and every table is checked against the Hilbert numerator.
 """
 
 from __future__ import annotations
@@ -19,12 +23,19 @@ from itertools import combinations
 
 import numpy as np
 
-from .gb import Ideal, buchberger
+from .arith import RANK_BLOCK
+from .gb import GroebnerBasis, Ideal, buchberger
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 
 class ZeroIdeal(ValueError):
     """Operation undefined for the zero ideal."""
+
+
+class InternalIdentityError(RuntimeError):
+    """A computed Betti table broke an identity that holds by theorem
+    (beta_{i,j} >= 0, Betti numerator = Hilbert numerator): the table is
+    wrong, not the prediction."""
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +114,12 @@ class HilbertData:
     def projective_dimension_of_variety(self) -> int:
         return self.dimension - 1
 
+    @property
+    def h_degree(self) -> int:
+        """Top degree of the h-vector N(t)/(1-t)^codim; for an Artinian
+        S/I it is the regularity."""
+        return len(self.numerator) - 1 - (self.nvars - self.dimension)
+
     def hilbert_function(self, d: int) -> int:
         """dim_k (S/I)_d, expanded from the series."""
         if d < 0:
@@ -158,14 +175,12 @@ def hilbert_data(I: Ideal, pair_budget=None) -> HilbertData:
 # rank over F_p (blocked Gaussian elimination, exact in float64)
 # ---------------------------------------------------------------------------
 
-_BLOCK = 256
-
-
 def _rank_mod(A, p: int) -> int:
     """Rank of an integer matrix modulo p.
 
-    Right-looking LU with delayed block updates; float64 products stay exact
-    because BLOCK * p^2 is far below 2^53.
+    Right-looking LU with updates delayed over RANK_BLOCK pivots; float64
+    stays exact for every p up to ``arith.MAX_PRIME``, the bound
+    ``PrimeField`` enforces.
     """
     A = np.asarray(A, dtype=np.float64) % p
     m, n = A.shape
@@ -219,7 +234,7 @@ def _rank_mod(A, p: int) -> int:
         lcols.append(l)
         urows.append(row)
         rank += 1
-        if len(lcols) >= _BLOCK:
+        if len(lcols) >= RANK_BLOCK:
             flush()
     return rank
 
@@ -395,13 +410,72 @@ def _certified_regularity_bound(I: Ideal, hd: HilbertData, seed: int,
     hence beta_{i,j}(S/I) = 0 whenever j - i > m - 1."""
     gb = I.groebner(pair_budget=pair_budget)
     m0 = max(f.total_degree() for f in gb)
-    m0 = max(m0, len(hd.numerator) - 1 - (hd.nvars - hd.dimension) + 1, 1)
+    m0 = max(m0, hd.h_degree + 1, 1)
     m = m0
     while True:
         for attempt in range(2):
             if _bs_regularity_holds(I, m, seed + attempt, pair_budget):
                 return m
         m += 1
+
+
+# ---------------------------------------------------------------------------
+# regular-sequence cut (Artinian reduction)
+# ---------------------------------------------------------------------------
+
+def _strip(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _cut(I: Ideal, hd: HilbertData, h: Polynomial, pair_budget):
+    """(I + (h))/(h) with its Hilbert data, as an ideal of the grevlex ring
+    without the leading variable of the linear form h, if that cut is
+    certified; None if it is not.  ``hd`` is the Hilbert data of I.
+
+    The certificate: HS(S/(I,h)) = (1-t) HS(S/I) + t HS(0:h), so the Hilbert
+    numerator is unchanged exactly when h is a nonzerodivisor on S/I.
+    """
+    ring = I.ring
+    h = h.monic()
+    v = h.lm.index(1)
+    reduce_h = GroebnerBasis([h], ring).normal_form
+    cut_ring = PolyRing(ring.variables[:v] + ring.variables[v + 1:],
+                        ring.field, MonomialOrder.grevlex())
+    J = Ideal(cut_ring, [
+        cut_ring.from_dict({m[:v] + m[v + 1:]: c
+                            for m, c in reduce_h(f).terms})
+        for f in I.generators])
+    hd_J = hilbert_data(J, pair_budget=pair_budget)
+    if _strip(hd_J.numerator) != _strip(hd.numerator):
+        return None
+    return J, hd_J
+
+
+def regular_cut(I: Ideal, hd: HilbertData, seed: int = 0, pair_budget=None):
+    """Cut I by seeded generic linear forms while each is certified a
+    nonzerodivisor, at most dim S/I times: (J, hilbert_data(J), cuts).
+    ``hd`` is the Hilbert data of I.
+
+    S/I and S'/J have the same graded Betti table.  The cut stops at the
+    first form that fails its certificate, so cuts <= depth S/I; an ACM
+    S/I is cut down to Krull dimension 0.
+    """
+    rng = random.Random(seed)
+    J = I
+    cuts = 0
+    while hd.dimension > 0:
+        ring = J.ring
+        h = ring.from_dict({ring.gen(v).lm: rng.randrange(1, ring.field.p)
+                            for v in range(ring.nvars)})
+        step = _cut(J, hd, h, pair_budget)
+        if step is None:
+            break
+        J, hd = step
+        cuts += 1
+    return J, hd, cuts
 
 
 # ---------------------------------------------------------------------------
@@ -413,33 +487,60 @@ def minimal_free_resolution(I: Ideal, degree_bound=None, pair_budget=None,
     """Graded Betti table of S/I for a homogeneous ideal I.
 
     beta_{i,j} = dim Tor_i(S/I, k)_j, computed as the homology rank of the
-    degree-j strand of the Koszul complex tensored with S/I.  The strand
-    window is certified by the Bayer-Stillman regularity bound, so entries
-    outside the window are provably zero.  With ``degree_bound`` set, only
-    entries with j <= degree_bound are computed (table marked truncated).
+    degree-j strand of the Koszul complex tensored with S'/J, where J is I
+    after ``regular_cut`` (same Betti table, fewer variables).  The strand
+    window is the regularity of S'/J: the top degree of its h-vector when
+    J is Artinian, else a Bayer-Stillman bound; entries outside it are
+    provably zero.  With ``degree_bound`` set, only entries with
+    j <= degree_bound are computed (table marked truncated).  Raises
+    InternalIdentityError if the table breaks an identity that holds by
+    theorem.
     """
-    ring = I.ring
-    n = ring.nvars
-    p = ring.field.p
+    n = I.ring.nvars
     if not I.is_homogeneous():
         raise ValueError("Betti tables require a homogeneous ideal")
     if I.is_zero():
         return BettiTable(n, (((0, 0), 1),))
-
-    if degree_bound is not None:
-        gb = I.groebner(degree_bound=degree_bound + 1,
-                        pair_budget=pair_budget)
-        qmax_for = lambda i: degree_bound - i
-        truncated = degree_bound
-    else:
-        gb = I.groebner(pair_budget=pair_budget)
-        hd = hilbert_data(I, pair_budget=pair_budget)
-        m_cert = _certified_regularity_bound(I, hd, seed, pair_budget)
-        qmax_for = lambda i: m_cert - 1
-        truncated = None
-    if gb.is_unit_ideal():
+    hd = hilbert_data(I, pair_budget=pair_budget)
+    if hd.dimension < 0:
         raise ValueError("unit ideal has no graded Betti table")
 
+    J, hd_J, _ = regular_cut(I, hd, seed, pair_budget)
+    if degree_bound is not None:
+        qmax_for = lambda i: degree_bound - i
+    elif hd_J.dimension == 0:
+        qmax_for = lambda i: hd_J.h_degree
+    else:
+        m = _certified_regularity_bound(J, hd_J, seed, pair_budget)
+        qmax_for = lambda i: m - 1
+    B = BettiTable(n, _koszul_betti(J.groebner(pair_budget=pair_budget),
+                                    qmax_for), degree_bound)
+    _check_identities(B, hd)
+    return B
+
+
+def _check_identities(B: BettiTable, hd: HilbertData) -> None:
+    """Every beta_{i,j} >= 0, and the Betti numerator equals the Hilbert
+    numerator (in degrees j <= truncated_at for a truncated table)."""
+    negative = [e for e in B.entries if e[1] < 0]
+    if negative:
+        raise InternalIdentityError(f"negative Betti numbers {negative}")
+    bn, hn = betti_numerator(B), hd.numerator
+    if B.truncated_at is not None:
+        pad = (0,) * (B.truncated_at + 1)
+        bn, hn = (bn + pad)[:len(pad)], (hn + pad)[:len(pad)]
+    bn, hn = _strip(bn), _strip(hn)
+    if bn != hn:
+        raise InternalIdentityError(
+            f"Betti numerator {bn} differs from Hilbert numerator {hn}")
+
+
+def _koszul_betti(gb: GroebnerBasis, qmax_for) -> tuple:
+    """Entries of the Betti table of S/(gb): beta_{i,i+q} for the Koszul
+    strands with q <= qmax_for(i), as ranks of the strand matrices."""
+    ring = gb.ring
+    n = ring.nvars
+    p = ring.field.p
     lms = [f.lm for f in gb]
     mingen = min(f.total_degree() for f in gb)
     qmax = max(qmax_for(0), 0)
@@ -512,8 +613,7 @@ def minimal_free_resolution(I: Ideal, degree_bound=None, pair_budget=None,
             b = dom - rank_of(i, q) - rank_of(i + 1, q - 1)
             if b:
                 entries[(i, i + q)] = b
-    table = tuple(sorted(entries.items()))
-    return BettiTable(n, table, truncated)
+    return tuple(sorted(entries.items()))
 
 
 def _comb(n, k):

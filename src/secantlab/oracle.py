@@ -14,9 +14,10 @@ import warnings
 from dataclasses import dataclass
 
 from .gb import ResourceLimit
-from .homalg import (ZeroIdeal, check_ndp, hilbert_data, is_acm, koszul_dim,
-                     min_generator_degree, minimal_free_resolution,
-                     projective_dimension, regularity)
+from .homalg import (InternalIdentityError, ZeroIdeal, check_ndp,
+                     hilbert_data, is_acm, koszul_dim, min_generator_degree,
+                     minimal_free_resolution, projective_dimension,
+                     regularity)
 from .ideal_ops import secant_join
 
 
@@ -166,7 +167,9 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
            ) -> VerificationReport:
     """Run secant_join -> hilbert_data -> minimal_free_resolution on the
     embedding and compare every prediction; failures downgrade rows to
-    skipped instead of raising."""
+    skipped instead of raising.  A Betti table that breaks a run-time
+    identity gives every row the verdict "error(internal identity)" and
+    puts the message in ``instance["error"]``."""
     g = emb.model.genus
     d = emb.d
     pred = predictions(g, d, k)
@@ -193,10 +196,13 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
         ("corner", list(pred.predicted_corner)),
     ]
 
-    def skip_all(reason):
+    def all_rows(verdict):
         for name, p_ in names:
-            rows.append(_row(name, p_, None, f"skipped({reason})", None))
+            rows.append(_row(name, p_, None, verdict, None))
         return VerificationReport(instance, rows, seed, prime)
+
+    def skip_all(reason):
+        return all_rows(f"skipped({reason})")
 
     t0 = clock()
     try:
@@ -218,6 +224,10 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
     except ResourceLimit:
         instance["stages_ms"] = stages
         return skip_all("resource limit in resolution")
+    except InternalIdentityError as e:
+        instance["stages_ms"] = stages
+        instance["error"] = str(e)
+        return all_rows("error(internal identity)")
     stages["betti_ms"] = stamp(t0)
     instance["stages_ms"] = stages
 

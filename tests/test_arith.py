@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secantlab.arith import (DEFAULT_PRIME, DivisionByZero, FieldElement,
-                             PrimeField, is_prime)
+from secantlab.arith import (DEFAULT_PRIME, MAX_PRIME, RANK_BLOCK,
+                             DivisionByZero, FieldElement, PrimeField,
+                             is_prime)
 
 F = PrimeField(32003)
 F7 = PrimeField(7)
@@ -23,6 +24,20 @@ def test_default_prime_is_prime():
 def test_non_prime_rejected():
     with pytest.raises(ValueError):
         PrimeField(10)
+
+
+def test_largest_supported_prime():
+    # float64 stays exact below 2^53 in the blocked rank routine
+    def exact(p):
+        return RANK_BLOCK * (p - 1) ** 2 + p < 2 ** 53
+    assert is_prime(MAX_PRIME) and exact(MAX_PRIME)
+    assert PrimeField(MAX_PRIME).p == MAX_PRIME
+    q = MAX_PRIME + 1
+    while not is_prime(q):
+        q += 1
+    assert not exact(q)
+    with pytest.raises(ValueError, match="largest supported"):
+        PrimeField(q)
 
 
 def test_inverse_of_zero():

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from secantlab import homalg
+from secantlab.arith import MAX_PRIME, is_prime
 from secantlab.cli import main
 
 RNC5 = "genus: 0\nfield: 32003\ndegree: 5\n"
@@ -165,3 +167,54 @@ def test_bench_prints_stages(curve_file, capsys):
     assert code == 0
     for stage in ("embed", "join", "hilbert", "betti"):
         assert stage in out
+
+
+def _first_rejected_prime():
+    q = MAX_PRIME + 1
+    while not is_prime(q):
+        q += 1
+    return q
+
+
+def test_largest_supported_prime_eagon_northcott(curve_file, capsys):
+    path = curve_file("c.curve", f"genus: 0\nfield: {MAX_PRIME}\n"
+                                 "degree: 6\n")
+    code, out, _ = run(capsys, ["betti", "--file", path, "--k", "1",
+                                "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    # Eagon-Northcott: beta_{i,i+2} = C(5, i+2) C(i+1, 2)
+    assert doc["entries"] == [[0, 0, 1], [1, 3, 10], [2, 4, 15], [3, 5, 6]]
+    assert doc["acm"] is True
+
+
+def test_first_rejected_prime_is_input_error(curve_file, capsys):
+    q = _first_rejected_prime()
+    path = curve_file("c.curve", f"genus: 0\nfield: {q}\ndegree: 6\n")
+    code, _, err = run(capsys, ["betti", "--file", path, "--k", "1"])
+    assert code == 2 and str(MAX_PRIME) in err
+    path = curve_file("i.ideal", IDEAL.replace("32003", str(q)))
+    code, _, err = run(capsys, ["betti", "--ideal-file", path])
+    assert code == 2 and str(MAX_PRIME) in err
+
+
+def test_ideal_file_bad_field_is_input_error(curve_file, capsys):
+    for field in ("2", "abc"):
+        path = curve_file("i.ideal", IDEAL.replace("32003", field))
+        code, _, err = run(capsys, ["betti", "--ideal-file", path])
+        assert code == 2 and "error" in err
+
+
+def test_identity_failure_is_internal_error(curve_file, capsys,
+                                            monkeypatch):
+    monkeypatch.setattr(homalg, "_rank_mod", lambda A, p: 0)
+    path = curve_file("c.curve", RNC5)
+    code, out, err = run(capsys, ["verify", "--file", path, "--k", "1",
+                                  "--format", "json"])
+    assert code == 4 and "internal error" in err
+    doc = json.loads(out)
+    assert {r["verdict"] for r in doc["rows"]} == \
+        {"error(internal identity)"}
+    assert "Hilbert numerator" in doc["instance"]["error"]
+    code, _, err = run(capsys, ["betti", "--file", path, "--k", "1"])
+    assert code == 4 and "internal error" in err

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secantlab.arith import PrimeField
+from secantlab import homalg
+from secantlab.arith import MAX_PRIME, PrimeField
+from secantlab.curves import CurveModel, embed, rational_normal_curve
 from secantlab.gb import Ideal
-from secantlab.homalg import (ZeroIdeal, _rank_mod, betti_numerator,
+from secantlab.homalg import (InternalIdentityError, ZeroIdeal,
+                              _certified_regularity_bound, _cut,
+                              _koszul_betti, _rank_mod, betti_numerator,
                               check_ndp, hilbert_data, is_acm, koszul_dim,
                               max_ndp_steps, min_generator_degree,
                               minimal_free_resolution, projective_dimension,
-                              regularity)
+                              regular_cut, regularity)
+from secantlab.ideal_ops import secant_join
 from secantlab.poly import PolyRing
 
 F = PrimeField(32003)
@@ -101,6 +106,19 @@ def test_rank_handles_blocked_path():
     assert _rank_mod(A, 32003) == 20
 
 
+def test_rank_exact_at_largest_supported_prime():
+    # rank 260 > RANK_BLOCK pivots, so a full block of delayed updates is
+    # applied with entries near MAX_PRIME
+    p = MAX_PRIME
+    rng = np.random.default_rng(7)
+    L = rng.integers(p - 1000, p, size=(300, 260), dtype=np.int64)
+    U = rng.integers(p - 1000, p, size=(260, 300), dtype=np.int64)
+    A = np.zeros((300, 300), dtype=np.int64)
+    for k in range(260):
+        A = (A + np.outer(L[:, k], U[k]) % p) % p
+    assert _rank_mod(A, p) == 260
+
+
 # -- Betti tables -----------------------------------------------------------
 
 def test_resolution_twisted_cubic():
@@ -175,3 +193,103 @@ def test_check_ndp_argument_validation():
 def test_display_renders_dots_for_zeros():
     out = minimal_free_resolution(twisted_cubic()).display()
     assert "." in out and "3" in out and "2" in out
+
+
+# -- regular-sequence cut ---------------------------------------------------
+
+def _uncut_table(I, degree_bound=None):
+    """Test oracle: the Koszul strands of I itself, windowed by the
+    Bayer-Stillman bound (or the truncation bound), without any cut."""
+    if degree_bound is not None:
+        return _koszul_betti(I.groebner(), lambda i: degree_bound - i)
+    m = _certified_regularity_bound(I, hilbert_data(I), 0, None)
+    return _koszul_betti(I.groebner(), lambda i: m - 1)
+
+
+def test_cut_certificate_rejects_zero_divisor():
+    R = PolyRing(["x", "y", "z"], F)
+    I = Ideal(R, [R.parse("x*y")])
+    hd = hilbert_data(I)
+    assert _cut(I, hd, R.var("x"), None) is None
+    J, hd_J = _cut(I, hd, R.var("z"), None)
+    assert J.ring.variables == ("x", "y")
+    assert hd_J.numerator == hd.numerator and hd_J.dimension == 1
+
+
+def test_cut_stops_at_depth_on_non_acm():
+    R = PolyRing(["x", "y", "z"], F)
+    I = Ideal(R, [R.parse("x^2"), R.parse("x*y")])
+    hd = hilbert_data(I)
+    J, hd_J, cuts = regular_cut(I, hd)
+    assert hd.dimension == 2 and cuts == 1 == hd_J.dimension
+    assert J.ring.nvars == 2
+    B = minimal_free_resolution(I)
+    assert B.entries == _uncut_table(I)
+    assert not is_acm(B, hd)
+
+
+@st.composite
+def small_homogeneous_ideals(draw):
+    R = PolyRing(["x", "y", "z"], F)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        terms = {}
+        for a, b, c in draw(st.lists(
+                st.tuples(st.integers(0, d), st.integers(0, d),
+                          st.integers(1, 32002)), min_size=1, max_size=3)):
+            b = min(b, d - a)
+            terms[(a, b, d - a - b)] = c
+        gens.append(R.from_dict(terms))
+    return Ideal(R, gens)
+
+
+@given(small_homogeneous_ideals(), st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_cut_table_equals_uncut_strands(I, seed):
+    assert minimal_free_resolution(I, seed=seed).entries == _uncut_table(I)
+    assert (minimal_free_resolution(I, degree_bound=3, seed=seed).entries
+            == _uncut_table(I, degree_bound=3))
+
+
+def _hankel_minors(d):
+    """3x3 minors of the 3 x (d-1) Hankel matrix in x0..xd."""
+    R = PolyRing([f"x{i}" for i in range(d + 1)], F)
+    x = R.gens()
+    gens = []
+    for a in range(d - 1):
+        for b in range(a + 1, d - 1):
+            for c in range(b + 1, d - 1):
+                m = [[x[i + j] for j in (a, b, c)] for i in range(3)]
+                gens.append(
+                    m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                    - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                    + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    return Ideal(R, gens)
+
+
+def test_cut_reaches_dimension_zero_on_acm_fixtures():
+    # Deterministic speed gate: without the full cut the strands are built
+    # over the whole ring, about 50 times slower, with the same tables.
+    R2 = PolyRing(["x", "y"], F)
+    elliptic = CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1"))
+    fixtures = [secant_join(rational_normal_curve(d, F).secant_spec(1))
+                for d in (5, 6, 7)]
+    fixtures.append(secant_join(embed(elliptic, 6).secant_spec(1)))
+    fixtures.append(_hankel_minors(8))
+    for I in fixtures:
+        hd = hilbert_data(I)
+        _, hd_J, cuts = regular_cut(I, hd)
+        assert cuts == hd.dimension == 4 and hd_J.dimension == 0
+
+
+def test_identity_check_catches_wrong_ranks(monkeypatch):
+    I = twisted_cubic()
+    monkeypatch.setattr(homalg, "_rank_mod", lambda A, p: 0)
+    with pytest.raises(InternalIdentityError):
+        minimal_free_resolution(I)
+    with pytest.raises(InternalIdentityError):
+        minimal_free_resolution(I, degree_bound=3)
+    monkeypatch.setattr(homalg, "_rank_mod", lambda A, p: sum(A.shape))
+    with pytest.raises(InternalIdentityError, match="negative"):
+        minimal_free_resolution(I)
