@@ -5,7 +5,7 @@ resolutions and Betti tables, and checks the computed invariants against
 closed-form predictions.
 """
 
-from .arith import DEFAULT_PRIME, FieldElement, PrimeField
+from .arith import DEFAULT_PRIME, PrimeField
 from .poly import MonomialOrder, PolyRing, Polynomial, parse_polynomial
 from .gb import GroebnerBasis, Ideal, ResourceLimit, buchberger, ideal_equal, normal_form
 from .ideal_ops import (ConeParametrization, PointNotOnVariety, PointedIdeal,
@@ -26,7 +26,7 @@ from .oracle import (HypothesisViolated, PredictionRecord,
                      predicted_regularity, predictions, verify)
 
 __all__ = [
-    "DEFAULT_PRIME", "FieldElement", "PrimeField",
+    "DEFAULT_PRIME", "PrimeField",
     "MonomialOrder", "PolyRing", "Polynomial", "parse_polynomial",
     "GroebnerBasis", "Ideal", "ResourceLimit", "buchberger", "ideal_equal",
     "normal_form",

@@ -1,22 +1,17 @@
 """Prime-field arithmetic: the coefficient domain for everything else.
 
-All heavy code paths (Groebner reduction, linear algebra) work on plain
-Python ints reduced mod p and call the ``PrimeField`` methods directly;
-``FieldElement`` is the convenience wrapper for user-facing code.
+Coefficients are plain Python ints in [0, p), reduced with ``% p`` where
+they are computed; ``PrimeField`` carries the modulus and supplies the
+operations that are more than one ``%``: inversion and square roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 DEFAULT_PRIME = 32003
 
-# The rank routine (homalg._rank_mod) eliminates in float64 with updates
-# delayed over RANK_BLOCK pivots, so every intermediate value is at most
-# RANK_BLOCK * (p - 1)^2 + p.  That is exact while it stays below 2^53, i.e.
-# for p <= 5931642; MAX_PRIME is the largest prime in that range and the
-# largest modulus PrimeField accepts.
-RANK_BLOCK = 256
+# The largest modulus PrimeField accepts: the supported range of primes,
+# which the tests cover up to its top.  All arithmetic is on Python ints, so
+# this is not an arithmetic limit.
 MAX_PRIME = 5931641
 
 # Witnesses making Miller-Rabin deterministic for everything below 3.3 * 10^24,
@@ -26,10 +21,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 class DivisionByZero(ZeroDivisionError):
     """Inversion of the zero element."""
-
-
-class FieldMismatch(ValueError):
-    """Operands live in prime fields with different moduli."""
 
 
 def is_prime(n: int) -> bool:
@@ -70,26 +61,11 @@ class PrimeField:
                              f"prime {MAX_PRIME}")
         self.p = p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise DivisionByZero("0 has no inverse")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
 
     def sqrt(self, a: int) -> int | None:
         """A square root of a mod p, or None if a is a non-residue.
@@ -125,9 +101,6 @@ class PrimeField:
             t, r = t * c % p, r * b % p
         return r
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
 
@@ -137,47 +110,3 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A canonical representative in [0, p)."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.p:
-            object.__setattr__(self, "value", self.value % self.field.p)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field.p != self.field.p:
-                raise FieldMismatch(
-                    f"moduli differ: {self.field.p} vs {other.field.p}"
-                )
-            return other.value
-        return other % self.field.p
-
-    def __add__(self, other):
-        return FieldElement(self.field.add(self.value, self._coerce(other)), self.field)
-
-    def __sub__(self, other):
-        return FieldElement(self.field.sub(self.value, self._coerce(other)), self.field)
-
-    def __mul__(self, other):
-        return FieldElement(self.field.mul(self.value, self._coerce(other)), self.field)
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __truediv__(self, other):
-        return FieldElement(self.field.div(self.value, self._coerce(other)), self.field)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.p})"

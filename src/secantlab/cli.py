@@ -5,8 +5,8 @@ Subcommands: curve, secant, betti, verify, bench.  Exit codes form the CI
 contract: 0 success / all rows match, 1 mismatch, 2 input error, 3 resource
 limit, 4 internal error (a Betti table broke a run-time identity).  The
 environment variable SECANTLAB_PAIR_BUDGET overrides the default S-pair
-budget.  JSON output is deterministic for a fixed (config, seed, prime):
-wall-clock timings are confined to text output.
+budget.  JSON output is deterministic for a fixed (config, seed, prime)
+and carries no timings; only ``bench`` reports wall-clock times.
 """
 
 from __future__ import annotations
@@ -233,10 +233,10 @@ def cmd_betti(args) -> int:
 
 
 def _verify_instance(task):
-    path, k, seed, budget, max_degree, timings = task
+    path, k, seed, budget, max_degree = task
     emb = _build_embedding(path, budget)
     rep = verify(emb, k, seed=seed, pair_budget=budget,
-                 degree_bound=max_degree, include_timings=timings)
+                 degree_bound=max_degree)
     out = rep.to_json_dict()
     out["instance"]["curve_file"] = os.path.basename(path)
     return out
@@ -244,8 +244,7 @@ def _verify_instance(task):
 
 def cmd_verify(args) -> int:
     budget = _pair_budget(args)
-    timings = args.format == "text"
-    tasks = [(path, args.k, args.seed, budget, args.max_degree, timings)
+    tasks = [(path, args.k, args.seed, budget, args.max_degree)
              for path in args.file]
     if args.jobs > 1 and len(tasks) > 1:
         with Pool(args.jobs) as pool:

@@ -334,26 +334,18 @@ class GroebnerBasis:
 
 def buchberger(generators, ring: PolyRing,
                order: MonomialOrder | None = None,
-               pair_budget: int | None = None,
-               degree_bound: int | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``generators``.
-
-    With ``degree_bound`` set, S-pairs whose lcm exceeds the bound in total
-    degree are discarded; for homogeneous input the result is then a Groebner
-    basis "up to" that degree.
-    """
+               pair_budget: int | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by ``generators``."""
     if order is not None and order != ring.order:
         ring = ring.with_order(order)
     budget = pair_budget if pair_budget is not None else DEFAULT_PAIR_BUDGET
     try:
-        return _buchberger(generators, ring, budget, degree_bound, _Codec(ring))
+        return _buchberger(generators, ring, budget, _Codec(ring))
     except _NeedWide:
-        return _buchberger(generators, ring, budget, degree_bound,
-                           _Codec(ring, wide=True))
+        return _buchberger(generators, ring, budget, _Codec(ring, wide=True))
 
 
-def _buchberger(generators, ring, budget, degree_bound,
-                codec: _Codec) -> GroebnerBasis:
+def _buchberger(generators, ring, budget, codec: _Codec) -> GroebnerBasis:
     one = codec.one
     p = ring.field.p
     graded = ring.order.is_graded()
@@ -417,8 +409,6 @@ def _buchberger(generators, ring, budget, degree_bound,
         # product criterion on the survivors
         for lcm, i in kept:
             if all(x == 0 or y == 0 for x, y in zip(exps, basis[i].exps)):
-                continue
-            if degree_bound is not None and codec.deg(lcm) > degree_bound:
                 continue
             pair_set[(i, t)] = lcm
             heapq.heappush(pair_heap, (pair_priority(i, t, lcm), i, t))
@@ -508,15 +498,13 @@ class Ideal:
         self._gb_cache: dict = {}
 
     def groebner(self, order: MonomialOrder | None = None,
-                 pair_budget: int | None = None,
-                 degree_bound: int | None = None) -> GroebnerBasis:
+                 pair_budget: int | None = None) -> GroebnerBasis:
         order = order if order is not None else self.ring.order
-        cache_key = (order, degree_bound)
-        gb = self._gb_cache.get(cache_key)
+        gb = self._gb_cache.get(order)
         if gb is None:
             gb = buchberger(self.generators, self.ring, order,
-                            pair_budget=pair_budget, degree_bound=degree_bound)
-            self._gb_cache[cache_key] = gb
+                            pair_budget=pair_budget)
+            self._gb_cache[order] = gb
         return gb
 
     def contains(self, f: Polynomial, order=None) -> bool:

@@ -21,9 +21,6 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
-from .arith import RANK_BLOCK
 from .gb import GroebnerBasis, Ideal, buchberger
 from .poly import MonomialOrder, PolyRing, Polynomial
 
@@ -172,71 +169,33 @@ def hilbert_data(I: Ideal, pair_budget=None) -> HilbertData:
 
 
 # ---------------------------------------------------------------------------
-# rank over F_p (blocked Gaussian elimination, exact in float64)
+# rank over F_p (exact sparse Gaussian elimination)
 # ---------------------------------------------------------------------------
 
-def _rank_mod(A, p: int) -> int:
-    """Rank of an integer matrix modulo p.
+def _rank_mod(vectors, p: int) -> int:
+    """Rank modulo p of a list of sparse integer vectors ``{index: coeff}``.
 
-    Right-looking LU with updates delayed over RANK_BLOCK pivots; float64
-    stays exact for every p up to ``arith.MAX_PRIME``, the bound
-    ``PrimeField`` enforces.
+    Each vector is reduced against the pivots found so far, keyed by their
+    leading (smallest) index; a nonzero remainder becomes a new monic pivot.
     """
-    A = np.asarray(A, dtype=np.float64) % p
-    m, n = A.shape
-    if m == 0 or n == 0:
-        return 0
-    rank = 0
-    lcols = []   # pending elimination columns (length m)
-    urows = []   # pending pivot rows (length n)
-    inv_cache = {}
-
-    def pending_col(c):
-        col = A[:, c].copy()
-        for l, u in zip(lcols, urows):
-            if u[c]:
-                col -= l * u[c]
-        return col % p
-
-    def flush():
-        nonlocal A
-        if lcols:
-            A = (A - np.column_stack(lcols) @ np.vstack(urows)) % p
-            lcols.clear()
-            urows.clear()
-
-    for c in range(n):
-        if rank == m:
-            break
-        col = pending_col(c)
-        nz = np.nonzero(col[rank:])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            A[[rank, piv]] = A[[piv, rank]]
-            for l in lcols:
-                l[[rank, piv]] = l[[piv, rank]]
-            col[[rank, piv]] = col[[piv, rank]]
-        pv = int(col[rank])
-        inv = inv_cache.get(pv)
-        if inv is None:
-            inv = pow(pv, p - 2, p)
-            inv_cache[pv] = inv
-        # updated pivot row
-        row = A[rank, :].copy()
-        for l, u in zip(lcols, urows):
-            if l[rank]:
-                row -= l[rank] * u
-        row %= p
-        l = col * (inv % p) % p
-        l[:rank + 1] = 0.0
-        lcols.append(l)
-        urows.append(row)
-        rank += 1
-        if len(lcols) >= RANK_BLOCK:
-            flush()
-    return rank
+    pivots = {}
+    for vec in vectors:
+        v = {i: c % p for i, c in vec.items() if c % p}
+        while v:
+            lead = min(v)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(v[lead], p - 2, p)
+                pivots[lead] = {i: c * inv % p for i, c in v.items()}
+                break
+            c = v[lead]
+            for i, a in piv.items():
+                x = (v.get(i, 0) - c * a) % p
+                if x:
+                    v[i] = x
+                else:
+                    del v[i]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +317,9 @@ def _quotient_piece(gb, ring, q):
     return _standard_monomials(lms, q, ring.nvars)
 
 
-def _nf_in_basis(gb, ring, f, basis_index, p):
-    """Normal form of f written as a vector over a standard-monomial basis."""
-    nf = gb.normal_form(f)
-    vec = np.zeros(len(basis_index), dtype=np.int64)
-    for mon, c in nf.terms:
-        vec[basis_index[mon]] = c % p
-    return vec
+def _nf_in_basis(gb, f, basis_index):
+    """Normal form of f as a sparse vector over a standard-monomial basis."""
+    return {basis_index[mon]: c for mon, c in gb.normal_form(f).terms}
 
 
 def _bs_regularity_holds(I: Ideal, m: int, seed: int, pair_budget) -> bool:
@@ -394,11 +349,10 @@ def _bs_regularity_holds(I: Ideal, m: int, seed: int, pair_budget) -> bool:
         cols = []
         for mon in std_m:
             f = h.term_mul(mon, 1)
-            cols.append(_nf_in_basis(gb, ring, f, idx, p))
+            cols.append(_nf_in_basis(gb, f, idx))
         if not std_m1:
             return False  # h * (S/A)_m = 0 but (S/A)_m != 0
-        A = np.column_stack(cols)
-        if _rank_mod(A, p) != len(std_m):
+        if _rank_mod(cols, p) != len(std_m):
             return False
         gens = gens + [h]
     return False
@@ -568,38 +522,33 @@ def _koszul_betti(gb: GroebnerBasis, qmax_for) -> tuple:
         mult[(v, q)] = tab
         return tab
 
-    def strand_matrix(i, q):
-        """Matrix of the Koszul differential Λ^i ⊗ R_q → Λ^{i-1} ⊗ R_{q+1}."""
-        if i < 1 or i > n or q < 0 or q + 1 not in std:
-            return None
-        dom_sets = list(combinations(range(n), i))
+    def strand_columns(i, q):
+        """Columns of the Koszul differential Λ^i ⊗ R_q → Λ^{i-1} ⊗ R_{q+1},
+        as sparse vectors {row: coeff}."""
+        if not (1 <= i <= n and q >= 0 and std.get(q) and std.get(q + 1)):
+            return []
         cod_sets = {s: a for a, s in enumerate(combinations(range(n), i - 1))}
-        nd = len(dom_sets) * len(std[q])
-        nc = len(cod_sets) * len(std[q + 1])
-        if nd == 0 or nc == 0:
-            return None
         sz = len(std[q + 1])
-        A = np.zeros((nc, nd), dtype=np.int64)
-        for a, S in enumerate(dom_sets):
-            tabs = [(k, t, mult_table(t, q)) for k, t in enumerate(S)]
+        cols = []
+        for S in combinations(range(n), i):
+            tabs = [(cod_sets[S[:k] + S[k + 1:]] * sz,
+                     1 if k % 2 == 0 else p - 1, mult_table(t, q))
+                    for k, t in enumerate(S)]
             for b in range(len(std[q])):
-                colpos = a * len(std[q]) + b
-                for k, t, tab in tabs:
-                    Sp = S[:k] + S[k + 1:]
-                    base = cod_sets[Sp] * sz
-                    sign = 1 if k % 2 == 0 else p - 1
+                col = {}
+                for base, sign, tab in tabs:
                     for tgt, c in tab[b].items():
-                        A[base + tgt, colpos] = (A[base + tgt, colpos]
-                                                 + sign * c) % p
-        return A
+                        col[base + tgt] = (col.get(base + tgt, 0)
+                                           + sign * c) % p
+                cols.append(col)
+        return cols
 
     ranks = {}
 
     def rank_of(i, q):
         key = (i, q)
         if key not in ranks:
-            A = strand_matrix(i, q)
-            ranks[key] = 0 if A is None else _rank_mod(A, p)
+            ranks[key] = _rank_mod(strand_columns(i, q), p)
         return ranks[key]
 
     entries = {(0, 0): 1}

@@ -63,7 +63,7 @@ def _ideal_with_gb(target: PolyRing, gens) -> Ideal:
     """Ideal whose grevlex-GB cache is preseeded with ``gens`` (which must
     already be a reduced GB under the target ring's order)."""
     I = Ideal(target, gens)
-    I._gb_cache[(target.order, None)] = GroebnerBasis(gens, target)
+    I._gb_cache[target.order] = GroebnerBasis(gens, target)
     return I
 
 

@@ -9,7 +9,6 @@ window, ACM-ness, and the canonical corner Betti number.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -60,19 +59,16 @@ def predicted_degree(g: int, deg_L: int, k: int) -> int:
 
 def predicted_multiplicity(g: int, deg_L: int, k: int, m: int) -> int:
     """Multiplicity of Σ_k at a point of Σ_m \\ Σ_{m-1}:
-    Σ_{i=0}^{min(k-m, g)} C(deg_L - g - m - 1 - k - i, k-m-i) C(g, i)."""
+    Σ_{i=0}^{min(k-m, g)} C(deg_L - g - m - 1 - k - i, k-m-i) C(g, i).
+
+    This is the degree of a smaller secant variety, Σ_{k-m-1} of the curve
+    re-embedded with two base points removed per divisor point:
+    predicted_degree(g, deg_L - 2(m+1), k-m-1)."""
     if not 0 <= m <= k:
         raise ValueError("need 0 <= m <= k")
     _warn_hypothesis(g, deg_L, k)
-    value = sum(
-        binomial(deg_L - g - m - 1 - k - i, k - m - i) * binomial(g, i)
-        for i in range(min(k - m, g) + 1))
-    # the multiplicity is the degree of a smaller secant variety of the
-    # curve re-embedded with two base points removed per divisor point
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HypothesisViolated)
-        assert value == predicted_degree(g, deg_L - 2 * (m + 1), k - m - 1)
-    return value
+    return sum(binomial(deg_L - g - m - 1 - k - i, k - m - i)
+               * binomial(g, i) for i in range(min(k - m, g) + 1))
 
 
 def predicted_regularity(g: int, k: int) -> tuple:
@@ -157,14 +153,13 @@ class VerificationReport:
                 and "resource" in r["verdict"]]
 
 
-def _row(name, predicted, computed, verdict, ms):
+def _row(name, predicted, computed, verdict):
     return {"name": name, "predicted": predicted, "computed": computed,
-            "verdict": verdict, "ms": ms}
+            "verdict": verdict}
 
 
 def verify(emb, k: int, seed: int = 0, pair_budget=None,
-           degree_bound=None, include_timings: bool = True
-           ) -> VerificationReport:
+           degree_bound=None) -> VerificationReport:
     """Run secant_join -> hilbert_data -> minimal_free_resolution on the
     embedding and compare every prediction; failures downgrade rows to
     skipped instead of raising.  A Betti table that breaks a run-time
@@ -176,13 +171,6 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
     prime = emb.model.field.p
     instance = {"genus": g, "degree": d, "k": k, "r": emb.r}
     rows = []
-    stages = {}
-
-    def clock():
-        return time.monotonic()
-
-    def stamp(t0):
-        return round((clock() - t0) * 1000) if include_timings else None
 
     names = [
         ("dim", pred.predicted_dim),
@@ -198,38 +186,30 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
 
     def all_rows(verdict):
         for name, p_ in names:
-            rows.append(_row(name, p_, None, verdict, None))
+            rows.append(_row(name, p_, None, verdict))
         return VerificationReport(instance, rows, seed, prime)
 
     def skip_all(reason):
         return all_rows(f"skipped({reason})")
 
-    t0 = clock()
     try:
         S = secant_join(emb.secant_spec(k), seed=seed,
                         pair_budget=pair_budget)
     except ResourceLimit:
         return skip_all("resource limit in secant_join")
-    stages["join_ms"] = stamp(t0)
 
     if S.is_zero() or 2 * k + 1 >= emb.r:
-        instance["stages_ms"] = stages
         return skip_all("fills ambient")
 
-    t0 = clock()
     try:
         hd = hilbert_data(S, pair_budget=pair_budget)
         B = minimal_free_resolution(S, degree_bound=degree_bound,
                                     pair_budget=pair_budget, seed=seed)
     except ResourceLimit:
-        instance["stages_ms"] = stages
         return skip_all("resource limit in resolution")
     except InternalIdentityError as e:
-        instance["stages_ms"] = stages
         instance["error"] = str(e)
         return all_rows("error(internal identity)")
-    stages["betti_ms"] = stamp(t0)
-    instance["stages_ms"] = stages
 
     reg = regularity(B)
     pd_ = projective_dimension(B)
@@ -241,29 +221,27 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
     rows.append(_row("dim", pred.predicted_dim,
                      hd.projective_dimension_of_variety,
                      verdict(pred.predicted_dim,
-                             hd.projective_dimension_of_variety), None))
+                             hd.projective_dimension_of_variety)))
     rows.append(_row("degree", pred.predicted_degree, hd.degree,
-                     verdict(pred.predicted_degree, hd.degree), None))
+                     verdict(pred.predicted_degree, hd.degree)))
     if truncated:
         rows.append(_row("reg_structure_sheaf",
                          pred.predicted_reg_structure_sheaf, None,
-                         "skipped(degree-truncated table)", None))
+                         "skipped(degree-truncated table)"))
         rows.append(_row("reg_embedded", pred.predicted_reg_embedded, None,
-                         "skipped(degree-truncated table)", None))
+                         "skipped(degree-truncated table)"))
     else:
         rows.append(_row("reg_structure_sheaf",
                          pred.predicted_reg_structure_sheaf, reg,
-                         verdict(pred.predicted_reg_structure_sheaf, reg),
-                         None))
+                         verdict(pred.predicted_reg_structure_sheaf, reg)))
         rows.append(_row("reg_embedded", pred.predicted_reg_embedded,
                          reg + 1,
-                         verdict(pred.predicted_reg_embedded, reg + 1),
-                         None))
+                         verdict(pred.predicted_reg_embedded, reg + 1)))
 
     # N_{k+2, p} window: the theorem is a lower bound on the true window
     if truncated:
         rows.append(_row("ndp_window", pred.predicted_ndp_window, None,
-                         "skipped(degree-truncated table)", None))
+                         "skipped(degree-truncated table)"))
     else:
         computed_p = -1
         imax = max((i for (i, _), _ in B.entries), default=0)
@@ -276,15 +254,15 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
         else:
             v = "mismatch"
         rows.append(_row("ndp_window", pred.predicted_ndp_window,
-                         computed_p, v, None))
+                         computed_p, v))
 
     if truncated:
         rows.append(_row("acm", pred.predicted_acm, None,
-                         "skipped(degree-truncated table)", None))
+                         "skipped(degree-truncated table)"))
     else:
         acm = is_acm(B, hd)
         rows.append(_row("acm", pred.predicted_acm, acm,
-                         verdict(pred.predicted_acm, acm), None))
+                         verdict(pred.predicted_acm, acm)))
 
     try:
         mg = min_generator_degree(B)
@@ -292,33 +270,33 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
         mg = None
     if pred.predicted_min_gen_degree is None:
         rows.append(_row("min_gen_degree", None, mg,
-                         "skipped(outside hypothesis window)", None))
+                         "skipped(outside hypothesis window)"))
     else:
         rows.append(_row("min_gen_degree", pred.predicted_min_gen_degree, mg,
-                         verdict(pred.predicted_min_gen_degree, mg), None))
+                         verdict(pred.predicted_min_gen_degree, mg)))
 
     # canonical h^0 sits in the corner Koszul group K_{r-2k-1, 2k+2}
     ci, cq = pred.predicted_corner
     corner_j = ci + cq
     if truncated and corner_j > B.truncated_at:
         rows.append(_row("canonical_h0", pred.predicted_canonical_h0, None,
-                         "skipped(degree-truncated table)", None))
+                         "skipped(degree-truncated table)"))
     else:
         kc = koszul_dim(B, ci, cq)
         rows.append(_row("canonical_h0", pred.predicted_canonical_h0, kc,
-                         verdict(pred.predicted_canonical_h0, kc), None))
+                         verdict(pred.predicted_canonical_h0, kc)))
     # for g >= 1 the table ends exactly at the predicted corner; for g = 0
     # the corner group vanishes and pins down nothing
     if g == 0:
         rows.append(_row("corner", list(pred.predicted_corner), None,
-                         "skipped(corner vanishes for genus 0)", None))
+                         "skipped(corner vanishes for genus 0)"))
     elif truncated:
         rows.append(_row("corner", list(pred.predicted_corner), None,
-                         "skipped(degree-truncated table)", None))
+                         "skipped(degree-truncated table)"))
     else:
         computed_corner = [pd_, reg]
         rows.append(_row("corner", list(pred.predicted_corner),
                          computed_corner,
                          verdict(list(pred.predicted_corner),
-                                 computed_corner), None))
+                                 computed_corner)))
     return VerificationReport(instance, rows, seed, prime)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import secantlab
 from secantlab import homalg
 from secantlab.arith import MAX_PRIME, is_prime
 from secantlab.cli import main
@@ -218,3 +223,13 @@ def test_identity_failure_is_internal_error(curve_file, capsys,
     assert "Hilbert numerator" in doc["instance"]["error"]
     code, _, err = run(capsys, ["betti", "--file", path, "--k", "1"])
     assert code == 4 and "internal error" in err
+
+
+def test_cli_import_needs_no_numpy():
+    # the package has no third-party runtime dependency
+    src = Path(secantlab.__file__).resolve().parent.parent
+    probe = "import sys, secantlab.cli; print('numpy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert res.stdout.strip() == "False"

@@ -83,15 +83,6 @@ def test_pair_budget_enforced():
         buchberger(gens, R, pair_budget=1)
 
 
-def test_degree_bound_truncates():
-    gens = [R.parse("x^2*y - z^3"), R.parse("x*z^2 - y^3")]
-    full = buchberger(gens, R)
-    trunc = buchberger(gens, R, degree_bound=3)
-    full_low = {f.terms for f in full if f.total_degree() <= 3}
-    trunc_low = {f.terms for f in trunc if f.total_degree() <= 3}
-    assert trunc_low == full_low
-
-
 def test_wide_exponent_fallback():
     # total degree beyond the narrow packing capacity of 8-bit fields
     Ru = PolyRing(["u", "v"], F)

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,37 +85,49 @@ def _naive_rank(rows, ncols, p):
     return rank
 
 
+def _sparse(rows):
+    return [{j: c for j, c in enumerate(r) if c} for r in rows]
+
+
 @given(st.integers(0, 9), st.integers(0, 9), st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_rank_matches_naive_gaussian(m, n, seed):
+    # half the entries zero, so pivots fill in and ranks fall short
     rng = random.Random(seed)
-    rows = [[rng.randrange(32003) for _ in range(n)] for _ in range(m)]
-    A = np.array(rows, dtype=np.float64).reshape(m, n)
-    assert _rank_mod(A, 32003) == _naive_rank(rows, n, 32003)
+    rows = [[rng.randrange(32003) if rng.random() < 0.5 else 0
+             for _ in range(n)] for _ in range(m)]
+    assert _rank_mod(_sparse(rows), 32003) == _naive_rank(rows, n, 32003)
 
 
 def test_rank_handles_blocked_path():
-    # exceed the 256-column block width so delayed updates are exercised
+    # 40 dense vectors of length 300, wider than any strand after the cut;
+    # each of the 20 dependent ones must reduce to exactly zero
     rng = random.Random(5)
-    m, n = 40, 300
+    n = 300
     base = [[rng.randrange(32003) for _ in range(n)] for _ in range(20)]
     rows = base + [[(2 * r[j] + base[0][j]) % 32003 for j in range(n)]
                    for r in base]
-    A = np.array(rows, dtype=np.float64)
-    assert _rank_mod(A, 32003) == 20
+    assert _rank_mod(_sparse(rows), 32003) == 20
 
 
 def test_rank_exact_at_largest_supported_prime():
-    # rank 260 > RANK_BLOCK pivots, so a full block of delayed updates is
-    # applied with entries near MAX_PRIME
+    # 260 vectors, triangular under a hidden column order (so independent)
+    # with entries near MAX_PRIME, and 40 combinations of them, shuffled
     p = MAX_PRIME
-    rng = np.random.default_rng(7)
-    L = rng.integers(p - 1000, p, size=(300, 260), dtype=np.int64)
-    U = rng.integers(p - 1000, p, size=(260, 300), dtype=np.int64)
-    A = np.zeros((300, 300), dtype=np.int64)
-    for k in range(260):
-        A = (A + np.outer(L[:, k], U[k]) % p) % p
-    assert _rank_mod(A, p) == 260
+    rng = random.Random(7)
+    cols = list(range(300))
+    rng.shuffle(cols)
+    base = [{cols[j]: rng.randrange(p - 1000, p) for j in range(k, 300)}
+            for k in range(260)]
+    extra = []
+    for _ in range(40):
+        u, v = rng.sample(base, 2)
+        c = rng.randrange(1, p)
+        extra.append({j: (c * u.get(j, 0) + v.get(j, 0)) % p
+                      for j in u.keys() | v.keys()})
+    vectors = base + extra
+    rng.shuffle(vectors)
+    assert _rank_mod(vectors, p) == 260
 
 
 # -- Betti tables -----------------------------------------------------------
@@ -290,6 +301,8 @@ def test_identity_check_catches_wrong_ranks(monkeypatch):
         minimal_free_resolution(I)
     with pytest.raises(InternalIdentityError):
         minimal_free_resolution(I, degree_bound=3)
-    monkeypatch.setattr(homalg, "_rank_mod", lambda A, p: sum(A.shape))
+    # a rank above the number of vectors is impossible; this one drives
+    # beta_{1,2} of the twisted cubic below zero
+    monkeypatch.setattr(homalg, "_rank_mod", lambda A, p: len(A) + 2)
     with pytest.raises(InternalIdentityError, match="negative"):
         minimal_free_resolution(I)

@@ -97,7 +97,7 @@ def test_verify_degenerate_secant_skips_all():
 
 
 def test_report_json_shape():
-    rep = verify(rational_normal_curve(4, F), 1, include_timings=False)
+    rep = verify(rational_normal_curve(4, F), 1)
     doc = rep.to_json_dict()
     json.dumps(doc)  # serializable
     assert doc["instance"]["genus"] == 0 and doc["instance"]["k"] == 1
