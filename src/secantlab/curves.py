@@ -4,7 +4,10 @@ A curve is embedded by the complete linear system of O(d * P_inf): genus 0
 gives the rational normal curve directly, genus 1 and 2 use an explicit
 monomial basis of functions with bounded pole order at infinity and realize
 the image ideal by a weighted graph elimination.  The embeddings seed
-secant_join and carry a cone parametrization for its fast path.
+secant_join and carry a weighted-homogeneous cone parametrization for its
+fast path: (s, t) -> s^(d-i) t^i for genus 0, and for genus 1 and 2 the
+images t^(d - pole) m(x, y) of weight d under the weights (2, w_y, 1) of
+(x, y, t), w_y = 3 or 5, cut out by the curve equation homogenised by t.
 """
 
 from __future__ import annotations
@@ -241,6 +244,14 @@ def embed(model: CurveModel, d: int, pair_budget=None) -> CurveEmbedding:
     Builds the graph ideal z_i - t*m_i(x, y) alongside the curve equation
     and eliminates {x, y, t} under a pole-order-weighted block order; the
     result is the saturated homogeneous ideal of the embedded curve.
+
+    The cone chart gives x, y, t the weights 2, w_y, 1 (w_y = 3 for genus
+    1, 5 for genus 2) and sends (x, y, t) to t^(d - pole_i) m_i(x, y), each
+    of weight d.  Its constraint is the curve equation homogenised by t to
+    weight 2 w_y (x^i y^j gets t^(2 w_y - 2i - w_y j)).  Where t != 0, the
+    substitution x = t^2 X, y = t^w_y Y turns this into the unweighted cone
+    t^d * m_i(X, Y) over the curve w(X, Y) = 0, so the chart covers the same
+    cone, and the secant join becomes weighted-homogeneous.
     """
     if model.genus == 0:
         return rational_normal_curve(d, model.field)
@@ -261,11 +272,13 @@ def embed(model: CurveModel, d: int, pair_budget=None) -> CurveEmbedding:
     target = PolyRing(znames, field, MonomialOrder.grevlex())
     ideal = _ideal_with_gb(target, _subring_part(gb, 3, target))
     pring = PolyRing(["x", "y", "t"], field)
-    images = tuple(
-        pring.monomial((exps[0], exps[1], 1)) for exps, _ in basis)
+    images = tuple(pring.monomial((exps[0], exps[1], d - pole))
+                   for exps, pole in basis)
+    curve = pring.from_dict({(i, j, 2 * wy - 2 * i - wy * j): c
+                             for (i, j), c in model.equation.terms})
     param = ConeParametrization(ring=pring, images=images,
-                                constraints=(_transplant(
-                                    model.equation, pring, [0, 1]),))
+                                constraints=(curve,), weights=(2, wy, 1),
+                                image_weight=d)
     return CurveEmbedding(model, d, tuple(basis), r, ideal, param)
 
 

@@ -487,7 +487,8 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
 
 
 class Ideal:
-    """Generator list with a cached reduced Groebner basis per order."""
+    """Generator list with a cached reduced Groebner basis per order and a
+    cached Hilbert series (written by ``homalg.hilbert_data``)."""
 
     def __init__(self, ring: PolyRing, generators):
         for g in generators:
@@ -496,6 +497,7 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(g for g in generators if g.terms)
         self._gb_cache: dict = {}
+        self._hilbert_cache = None
 
     def groebner(self, order: MonomialOrder | None = None,
                  pair_budget: int | None = None) -> GroebnerBasis:

@@ -138,8 +138,14 @@ def hilbert_data(I: Ideal, pair_budget=None) -> HilbertData:
     """Hilbert series, Krull dimension, and degree of S/I.
 
     Works from the initial ideal of a Groebner basis, independent of any
-    resolution machinery.
+    resolution machinery.  The result is cached on I.
     """
+    if I._hilbert_cache is None:
+        I._hilbert_cache = _hilbert_data(I, pair_budget)
+    return I._hilbert_cache
+
+
+def _hilbert_data(I: Ideal, pair_budget) -> HilbertData:
     ring = I.ring
     n = ring.nvars
     if I.is_zero():
@@ -455,7 +461,9 @@ def minimal_free_resolution(I: Ideal, degree_bound=None, pair_budget=None,
         raise ValueError("Betti tables require a homogeneous ideal")
     if I.is_zero():
         return BettiTable(n, (((0, 0), 1),))
-    hd = hilbert_data(I, pair_budget=pair_budget)
+    hd = I._hilbert_cache   # the callers have usually computed it already
+    if hd is None:
+        hd = hilbert_data(I, pair_budget=pair_budget)
     if hd.dimension < 0:
         raise ValueError("unit ideal has no graded Betti table")
 

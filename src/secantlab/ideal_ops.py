@@ -147,21 +147,23 @@ def radical_membership(f: Polynomial, I: Ideal, pair_budget=None) -> bool:
 
 @dataclass(frozen=True)
 class ConeParametrization:
-    """Polynomial chart of the affine cone over the base curve.
+    """Weighted-homogeneous polynomial chart of the affine cone over the
+    base curve.
 
     ``images`` live in a small parameter ring and map onto (a dense subset
     of) the cone; ``constraints`` cut out the chart (empty for a genuinely
     polynomial parametrization such as the rational normal curve, the curve
-    equation for Weierstrass models).  ``weights`` grade the parameter
-    variables; ``image_weight``, when every image is quasi-homogeneous of
-    one weighted degree, grades the ambient variables to match.
+    equation homogenised by t for genus 1 and 2).  ``weights`` grade the
+    parameter variables, and every image is weighted-homogeneous of degree
+    ``image_weight`` (every constraint of some degree), so the join ideal is
+    homogeneous once each ambient variable gets weight ``image_weight``.
     """
 
     ring: PolyRing
     images: tuple
+    weights: tuple
+    image_weight: int
     constraints: tuple = ()
-    weights: tuple | None = None
-    image_weight: int | None = None
 
 
 @dataclass(frozen=True)
@@ -202,17 +204,16 @@ def _join_with_parametrization(param: ConeParametrization, cur_gens,
     """One join step C * V(cur) using a cone chart of the base curve.
 
     Imposes cur(x − ν(params)) plus the chart constraints and eliminates the
-    parameters; far fewer variables than the two-block construction.
+    parameters under a block order graded by the chart weights, for which
+    these generators are weighted-homogeneous; far fewer variables than the
+    two-block construction.
     """
     n = ring.nvars
     m = param.ring.nvars
     pnames = _fresh_names(m, ring.variables, "p_join")
-    if param.weights is not None and param.image_weight is not None:
-        weights = tuple(param.weights) + (param.image_weight,) * n
-        order = MonomialOrder.block_elim(m, weights)
-    else:
-        order = MonomialOrder.block_elim(m)
-    big = PolyRing(pnames + list(ring.variables), ring.field, order)
+    weights = tuple(param.weights) + (param.image_weight,) * n
+    big = PolyRing(pnames + list(ring.variables), ring.field,
+                   MonomialOrder.block_elim(m, weights))
     pos_p = list(range(m))
     nu = [_transplant(f, big, pos_p) for f in param.images]
     imgs = [big.gen(m + i) - nu[i] for i in range(n)]

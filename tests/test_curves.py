@@ -7,20 +7,26 @@ from secantlab.curves import (CurveModel, DegreeTooSmall, DuplicatePoints,
                               rr_basis, sample_affine_points)
 from secantlab.homalg import hilbert_data
 from secantlab.ideal_ops import secant_join
+from secantlab.oracle import predicted_degree
 from secantlab.poly import PolyRing
 
 F = PrimeField(32003)
 F101 = PrimeField(101)
 
 
-def elliptic(field=F101):
+# a1, a3 != 0: the chart constraint has the odd-weight terms x*y and y
+GENERAL_WEIERSTRASS = "y^2 + x*y + 3*y - x^3 - 2*x^2 - 4*x - 1"
+GENUS2_SEXTIC = "y^2 - x^5 - 3*x^3 - x - 7"
+
+
+def elliptic(field=F101, equation="y^2 - x^3 - 4*x - 1"):
     R = PolyRing(["x", "y"], field)
-    return CurveModel(1, field, R.parse("y^2 - x^3 - 4*x - 1"))
+    return CurveModel(1, field, R.parse(equation))
 
 
-def genus2():
+def genus2(equation="y^2 - x^5 - x - 1"):
     R = PolyRing(["x", "y"], F)
-    return CurveModel(2, F, R.parse("y^2 - x^5 - x - 1"))
+    return CurveModel(2, F, R.parse(equation))
 
 
 # -- model validation -------------------------------------------------------
@@ -99,6 +105,30 @@ def test_genus2_degree7_embedding():
     assert E.r == 5 and hd.degree == 7 and hd.dimension == 2
 
 
+def _weight(mon, weights):
+    return sum(w * e for w, e in zip(weights, mon))
+
+
+@pytest.mark.parametrize("model,d", [
+    (elliptic(F), 5), (elliptic(F), 6), (elliptic(F, GENERAL_WEIERSTRASS), 5),
+    (genus2(GENUS2_SEXTIC), 6), (genus2(), 7)])
+def test_cone_chart_is_weighted_homogeneous(model, d):
+    # x, y, t weigh 2, w_y, 1; every image t^(d - pole) m(x, y) weighs d and
+    # the curve equation, homogenised by t, weighs 2 w_y
+    wy = 3 if model.genus == 1 else 5
+    param = embed(model, d).parametrization
+    assert param.weights == (2, wy, 1) and param.image_weight == d
+    assert len(param.images) == d + 1 - model.genus
+    for f in param.images:
+        assert {_weight(mon, param.weights) for mon, _ in f.terms} == {d}
+    (curve,) = param.constraints
+    assert {_weight(mon, param.weights) for mon, _ in curve.terms} \
+        == {2 * wy}
+    # at t = 1 the constraint is the curve equation itself
+    assert {(mon[:2], c) for mon, c in curve.terms} \
+        == set(model.equation.terms)
+
+
 def test_sampled_points_satisfy_ideal():
     for emb, npts in ((embed(elliptic(), 5), 40),
                       (rational_normal_curve(4, F), 60)):
@@ -123,6 +153,24 @@ def test_point_on_secant_and_duplicates():
         point_on_secant(E, 1, [3, 3], [1, 1], S)
     with pytest.raises(ValueError):
         point_on_secant(E, 1, [0, 1], [1, 0], S)
+
+
+@pytest.mark.filterwarnings("ignore::secantlab.oracle.HypothesisViolated")
+@pytest.mark.parametrize("model,d", [
+    (elliptic(F, GENERAL_WEIERSTRASS), 5), (genus2(GENUS2_SEXTIC), 6)])
+def test_secant_hypersurface_certificate(model, d):
+    # Σ_1 is an irreducible hypersurface of degree predicted_degree(g, d, 1)
+    # here (5 and 8, both in P^4; genus 2 at d = 6 is below the theorem's
+    # range, the degree formula still holds): one generator of that degree
+    # vanishing at seeded secant points is its whole ideal
+    E = embed(model, d)
+    S = secant_join(E.secant_spec(1))
+    gb = list(S.groebner())
+    assert E.r == 4 and len(gb) == 1
+    assert gb[0].total_degree() == predicted_degree(model.genus, d, 1)
+    pts = sample_affine_points(model, 8, seed=5)
+    for i in range(0, 8, 2):
+        point_on_secant(E, 1, pts[i:i + 2], [1 + i, 7 + 3 * i], S)
 
 
 # -- curve files ------------------------------------------------------------

@@ -40,6 +40,20 @@ def test_hilbert_twisted_cubic():
         assert hd.hilbert_function(d) == 3 * d + 1
 
 
+def test_resolution_reuses_callers_hilbert_data(monkeypatch):
+    # cli.cmd_betti and oracle.verify compute hilbert_data(I) first; the
+    # resolution reads it from I instead of asking for it again
+    I = twisted_cubic()
+    hd = hilbert_data(I)
+    asked = []
+    real = homalg.hilbert_data
+    monkeypatch.setattr(homalg, "hilbert_data",
+                        lambda J, **kw: asked.append(J) or real(J, **kw))
+    minimal_free_resolution(I)
+    assert asked and all(J is not I for J in asked)   # only the cut ideals
+    assert hilbert_data(I) is hd
+
+
 def test_hilbert_zero_and_unit():
     R = PolyRing(["x", "y"], F)
     hd0 = hilbert_data(Ideal(R, []))

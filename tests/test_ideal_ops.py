@@ -1,7 +1,9 @@
 import pytest
 
+from secantlab import ideal_ops
 from secantlab.arith import PrimeField
-from secantlab.gb import Ideal, ideal_equal
+from secantlab.curves import CurveModel, embed
+from secantlab.gb import Ideal, buchberger, ideal_equal
 from secantlab.ideal_ops import (PointNotOnVariety, PointedIdeal, SecantSpec,
                                  eliminate, intersect, jacobian_minors,
                                  radical_membership, saturate, secant_join,
@@ -139,3 +141,22 @@ def test_invalid_spec_rejected():
         SecantSpec(k=-1, ambient_dim=4, base_ideal=C)
     with pytest.raises(ValueError):
         SecantSpec(k=1, ambient_dim=7, base_ideal=C)
+
+
+def test_elliptic_sextic_join_basis_gate(monkeypatch):
+    # Deterministic work counter: the weighted-homogeneous chart keeps the
+    # block_elim(3) elimination basis of the elliptic sextic at 99 elements
+    # (131 with the unweighted chart t*m_i(x, y)).
+    sizes = []
+
+    def spy(gens, ring, *args, **kwargs):
+        gb = buchberger(gens, ring, *args, **kwargs)
+        sizes.append((ring.order.name, len(gb)))
+        return gb
+
+    monkeypatch.setattr(ideal_ops, "buchberger", spy)
+    R2 = PolyRing(["x", "y"], F)
+    E = embed(CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1")), 6)
+    secant_join(E.secant_spec(1))
+    elim = [n for name, n in sizes if name == "block_elim(3)"]
+    assert len(elim) == 1 and elim[0] <= 99
