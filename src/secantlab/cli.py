@@ -23,7 +23,7 @@ from .arith import PrimeField
 # it stays bound in this module because perfbench/traced.py hooks it here.
 from .curves import embed, parse_curve_file, rational_normal_curve  # noqa: F401
 from .gb import Ideal, ResourceLimit
-from .homalg import (InternalIdentityError, check_ndp, hilbert_data, is_acm,
+from .homalg import (InternalIdentityError, hilbert_data, is_acm,
                      max_ndp_steps, minimal_free_resolution,
                      projective_dimension, regularity)
 from .ideal_ops import secant_join

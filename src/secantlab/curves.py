@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from .arith import DEFAULT_PRIME, PrimeField, is_prime
 from .gb import Ideal, buchberger
 from .ideal_ops import (ConeParametrization, PointedIdeal, SecantSpec,
-                        _fresh_names, _ideal_with_gb, _subring_part,
-                        _transplant)
+                        _ideal_with_gb, _subring_part, _transplant)
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 

@@ -159,15 +159,6 @@ class _Codec:
         return (m >> self.deg_shift) & self.deg_mask
 
 
-def _convert(f: Polynomial, ring: PolyRing) -> Polynomial:
-    """Re-sort a polynomial's terms for a ring sharing the same variables."""
-    if f.ring is ring or f.ring == ring:
-        return Polynomial(ring, f.terms)
-    key = ring._key
-    terms = sorted(f.terms, key=lambda t: key(t[0]), reverse=True)
-    return Polynomial(ring, tuple(terms))
-
-
 class _Reducer:
     """Monic basis element prepared for division: packed head plus tail."""
 
@@ -287,9 +278,6 @@ class GroebnerBasis:
                 reds.append(r)
             self._reducers = reds
         return self._reducers
-
-    def leading_monomials(self):
-        return [f.lm for f in self.elements]
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring.variables != self.ring.variables or f.ring.field != self.ring.field:

@@ -6,13 +6,15 @@ Tor_i(S/I, k)_j, computed as linear algebra on the Koszul strands), and the
 derived invariants: regularity, projective dimension, ACM-ness, the N_{d,p}
 syzygy properties, and Koszul cohomology dimensions.
 
-Before any strand is built, I is cut by seeded generic linear forms, each
-kept only if the Hilbert numerator certifies it a nonzerodivisor on S/I; the
-Betti table of the cut ideal is that of I (Artinian reduction).  When the
-cuts reach Krull dimension 0 (the ACM case) the strand window is the top
-degree of the h-vector; only when they stop above dimension 0 is the window
-certified by the Bayer-Stillman criterion.  No free resolution is ever
-built, and every table is checked against the Hilbert numerator.
+Before any strand is built, I is cut by seeded generic linear forms, one
+chain of cuts down to Krull dimension 0.  Hilbert data certify every form:
+the prefix of cuts that leave the Hilbert numerator unchanged are
+nonzerodivisors, and the last ideal J of that prefix has the Betti table of
+I (Artinian reduction).  The strand window is the Bayer-Stillman criterion
+read off the Hilbert functions of the rest of the chain, bounded by the
+Taylor resolution of in(J); for an ACM input it is the top degree of the
+h-vector.  No free resolution is ever built, and every table is checked
+against the Hilbert numerator.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .gb import GroebnerBasis, Ideal, buchberger
+# perfbench/traced.py hooks homalg.buchberger, so the name stays bound
+# here although homalg reaches Buchberger only through Ideal.groebner
+from .gb import GroebnerBasis, Ideal, buchberger  # noqa: F401
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 
@@ -122,6 +126,9 @@ class HilbertData:
         if d < 0:
             return 0
         n = self.nvars
+        if n == 0:
+            # S = k: the series is the numerator itself
+            return self.numerator[d] if d < len(self.numerator) else 0
         total = 0
         for e, c in enumerate(self.numerator):
             if e > d:
@@ -298,7 +305,7 @@ def min_generator_degree(B: BettiTable) -> int:
 
 
 # ---------------------------------------------------------------------------
-# certified regularity bound (Bayer-Stillman criterion)
+# cut chain (Artinian reduction) and certified regularity window
 # ---------------------------------------------------------------------------
 
 def _standard_monomials(lms, q: int, n: int):
@@ -318,71 +325,6 @@ def _standard_monomials(lms, q: int, n: int):
     return out
 
 
-def _quotient_piece(gb, ring, q):
-    lms = [f.lm for f in gb]
-    return _standard_monomials(lms, q, ring.nvars)
-
-
-def _nf_in_basis(gb, f, basis_index):
-    """Normal form of f as a sparse vector over a standard-monomial basis."""
-    return {basis_index[mon]: c for mon, c in gb.normal_form(f).terms}
-
-
-def _bs_regularity_holds(I: Ideal, m: int, seed: int, pair_budget) -> bool:
-    """Bayer-Stillman test: conditions certify that I is m-regular.
-
-    With h_1, h_2, ... random linear forms, checks that multiplication by
-    h_j is injective on (S/(I,h_1..h_{j-1}))_m, until that quotient vanishes
-    in degree m.  Passing certifies reg(I) <= m for any choice of forms.
-    """
-    ring = I.ring
-    p = ring.field.p
-    rng = random.Random(seed * 1000003 + m)
-    gens = list(I.generators)
-    for _ in range(ring.nvars + 1):
-        gb = buchberger(gens, ring, pair_budget=pair_budget)
-        if gb.is_unit_ideal():
-            return True
-        std_m = _quotient_piece(gb, ring, m)
-        if not std_m:
-            return True
-        h = ring.from_dict({
-            tuple(1 if i == v else 0 for i in range(ring.nvars)):
-                rng.randrange(1, p)
-            for v in range(ring.nvars)})
-        std_m1 = _quotient_piece(gb, ring, m + 1)
-        idx = {mon: i for i, mon in enumerate(std_m1)}
-        cols = []
-        for mon in std_m:
-            f = h.term_mul(mon, 1)
-            cols.append(_nf_in_basis(gb, f, idx))
-        if not std_m1:
-            return False  # h * (S/A)_m = 0 but (S/A)_m != 0
-        if _rank_mod(cols, p) != len(std_m):
-            return False
-        gens = gens + [h]
-    return False
-
-
-def _certified_regularity_bound(I: Ideal, hd: HilbertData, seed: int,
-                                pair_budget) -> int:
-    """Smallest m with a passing Bayer-Stillman certificate: reg(I) <= m,
-    hence beta_{i,j}(S/I) = 0 whenever j - i > m - 1."""
-    gb = I.groebner(pair_budget=pair_budget)
-    m0 = max(f.total_degree() for f in gb)
-    m0 = max(m0, hd.h_degree + 1, 1)
-    m = m0
-    while True:
-        for attempt in range(2):
-            if _bs_regularity_holds(I, m, seed + attempt, pair_budget):
-                return m
-        m += 1
-
-
-# ---------------------------------------------------------------------------
-# regular-sequence cut (Artinian reduction)
-# ---------------------------------------------------------------------------
-
 def _strip(coeffs) -> tuple:
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -390,14 +332,9 @@ def _strip(coeffs) -> tuple:
     return tuple(coeffs)
 
 
-def _cut(I: Ideal, hd: HilbertData, h: Polynomial, pair_budget):
-    """(I + (h))/(h) with its Hilbert data, as an ideal of the grevlex ring
-    without the leading variable of the linear form h, if that cut is
-    certified; None if it is not.  ``hd`` is the Hilbert data of I.
-
-    The certificate: HS(S/(I,h)) = (1-t) HS(S/I) + t HS(0:h), so the Hilbert
-    numerator is unchanged exactly when h is a nonzerodivisor on S/I.
-    """
+def _cut(I: Ideal, h: Polynomial, pair_budget):
+    """(I + (h))/(h) and its Hilbert data, as an ideal of the grevlex ring
+    without the leading variable of the linear form h."""
     ring = I.ring
     h = h.monic()
     v = h.lm.index(1)
@@ -408,34 +345,65 @@ def _cut(I: Ideal, hd: HilbertData, h: Polynomial, pair_budget):
         cut_ring.from_dict({m[:v] + m[v + 1:]: c
                             for m, c in reduce_h(f).terms})
         for f in I.generators])
-    hd_J = hilbert_data(J, pair_budget=pair_budget)
-    if _strip(hd_J.numerator) != _strip(hd.numerator):
-        return None
-    return J, hd_J
+    return J, hilbert_data(J, pair_budget=pair_budget)
 
 
 def regular_cut(I: Ideal, hd: HilbertData, seed: int = 0, pair_budget=None):
-    """Cut I by seeded generic linear forms while each is certified a
-    nonzerodivisor, at most dim S/I times: (J, hilbert_data(J), cuts).
-    ``hd`` is the Hilbert data of I.
+    """The cut chain of I: yields (J, hilbert_data(J), certified), first for
+    J = I, then for I cut by seeded generic linear forms h_1, h_2, ... one
+    at a time, until Krull dimension 0 (so at most nvars cuts).  ``hd`` is
+    the Hilbert data of I.
 
-    S/I and S'/J have the same graded Betti table.  The cut stops at the
-    first form that fails its certificate, so cuts <= depth S/I; an ACM
-    S/I is cut down to Krull dimension 0.
+    ``certified`` holds while every cut so far is a nonzerodivisor: since
+    HS(S/(A,h)) = (1-t) HS(S/A) + t HS(0:h), the Hilbert numerator is
+    unchanged exactly when h is one.  The last certified J has the Betti
+    table of I in fewer variables; an ACM S/I is certified all the way
+    down to Krull dimension 0.
     """
     rng = random.Random(seed)
-    J = I
-    cuts = 0
+    numerator = _strip(hd.numerator)
+    J, certified = I, True
+    yield J, hd, certified
     while hd.dimension > 0:
         ring = J.ring
         h = ring.from_dict({ring.gen(v).lm: rng.randrange(1, ring.field.p)
                             for v in range(ring.nvars)})
-        step = _cut(J, hd, h, pair_budget)
-        if step is None:
-            break
-        J, hd = step
-        cuts += 1
-    return J, hd, cuts
+        J, hd = _cut(J, h, pair_budget)
+        certified = certified and _strip(hd.numerator) == numerator
+        yield J, hd, certified
+
+
+def _bayer_stillman(chain, m: int) -> bool:
+    """Bayer-Stillman criterion in degree m, read off the Hilbert functions
+    of a cut chain A_0 = S/J, A_{i+1} = A_i/h_i A_i.  By the exact sequence
+    0 -> (0:h)_m -> A_m -> A_{m+1} -> (A/hA)_{m+1} -> 0, h_i is injective
+    on (A_i)_m iff HF_{i+1}(m+1) = HF_i(m+1) - HF_i(m); the criterion asks
+    this of h_0, h_1, ... until some (A_j)_m = 0.  If J is generated in
+    degrees <= m, passing certifies that J is m-regular, whatever the forms
+    (Bayer and Stillman, Invent. Math. 87, 1987)."""
+    for a, b in zip(chain, chain[1:]):
+        if a.hilbert_function(m) == 0:
+            return True
+        if (b.hilbert_function(m + 1)
+                != a.hilbert_function(m + 1) - a.hilbert_function(m)):
+            return False
+    return chain[-1].hilbert_function(m) == 0
+
+
+def _regularity_window(gb: GroebnerBasis, chain) -> int:
+    """An m with reg(J) <= m, hence beta_{i,j}(S/J) = 0 whenever
+    j - i > m - 1.  ``gb`` is the reduced grevlex basis of J and ``chain``
+    the Hilbert data of J and of its further cuts.
+
+    m is the first degree in m0..T that passes ``_bayer_stillman``, else T,
+    the degree of the lcm of the minimal generators of in(J): by the Taylor
+    resolution reg(S/J) <= reg(S/in J) <= T - 1, so T needs no
+    certificate.  For an Artinian S/J the window is its socle degree + 1.
+    """
+    lms = [f.lm for f in gb]
+    T = sum(max(e) for e in zip(*lms))
+    m0 = max(max(sum(mon) for mon in lms), chain[0].h_degree + 1, 1)
+    return next((m for m in range(m0, T) if _bayer_stillman(chain, m)), T)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +415,14 @@ def minimal_free_resolution(I: Ideal, degree_bound=None, pair_budget=None,
     """Graded Betti table of S/I for a homogeneous ideal I.
 
     beta_{i,j} = dim Tor_i(S/I, k)_j, computed as the homology rank of the
-    degree-j strand of the Koszul complex tensored with S'/J, where J is I
-    after ``regular_cut`` (same Betti table, fewer variables).  The strand
-    window is the regularity of S'/J: the top degree of its h-vector when
-    J is Artinian, else a Bayer-Stillman bound; entries outside it are
-    provably zero.  With ``degree_bound`` set, only entries with
-    j <= degree_bound are computed (table marked truncated).  Raises
-    InternalIdentityError if the table breaks an identity that holds by
-    theorem.
+    degree-j strand of the Koszul complex tensored with S'/J, where J is
+    the last certified ideal of the ``regular_cut`` chain (same Betti
+    table, fewer variables).  The strand window is ``_regularity_window``
+    on the rest of the chain; entries outside it are provably zero.  With
+    ``degree_bound`` set, only entries with j <= degree_bound are computed
+    (table marked truncated), no window is needed and the chain stops at
+    its first uncertified cut.  Raises InternalIdentityError if the table
+    breaks an identity that holds by theorem.
     """
     n = I.ring.nvars
     if not I.is_homogeneous():
@@ -467,16 +435,20 @@ def minimal_free_resolution(I: Ideal, degree_bound=None, pair_budget=None,
     if hd.dimension < 0:
         raise ValueError("unit ideal has no graded Betti table")
 
-    J, hd_J, _ = regular_cut(I, hd, seed, pair_budget)
+    for K, hd_K, certified in regular_cut(I, hd, seed, pair_budget):
+        if certified:
+            J, chain = K, [hd_K]
+        elif degree_bound is None:
+            chain.append(hd_K)
+        else:
+            break
+    gb = J.groebner(pair_budget=pair_budget)
     if degree_bound is not None:
         qmax_for = lambda i: degree_bound - i
-    elif hd_J.dimension == 0:
-        qmax_for = lambda i: hd_J.h_degree
     else:
-        m = _certified_regularity_bound(J, hd_J, seed, pair_budget)
+        m = _regularity_window(gb, chain)
         qmax_for = lambda i: m - 1
-    B = BettiTable(n, _koszul_betti(J.groebner(pair_budget=pair_budget),
-                                    qmax_for), degree_bound)
+    B = BettiTable(n, _koszul_betti(gb, qmax_for), degree_bound)
     _check_identities(B, hd)
     return B
 

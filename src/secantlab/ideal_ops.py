@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, zip_longest
 
-from .gb import GroebnerBasis, Ideal, buchberger, ideal_equal
+from .gb import GroebnerBasis, Ideal, buchberger
+from .homalg import hilbert_data
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 
@@ -310,61 +311,55 @@ def saturate_irrelevant(I: Ideal, pair_budget=None) -> Ideal:
     return out
 
 
-def secant_join(spec: SecantSpec, construction: str = "iterated",
-                saturation: str = "linear", seed: int = 0,
+def _is_saturation(I: Ideal, J: Ideal, pair_budget=None) -> bool:
+    """True iff J = I : ℓ^∞ (ℓ a linear form) is the saturation of I.
+
+    J is saturated and contains I^sat, so J = I^sat exactly when S/J and
+    S/I have the same Hilbert polynomial: when (1 - t)^n divides N_I - N_J.
+    """
+    diff = [a - b for a, b in zip_longest(
+        hilbert_data(I, pair_budget=pair_budget).numerator,
+        hilbert_data(J, pair_budget=pair_budget).numerator, fillvalue=0)]
+    for _ in range(I.ring.nvars):
+        if sum(diff):
+            return False
+        diff = list(accumulate(diff))[:-1]   # divide by (1 - t)
+    return True
+
+
+def secant_join(spec: SecantSpec, seed: int = 0,
                 pair_budget=None) -> Ideal:
     """Homogeneous ideal of the k-th secant variety Σ_k of V(base_ideal).
 
-    ``construction``: "iterated" joins the curve onto the running secant one
-    point block at a time (using the cone parametrization when available);
-    "blocks" is the direct (k+1)-block elimination.  Both yield the same
-    ideal; iterated is much faster.
-
-    ``saturation``: "linear" saturates by a seeded random linear form, twice,
-    and requires agreement (falling back to the full irrelevant-ideal
-    saturation if the draws disagree); "full" forces the slow reference path;
-    "none" skips saturation (the raw elimination output).
+    Joins the curve onto the running secant one point block at a time
+    (through the cone parametrization when there is one), then saturates
+    the raw join by one seeded random linear form ℓ.  ``_is_saturation``
+    certifies the result from Hilbert data; if the certificate fails, the
+    full irrelevant-ideal saturation is computed instead.
     """
     ring = spec.base_ideal.ring
     if spec.k == 0 or spec.base_ideal.is_zero():
         return spec.base_ideal
 
-    if construction == "blocks":
-        gens = _join_literal(spec, pair_budget)
-    elif construction == "iterated":
-        gens = list(spec.base_ideal.generators)
-        for _ in range(spec.k):
-            if spec.parametrization is not None:
-                gens = _join_with_parametrization(
-                    spec.parametrization, gens, ring, pair_budget)
-            else:
-                gens = _join_with_ideal(
-                    spec.base_ideal.generators, gens, ring, pair_budget)
-            if not gens:
-                break
-    else:
-        raise ValueError(f"unknown construction {construction!r}")
+    gens = list(spec.base_ideal.generators)
+    for _ in range(spec.k):
+        if spec.parametrization is not None:
+            gens = _join_with_parametrization(
+                spec.parametrization, gens, ring, pair_budget)
+        else:
+            gens = _join_with_ideal(
+                spec.base_ideal.generators, gens, ring, pair_budget)
+        if not gens:
+            return Ideal(ring, [])
 
-    if not gens:
-        return Ideal(ring, [])
-
-    if saturation == "none":
-        if ring.order == MonomialOrder.grevlex():
-            return _ideal_with_gb(ring, gens)
-        return Ideal(ring, gens)
-    raw = Ideal(ring, gens)
-    if saturation == "full":
-        return saturate_irrelevant(raw, pair_budget)
-    if saturation != "linear":
-        raise ValueError(f"unknown saturation {saturation!r}")
+    # the join output is already a reduced grevlex basis
+    raw = _ideal_with_gb(ring, gens) if ring.order == MonomialOrder.grevlex() \
+        else Ideal(ring, gens)
     rng = random.Random(seed)
-    p = ring.field.p
-    draws = [[rng.randrange(1, p) for _ in range(ring.nvars)]
-             for _ in range(2)]
-    first = _saturate_wrt_linear(raw, draws[0], pair_budget)
-    second = _saturate_wrt_linear(raw, draws[1], pair_budget)
-    if ideal_equal(first, second, pair_budget=pair_budget):
-        return first
+    ell = [rng.randrange(1, ring.field.p) for _ in range(ring.nvars)]
+    sat = _saturate_wrt_linear(raw, ell, pair_budget)
+    if _is_saturation(raw, sat, pair_budget):
+        return sat
     return saturate_irrelevant(raw, pair_budget)
 
 
@@ -495,6 +490,5 @@ def tangent_cone_multiplicity(P: PointedIdeal, pair_budget=None):
         low = {mon[1:]: c for mon, c in g.terms if mon[0] == a}
         cone_gens.append(aff.from_dict(low))
     cone = Ideal(aff, cone_gens)
-    from .homalg import hilbert_data
     mult = hilbert_data(cone, pair_budget=pair_budget).degree
     return cone, mult

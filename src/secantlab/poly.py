@@ -9,8 +9,7 @@ active order, with no zero coefficients and no duplicate monomials.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from dataclasses import dataclass
 
 from .arith import PrimeField
 
@@ -37,41 +36,6 @@ class RingMismatch(ValueError):
 
 class ZeroPolynomial(ValueError):
     """Operation undefined for the zero polynomial."""
-
-
-#: Marker returned by weighted_degree for non-homogeneous polynomials.
-NONHOMOGENEOUS = "nonhomogeneous"
-
-
-# ---------------------------------------------------------------------------
-# monomial helpers (exponent tuples)
-# ---------------------------------------------------------------------------
-
-def mon_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-def mon_divides(a: tuple, b: tuple) -> bool:
-    """True iff a | b."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-def mon_div(a: tuple, b: tuple) -> tuple:
-    """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-def mon_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-def mon_gcd_is_one(a: tuple, b: tuple) -> bool:
-    for x, y in zip(a, b):
-        if x and y:
-            return False
-    return True
-
-def mon_degree(a: tuple) -> int:
-    return sum(a)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +80,6 @@ class MonomialOrder:
             f"block_elim({s})",
         )
 
-    @staticmethod
-    def weighted_then_grevlex(weights: tuple) -> "MonomialOrder":
-        """Weighted degree first, full grevlex as the tie-break."""
-        return MonomialOrder(
-            (("grevlex", 0, None, tuple(weights)), ("grevlex", 0, None, None)),
-            "weighted_then_grevlex",
-        )
-
     def key_function(self, nvars: int):
         """Compile to a function exponent-tuple -> comparable key (larger key
         means larger monomial)."""
@@ -160,25 +116,11 @@ class MonomialOrder:
     def is_graded(self) -> bool:
         """True when the order refines total degree (single unit-weight
         degree-first block)."""
-        if len(self.blocks) == 1:
-            return self.blocks[0][0] == "grevlex" and self.blocks[0][3] is None
-        if self.name == "weighted_then_grevlex":
-            w = self.blocks[0][3]
-            return all(x == 1 for x in w)
-        return False
+        return (len(self.blocks) == 1 and self.blocks[0][0] == "grevlex"
+                and self.blocks[0][3] is None)
 
     def __repr__(self):
         return f"MonomialOrder({self.name})"
-
-
-def compare_monomials(a: tuple, b: tuple, order: MonomialOrder,
-                      nvars: int | None = None) -> int:
-    """-1, 0, or 1 as a <, =, > b under the order."""
-    if len(a) != len(b):
-        raise ArityMismatch(f"exponent lengths differ: {len(a)} vs {len(b)}")
-    keyf = order.key_function(nvars if nvars is not None else len(a))
-    ka, kb = keyf(a), keyf(b)
-    return (ka > kb) - (ka < kb)
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +131,13 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 class PolyRing:
-    """k[x_1..x_n] with a coefficient field, a monomial order, and an
-    optional positive grading on the variables (default: all weight 1)."""
+    """k[x_1..x_n] with a coefficient field and a monomial order."""
 
-    __slots__ = ("variables", "field", "order", "weights",
-                 "_index", "_key", "zero", "one")
+    __slots__ = ("variables", "field", "order", "_index", "_key", "zero",
+                 "one")
 
     def __init__(self, variables, field: PrimeField,
-                 order: MonomialOrder | None = None,
-                 weights: tuple | None = None):
+                 order: MonomialOrder | None = None):
         if isinstance(variables, str):
             variables = tuple(v.strip() for v in variables.split(","))
         variables = tuple(variables)
@@ -209,12 +149,6 @@ class PolyRing:
         self.variables = variables
         self.field = field
         self.order = order if order is not None else MonomialOrder.grevlex()
-        if weights is None:
-            weights = (1,) * len(variables)
-        weights = tuple(weights)
-        if len(weights) != len(variables) or any(w <= 0 for w in weights):
-            raise ValueError("grading weights must be positive, one per variable")
-        self.weights = weights
         self._index = {v: i for i, v in enumerate(variables)}
         self._key = self.order.key_function(len(variables))
         self.zero = Polynomial(self, ())
@@ -263,17 +197,16 @@ class PolyRing:
         return parse_polynomial(text, self)
 
     def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.variables, self.field, order, self.weights)
+        return PolyRing(self.variables, self.field, order)
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing)
                 and self.variables == other.variables
                 and self.field == other.field
-                and self.order == other.order
-                and self.weights == other.weights)
+                and self.order == other.order)
 
     def __hash__(self):
-        return hash((self.variables, self.field.p, self.order, self.weights))
+        return hash((self.variables, self.field.p, self.order))
 
     def __repr__(self):
         return (f"PolyRing(F_{self.field.p}[{', '.join(self.variables)}], "
@@ -319,16 +252,6 @@ class Polynomial:
             return True
         d = sum(self.terms[0][0])
         return all(sum(m) == d for m, _ in self.terms)
-
-    def weighted_degree(self):
-        """Common weighted degree of all terms, or NONHOMOGENEOUS."""
-        if not self.terms:
-            raise ZeroPolynomial("weighted degree of the zero polynomial")
-        w = self.ring.weights
-        degs = {sum(wi * e for wi, e in zip(w, m)) for m, _ in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return NONHOMOGENEOUS
 
     def monic(self) -> "Polynomial":
         if not self.terms:

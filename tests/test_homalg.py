@@ -1,16 +1,18 @@
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secantlab import gb as gb_module
 from secantlab import homalg
 from secantlab.arith import MAX_PRIME, PrimeField
 from secantlab.curves import CurveModel, embed, rational_normal_curve
 from secantlab.gb import Ideal
 from secantlab.homalg import (InternalIdentityError, ZeroIdeal,
-                              _certified_regularity_bound, _cut,
-                              _koszul_betti, _rank_mod, betti_numerator,
+                              _bayer_stillman, _cut, _koszul_betti,
+                              _rank_mod, betti_numerator,
                               check_ndp, hilbert_data, is_acm, koszul_dim,
                               max_ndp_steps, min_generator_degree,
                               minimal_free_resolution, projective_dimension,
@@ -60,6 +62,20 @@ def test_hilbert_zero_and_unit():
     assert hd0.numerator == (1,) and hd0.dimension == 2
     hd1 = hilbert_data(Ideal(R, [R.constant(1)]))
     assert hd1.dimension == -1 and hd1.degree == 0
+
+
+def test_hilbert_function_without_variables():
+    # S = k: S/0 is k in degree 0 and nothing above
+    hd = hilbert_data(Ideal(PolyRing([], F), []))
+    assert [hd.hilbert_function(d) for d in range(4)] == [1, 0, 0, 0]
+    # the chain of I = (x+y+z)(x, y) cut by x+y+z, y+z, z ends there
+    R = PolyRing(["x", "y", "z"], F)
+    I = Ideal(R, [R.parse("x^2 + x*y + x*z"), R.parse("x*y + y^2 + y*z")])
+    J = I
+    for h in ("x + y + z", "y + z", "z"):
+        J, hd_J = _cut(J, J.ring.parse(h), None)
+    assert J.ring.nvars == 0 and J.is_zero()
+    assert [hd_J.hilbert_function(d) for d in range(4)] == [1, 0, 0, 0]
 
 
 def test_hilbert_hypersurface():
@@ -223,20 +239,30 @@ def test_display_renders_dots_for_zeros():
 # -- regular-sequence cut ---------------------------------------------------
 
 def _uncut_table(I, degree_bound=None):
-    """Test oracle: the Koszul strands of I itself, windowed by the
-    Bayer-Stillman bound (or the truncation bound), without any cut."""
+    """Test oracle: the Koszul strands of I itself, without any cut,
+    windowed by the truncation bound or else by the Taylor bound T - 1 on
+    reg(S/I), T the degree of the lcm of the minimal generators of in(I)."""
+    gb = I.groebner()
     if degree_bound is not None:
-        return _koszul_betti(I.groebner(), lambda i: degree_bound - i)
-    m = _certified_regularity_bound(I, hilbert_data(I), 0, None)
-    return _koszul_betti(I.groebner(), lambda i: m - 1)
+        return _koszul_betti(gb, lambda i: degree_bound - i)
+    T = sum(max(e) for e in zip(*(f.lm for f in gb)))
+    return _koszul_betti(gb, lambda i: T - 1)
+
+
+def _certified_cut(I, hd, seed=0):
+    """(J, hilbert_data(J), cuts) for the last certified ideal of the cut
+    chain of I."""
+    chain = [(J, hd_J) for J, hd_J, ok in regular_cut(I, hd, seed) if ok]
+    return chain[-1] + (len(chain) - 1,)
 
 
 def test_cut_certificate_rejects_zero_divisor():
     R = PolyRing(["x", "y", "z"], F)
     I = Ideal(R, [R.parse("x*y")])
     hd = hilbert_data(I)
-    assert _cut(I, hd, R.var("x"), None) is None
-    J, hd_J = _cut(I, hd, R.var("z"), None)
+    _, hd_x = _cut(I, R.var("x"), None)
+    assert hd_x.numerator != hd.numerator
+    J, hd_J = _cut(I, R.var("z"), None)
     assert J.ring.variables == ("x", "y")
     assert hd_J.numerator == hd.numerator and hd_J.dimension == 1
 
@@ -245,12 +271,107 @@ def test_cut_stops_at_depth_on_non_acm():
     R = PolyRing(["x", "y", "z"], F)
     I = Ideal(R, [R.parse("x^2"), R.parse("x*y")])
     hd = hilbert_data(I)
-    J, hd_J, cuts = regular_cut(I, hd)
+    J, hd_J, cuts = _certified_cut(I, hd)
     assert hd.dimension == 2 and cuts == 1 == hd_J.dimension
     assert J.ring.nvars == 2
+    # the chain goes on past the certified prefix, down to dimension 0
+    chain = list(regular_cut(I, hd))
+    assert [hd_K.dimension for _, hd_K, _ in chain] == [2, 1, 0]
+    assert [ok for _, _, ok in chain] == [True, True, False]
     B = minimal_free_resolution(I)
     assert B.entries == _uncut_table(I)
     assert not is_acm(B, hd)
+
+
+def _rational_quartic():
+    R = PolyRing(["a", "b", "c", "d"], F)
+    return Ideal(R, [R.parse(g) for g in (
+        "b*c - a*d", "c^3 - b*d^2", "a*c^2 - b^2*d", "b^3 - a^2*c")])
+
+
+def test_rational_quartic_window_from_the_cut_chain(monkeypatch):
+    # non-ACM (depth 1, dimension 2): one certified cut, one more to reach
+    # dimension 0, and the window read off their Hilbert functions; the
+    # Bayer-Stillman loop it replaces ran Buchberger twice more
+    I = _rational_quartic()
+    hd = hilbert_data(I)
+    runs, windows = [], []
+    real_buchberger = gb_module.buchberger
+    real_window = homalg._regularity_window
+    monkeypatch.setattr(gb_module, "buchberger", lambda *a, **kw:
+                        runs.append(a[1]) or real_buchberger(*a, **kw))
+    monkeypatch.setattr(homalg, "_regularity_window", lambda gb, chain:
+                        windows.append((gb, real_window(gb, chain)))
+                        or windows[-1][1])
+    B = minimal_free_resolution(I)
+    assert dict(B.entries) == {(0, 0): 1, (1, 2): 1, (1, 3): 3, (2, 4): 4,
+                               (3, 5): 1}
+    assert len(runs) <= 2
+    # the certificate passed below the Taylor fallback
+    (gb, m), = windows
+    taylor = sum(max(e) for e in zip(*(f.lm for f in gb)))
+    assert regularity(B) + 1 <= m < taylor
+
+
+def test_window_is_h_degree_on_artinian_reduction(monkeypatch):
+    windows = []
+    real_window = homalg._regularity_window
+    monkeypatch.setattr(homalg, "_regularity_window", lambda gb, chain:
+                        windows.append(real_window(gb, chain))
+                        or windows[-1])
+    B = minimal_free_resolution(twisted_cubic())
+    assert windows == [2] and regularity(B) == 1
+
+
+def test_bayer_stillman_needs_injectivity():
+    # reg(x^2, xy) = 2.  Cut by x, y, z the chain ends in k, but x kills
+    # y^m on S/(x^2, xy), so the criterion fails in every degree; a seeded
+    # generic chain passes from m = 2 on
+    R = PolyRing(["x", "y", "z"], F)
+    I = Ideal(R, [R.parse("x^2"), R.parse("x*y")])
+    chain = [hilbert_data(I)]
+    J = I
+    for h in ("x", "y", "z"):
+        J, hd_J = _cut(J, J.ring.parse(h), None)
+        chain.append(hd_J)
+    assert chain[-1].hilbert_function(1) == 0
+    assert not any(_bayer_stillman(chain, m) for m in range(1, 6))
+    generic = [hd_K for _, hd_K, _ in regular_cut(I, chain[0])]
+    assert [m for m in range(1, 6) if _bayer_stillman(generic, m)] \
+        == [2, 3, 4, 5]
+
+
+class _OnesRandom:
+    """Stand-in for random.Random whose draws are all 1."""
+
+    def __init__(self, seed):
+        pass
+
+    def randrange(self, a, b):
+        return 1
+
+
+def test_non_regular_chain_falls_back_to_taylor_window(monkeypatch):
+    # every form drawn is x+y+z (then y+z, z), which kills x and y on
+    # S/(x+y+z)(x, y): no cut is certified and Bayer-Stillman fails in
+    # every degree, so the window is the Taylor bound T = deg lcm(x^2, xy)
+    monkeypatch.setattr(homalg, "random", types.SimpleNamespace(
+        Random=_OnesRandom))
+    R = PolyRing(["x", "y", "z"], F)
+    I = Ideal(R, [R.parse("x^2 + x*y + x*z"), R.parse("x*y + y^2 + y*z")])
+    hd = hilbert_data(I)
+    chain = list(regular_cut(I, hd))
+    assert [ok for _, _, ok in chain] == [True, False, False, False]
+    assert chain[-1][0].ring.nvars == 0
+    windows = []
+    real_window = homalg._regularity_window
+    monkeypatch.setattr(homalg, "_regularity_window", lambda gb, chain:
+                        windows.append(real_window(gb, chain))
+                        or windows[-1])
+    B = minimal_free_resolution(I)
+    assert windows == [3]
+    assert B.entries == _uncut_table(I)
+    assert dict(B.entries) == {(0, 0): 1, (1, 2): 2, (2, 3): 1}
 
 
 @st.composite
@@ -304,7 +425,7 @@ def test_cut_reaches_dimension_zero_on_acm_fixtures():
     fixtures.append(_hankel_minors(8))
     for I in fixtures:
         hd = hilbert_data(I)
-        _, hd_J, cuts = regular_cut(I, hd)
+        _, hd_J, cuts = _certified_cut(I, hd)
         assert cuts == hd.dimension == 4 and hd_J.dimension == 0
 
 

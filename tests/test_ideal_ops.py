@@ -4,9 +4,13 @@ from secantlab import ideal_ops
 from secantlab.arith import PrimeField
 from secantlab.curves import CurveModel, embed
 from secantlab.gb import Ideal, buchberger, ideal_equal
+from secantlab.homalg import hilbert_data
 from secantlab.ideal_ops import (PointNotOnVariety, PointedIdeal, SecantSpec,
+                                 _is_saturation, _join_literal,
+                                 _join_with_ideal, _saturate_wrt_linear,
                                  eliminate, intersect, jacobian_minors,
-                                 radical_membership, saturate, secant_join,
+                                 radical_membership, saturate,
+                                 saturate_irrelevant, secant_join,
                                  tangent_cone_multiplicity)
 from secantlab.poly import PolyRing
 
@@ -83,19 +87,39 @@ def test_secant_contained_in_curve_ideal():
 
 
 def test_construction_strategies_agree():
+    # the iterated join against the literal (k+1)-block oracle
     C = rnc_ideal(5)
     spec = SecantSpec(k=1, ambient_dim=5, base_ideal=C)
-    A = secant_join(spec, construction="iterated")
-    B = secant_join(spec, construction="blocks")
+    A = secant_join(spec)
+    B = saturate_irrelevant(Ideal(C.ring, _join_literal(spec, None)))
     assert ideal_equal(A, B)
 
 
 def test_saturation_strategies_agree():
+    # one certified linear-form saturation against the full one
     C = rnc_ideal(5)
     spec = SecantSpec(k=1, ambient_dim=5, base_ideal=C)
-    A = secant_join(spec, saturation="linear", seed=3)
-    B = secant_join(spec, saturation="full")
+    A = secant_join(spec, seed=3)
+    raw = Ideal(C.ring, _join_with_ideal(C.generators, C.generators,
+                                         C.ring, None))
+    B = saturate_irrelevant(raw)
     assert ideal_equal(A, B)
+
+
+def test_saturation_certificate_needs_the_hilbert_polynomial():
+    # (xy, xz) = (x) ∩ (y, z) is saturated: a line and a point in P^2.
+    # Saturating by z drops the point; (x) has the same dimension and
+    # degree, but not the same Hilbert polynomial, and is rejected.
+    R = PolyRing(["x", "y", "z"], F)
+    I = Ideal(R, [R.parse("x*y"), R.parse("x*z")])
+    by_z = _saturate_wrt_linear(I, [0, 0, 1], None)
+    assert [str(f) for f in by_z.groebner()] == ["x"]
+    assert hilbert_data(by_z).dimension == hilbert_data(I).dimension
+    assert hilbert_data(by_z).degree == hilbert_data(I).degree
+    assert not _is_saturation(I, by_z)
+    generic = _saturate_wrt_linear(I, [5, 7, 11], None)
+    assert _is_saturation(I, generic)
+    assert ideal_equal(generic, I)
 
 
 def test_secant_join_deterministic_per_seed():

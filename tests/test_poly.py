@@ -4,9 +4,7 @@ from hypothesis import strategies as st
 
 from secantlab.arith import PrimeField
 from secantlab.poly import (ArityMismatch, MonomialOrder, ParseError,
-                            PolyRing, Polynomial, UnknownVariable,
-                            mon_divides, mon_gcd_is_one, mon_lcm, mon_mul,
-                            parse_polynomial)
+                            PolyRing, UnknownVariable)
 
 F = PrimeField(32003)
 R = PolyRing(["x", "y", "z"], F)
@@ -15,17 +13,6 @@ monomials = st.tuples(st.integers(0, 6), st.integers(0, 6),
                       st.integers(0, 6))
 polys = st.dictionaries(monomials, st.integers(1, 32002), min_size=0,
                         max_size=8).map(R.from_dict)
-
-
-# -- monomial helpers -------------------------------------------------------
-
-def test_mon_helpers():
-    assert mon_mul((1, 2), (3, 0)) == (4, 2)
-    assert mon_divides((1, 0), (2, 3))
-    assert not mon_divides((3, 0), (2, 3))
-    assert mon_lcm((1, 2), (2, 0)) == (2, 2)
-    assert mon_gcd_is_one((1, 0), (0, 2))
-    assert not mon_gcd_is_one((1, 1), (0, 2))
 
 
 # -- monomial orders --------------------------------------------------------
@@ -52,13 +39,6 @@ def test_block_order_eliminates_first_block():
     # any monomial involving x beats any monomial free of x
     assert key((1, 0, 0)) > key((0, 9, 9))
     assert key((2, 0, 0)) > key((1, 3, 3))
-
-
-def test_weighted_order_respects_weights():
-    Rw = R.with_order(MonomialOrder.weighted_then_grevlex((1, 2, 3)))
-    key = Rw.key
-    assert key((0, 0, 1)) > key((0, 1, 0)) > key((1, 0, 0))
-    assert key((3, 0, 0)) == max(key((3, 0, 0)), key((0, 0, 1)))
 
 
 def test_graded_flags():
