@@ -7,10 +7,9 @@ closed-form predictions.
 
 from .arith import DEFAULT_PRIME, PrimeField
 from .poly import MonomialOrder, PolyRing, Polynomial, parse_polynomial
-from .gb import GroebnerBasis, Ideal, ResourceLimit, buchberger, ideal_equal, normal_form
+from .gb import GroebnerBasis, Ideal, ResourceLimit, buchberger
 from .ideal_ops import (ConeParametrization, PointNotOnVariety, PointedIdeal,
-                        SecantSpec, eliminate, intersect, jacobian_minors,
-                        radical_membership, saturate, saturate_irrelevant,
+                        SecantSpec, intersect, saturate_irrelevant,
                         secant_join, tangent_cone_multiplicity)
 from .homalg import (BettiTable, HilbertData, ZeroIdeal, check_ndp,
                      hilbert_data, is_acm, koszul_dim, max_ndp_steps,
@@ -28,11 +27,9 @@ from .oracle import (HypothesisViolated, PredictionRecord,
 __all__ = [
     "DEFAULT_PRIME", "PrimeField",
     "MonomialOrder", "PolyRing", "Polynomial", "parse_polynomial",
-    "GroebnerBasis", "Ideal", "ResourceLimit", "buchberger", "ideal_equal",
-    "normal_form",
+    "GroebnerBasis", "Ideal", "ResourceLimit", "buchberger",
     "ConeParametrization", "PointNotOnVariety", "PointedIdeal", "SecantSpec",
-    "eliminate", "intersect", "jacobian_minors", "radical_membership",
-    "saturate", "saturate_irrelevant", "secant_join",
+    "intersect", "saturate_irrelevant", "secant_join",
     "tangent_cone_multiplicity",
     "BettiTable", "HilbertData", "ZeroIdeal", "check_ndp", "hilbert_data",
     "is_acm", "koszul_dim", "max_ndp_steps", "min_generator_degree",

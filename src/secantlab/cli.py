@@ -59,6 +59,12 @@ def _pair_budget(args) -> int | None:
     return None
 
 
+def _max_degree(args) -> int | None:
+    if args.max_degree is not None and args.max_degree < 0:
+        raise InputError("max degree must be nonnegative")
+    return args.max_degree
+
+
 def _load_curve(path: str):
     try:
         with open(path) as fh:
@@ -180,6 +186,7 @@ def cmd_secant(args) -> int:
 
 def cmd_betti(args) -> int:
     budget = _pair_budget(args)
+    max_degree = _max_degree(args)
     if args.ideal_file:
         try:
             with open(args.ideal_file) as fh:
@@ -200,7 +207,7 @@ def cmd_betti(args) -> int:
               args.output)
         return EXIT_OK
     hd = hilbert_data(I, pair_budget=budget)
-    B = minimal_free_resolution(I, degree_bound=args.max_degree,
+    B = minimal_free_resolution(I, degree_bound=max_degree,
                                 pair_budget=budget, seed=args.seed)
     if args.format == "json":
         out = B.to_json_dict()
@@ -244,7 +251,8 @@ def _verify_instance(task):
 
 def cmd_verify(args) -> int:
     budget = _pair_budget(args)
-    tasks = [(path, args.k, args.seed, budget, args.max_degree)
+    max_degree = _max_degree(args)
+    tasks = [(path, args.k, args.seed, budget, max_degree)
              for path in args.file]
     if args.jobs > 1 and len(tasks) > 1:
         with Pool(args.jobs) as pool:

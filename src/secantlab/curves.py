@@ -390,10 +390,3 @@ def parse_curve_file(text: str):
     model = CurveModel(genus, field, equation)
     return model, degree
 
-
-def format_curve_file(model: CurveModel, degree: int) -> str:
-    lines = [f"genus: {model.genus}", f"field: {model.field.p}"]
-    if model.equation is not None:
-        lines.append(f"equation: {model.equation}")
-    lines.append(f"degree: {degree}")
-    return "\n".join(lines) + "\n"

@@ -469,11 +469,6 @@ def _interreduce(basis, ring, codec) -> GroebnerBasis:
     return GroebnerBasis(out, ring, codec)
 
 
-def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
-    """Unique remainder of f modulo the reduced basis G."""
-    return G.normal_form(f)
-
-
 class Ideal:
     """Generator list with a cached reduced Groebner basis per order and a
     cached Hilbert series (written by ``homalg.hilbert_data``)."""
@@ -509,13 +504,3 @@ class Ideal:
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators in {self.ring!r})"
 
-
-def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder | None = None,
-                pair_budget: int | None = None) -> bool:
-    """True iff the reduced Groebner bases coincide."""
-    if I.ring.variables != J.ring.variables or I.ring.field != J.ring.field:
-        raise RingMismatch("ideals over different rings")
-    order = order if order is not None else I.ring.order
-    gb1 = I.groebner(order, pair_budget=pair_budget)
-    gb2 = J.groebner(order, pair_budget=pair_budget)
-    return [f.terms for f in gb1] == [f.terms for f in gb2]

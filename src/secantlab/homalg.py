@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 # perfbench/traced.py hooks homalg.buchberger, so the name stays bound
 # here although homalg reaches Buchberger only through Ideal.groebner
@@ -536,22 +537,13 @@ def _koszul_betti(gb: GroebnerBasis, qmax_for) -> tuple:
         for q in range(max(mingen - 1, 0), qmax_for(i) + 1):
             if q + 1 not in std:
                 continue
-            dom = _comb(n, i) * len(std[q])
+            dom = comb(n, i) * len(std[q])
             if dom == 0:
                 continue
             b = dom - rank_of(i, q) - rank_of(i + 1, q - 1)
             if b:
                 entries[(i, i + q)] = b
     return tuple(sorted(entries.items()))
-
-
-def _comb(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def betti_numerator(B: BettiTable):

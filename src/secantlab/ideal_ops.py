@@ -1,15 +1,16 @@
 """Ideal-theoretic constructions on top of the Groebner engine.
 
-Elimination, saturation, the secant join, Jacobian minor ideals, and tangent
-cones with Hilbert-Samuel multiplicities.  Everything here is pure: input
-ideals are never mutated beyond their own write-once Groebner caches.
+The secant join through a cone chart of the curve, its certified
+saturation (with intersection as the fallback), and tangent cones with
+Hilbert-Samuel multiplicities.  Everything here is pure: input ideals are
+never mutated beyond their own write-once Groebner caches.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, combinations, zip_longest
+from itertools import accumulate, zip_longest
 
 from .gb import GroebnerBasis, Ideal, buchberger
 from .homalg import hilbert_data
@@ -68,49 +69,6 @@ def _ideal_with_gb(target: PolyRing, gens) -> Ideal:
     return I
 
 
-def eliminate(I: Ideal, drop_vars, pair_budget=None) -> Ideal:
-    """The elimination ideal I ∩ k[remaining variables].
-
-    ``drop_vars`` is a collection of variable names of I's ring.  The result
-    lives in a grevlex ring on the remaining variables.
-    """
-    names = I.ring.variables
-    drop = [v for v in names if v in set(drop_vars)]
-    unknown = set(drop_vars) - set(names)
-    if unknown:
-        raise ValueError(f"not ring variables: {sorted(unknown)}")
-    if not drop:
-        return I
-    keep = [v for v in names if v not in set(drop)]
-    big = PolyRing(list(drop) + keep, I.ring.field,
-                   MonomialOrder.block_elim(len(drop)))
-    pos = [big._index[v] for v in names]
-    gens = [_transplant(f, big, pos) for f in I.generators]
-    gb = buchberger(gens, big, pair_budget=pair_budget)
-    target = PolyRing(keep, I.ring.field, MonomialOrder.grevlex())
-    return _ideal_with_gb(target, _subring_part(gb, len(drop), target))
-
-
-def saturate(I: Ideal, f: Polynomial, pair_budget=None) -> Ideal:
-    """(I : f^∞) via the Rabinowitsch trick: adjoin w, add w·f − 1,
-    eliminate w."""
-    if not f.terms:
-        raise ValueError("cannot saturate with respect to zero")
-    ring = I.ring
-    if f.total_degree() == 0:
-        return I
-    w = _fresh_names(1, ring.variables, "w_sat")[0]
-    big = PolyRing([w] + list(ring.variables), ring.field,
-                   MonomialOrder.block_elim(1))
-    pos = list(range(1, big.nvars))
-    gens = [_transplant(g, big, pos) for g in I.generators]
-    fw = _transplant(f, big, pos) * big.gen(0) - big.constant(1)
-    gb = buchberger(gens + [fw], big, pair_budget=pair_budget)
-    kept = _subring_part(gb, 1, ring)
-    return _ideal_with_gb(ring, kept) if ring.order == MonomialOrder.grevlex() \
-        else Ideal(ring, kept)
-
-
 def intersect(I: Ideal, J: Ideal, pair_budget=None) -> Ideal:
     """I ∩ J via t·I + (1−t)·J and elimination of t."""
     ring = I.ring
@@ -125,21 +83,6 @@ def intersect(I: Ideal, J: Ideal, pair_budget=None) -> Ideal:
     gb = buchberger(gens, big, pair_budget=pair_budget)
     kept = _subring_part(gb, 1, ring)
     return Ideal(ring, kept)
-
-
-def radical_membership(f: Polynomial, I: Ideal, pair_budget=None) -> bool:
-    """True iff f lies in the radical of I: 1 ∈ I + (w·f − 1)."""
-    if not f.terms:
-        raise ValueError("zero polynomial")
-    ring = I.ring
-    w = _fresh_names(1, ring.variables, "w_rad")[0]
-    big = PolyRing([w] + list(ring.variables), ring.field,
-                   MonomialOrder.grevlex())
-    pos = list(range(1, big.nvars))
-    gens = [_transplant(g, big, pos) for g in I.generators]
-    fw = _transplant(f, big, pos) * big.gen(0) - big.constant(1)
-    gb = buchberger(gens + [fw], big, pair_budget=pair_budget)
-    return gb.is_unit_ideal()
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +112,17 @@ class ConeParametrization:
 
 @dataclass(frozen=True)
 class SecantSpec:
-    """Input bundle for secant_join: Σ_k of V(base_ideal) ⊆ P^ambient_dim."""
+    """Input bundle for secant_join: Σ_k of V(base_ideal) ⊆ P^ambient_dim,
+    with ``parametrization`` a cone chart of V(base_ideal)."""
 
     k: int
     ambient_dim: int
     base_ideal: Ideal
-    parametrization: ConeParametrization | None = None
+    parametrization: ConeParametrization
 
     def __post_init__(self):
+        if not isinstance(self.parametrization, ConeParametrization):
+            raise TypeError("parametrization must be a ConeParametrization")
         if self.k < 0:
             raise ValueError("secant index must be nonnegative")
         if self.base_ideal.ring.nvars != self.ambient_dim + 1:
@@ -185,29 +131,14 @@ class SecantSpec:
             raise ValueError("base ideal must be homogeneous")
 
 
-def _join_with_ideal(base_gens, cur_gens, ring: PolyRing, pair_budget):
-    """One join step V(base) * V(cur) with base in the eliminated block."""
-    n = ring.nvars
-    ynames = _fresh_names(n, ring.variables, "y_join")
-    big = PolyRing(ynames + list(ring.variables), ring.field,
-                   MonomialOrder.block_elim(n))
-    y = [big.gen(i) for i in range(n)]
-    xmy = [big.gen(n + i) - y[i] for i in range(n)]
-    pos_y = list(range(n))
-    gens = [_transplant(f, big, pos_y) for f in base_gens]
-    gens += [f.compose(xmy, big) for f in cur_gens]
-    gb = buchberger(gens, big, pair_budget=pair_budget)
-    return _subring_part(gb, n, ring)
-
-
 def _join_with_parametrization(param: ConeParametrization, cur_gens,
                                ring: PolyRing, pair_budget):
     """One join step C * V(cur) using a cone chart of the base curve.
 
     Imposes cur(x − ν(params)) plus the chart constraints and eliminates the
     parameters under a block order graded by the chart weights, for which
-    these generators are weighted-homogeneous; far fewer variables than the
-    two-block construction.
+    these generators are weighted-homogeneous; far fewer variables than
+    ``_join_literal``.
     """
     n = ring.nvars
     m = param.ring.nvars
@@ -249,6 +180,19 @@ def _join_literal(spec: SecantSpec, pair_budget):
     return _subring_part(gb, nb * n, ring)
 
 
+def _strip_last(gb, ring: PolyRing) -> list:
+    """Each element of a grevlex basis divided by the highest power of the
+    last variable dividing it: a basis of (I : x_last^∞)."""
+    last = ring.nvars - 1
+    out = []
+    for g in gb:
+        a = min(mon[last] for mon, _ in g.terms)
+        out.append(Polynomial(ring, tuple(
+            (mon[:last] + (mon[last] - a,), c) for mon, c in g.terms))
+            if a else g)
+    return out
+
+
 def _saturate_wrt_linear(I: Ideal, coeffs, pair_budget):
     """(I : ℓ^∞) for ℓ = Σ cᵢxᵢ with c_last ≠ 0, by a linear change of
     coordinates sending ℓ to the last variable followed by the grevlex
@@ -274,14 +218,7 @@ def _saturate_wrt_linear(I: Ideal, coeffs, pair_budget):
         for i in range(n)})
     gens = [g.compose(fwd, R) for g in I.generators]
     gb = buchberger(gens, R, pair_budget=pair_budget)
-    stripped = []
-    for g in gb:
-        a = min(mon[last] for mon, _ in g.terms)
-        if a:
-            g = Polynomial(R, tuple(
-                (mon[:last] + (mon[last] - a,), c) for mon, c in g.terms))
-        stripped.append(g)
-    out = [g.compose(back, R) for g in stripped]
+    out = [g.compose(back, R) for g in _strip_last(gb, R)]
     if ring.order == R.order:
         return Ideal(ring, [Polynomial(ring, f.terms) for f in out])
     return Ideal(ring, [ring.from_dict(dict(f.terms)) for f in out])
@@ -331,9 +268,9 @@ def secant_join(spec: SecantSpec, seed: int = 0,
                 pair_budget=None) -> Ideal:
     """Homogeneous ideal of the k-th secant variety Σ_k of V(base_ideal).
 
-    Joins the curve onto the running secant one point block at a time
-    (through the cone parametrization when there is one), then saturates
-    the raw join by one seeded random linear form ℓ.  ``_is_saturation``
+    Joins the curve onto the running secant k times, each step through
+    the cone chart ``spec.parametrization``, then saturates the raw join by
+    one seeded random linear form ℓ.  ``_is_saturation``
     certifies the result from Hilbert data; if the certificate fails, the
     full irrelevant-ideal saturation is computed instead.
     """
@@ -343,12 +280,8 @@ def secant_join(spec: SecantSpec, seed: int = 0,
 
     gens = list(spec.base_ideal.generators)
     for _ in range(spec.k):
-        if spec.parametrization is not None:
-            gens = _join_with_parametrization(
-                spec.parametrization, gens, ring, pair_budget)
-        else:
-            gens = _join_with_ideal(
-                spec.base_ideal.generators, gens, ring, pair_budget)
+        gens = _join_with_parametrization(
+            spec.parametrization, gens, ring, pair_budget)
         if not gens:
             return Ideal(ring, [])
 
@@ -361,35 +294,6 @@ def secant_join(spec: SecantSpec, seed: int = 0,
     if _is_saturation(raw, sat, pair_budget):
         return sat
     return saturate_irrelevant(raw, pair_budget)
-
-
-def jacobian_minors(I: Ideal, c: int) -> Ideal:
-    """I plus all c×c minors of the Jacobian matrix of its generators."""
-    if c < 1:
-        raise ValueError("codimension must be >= 1")
-    ring = I.ring
-    gens = list(I.generators)
-    jac = [[f.derivative(i) for i in range(ring.nvars)] for f in gens]
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return jac[rows[0]][cols[0]]
-        acc = ring.constant(0)
-        for t, r in enumerate(rows):
-            entry = jac[r][cols[0]]
-            if not entry.terms:
-                continue
-            minor = det(rows[:t] + rows[t + 1:], cols[1:])
-            acc = acc + entry * minor if t % 2 == 0 else acc - entry * minor
-        return acc
-
-    minors = []
-    for rows in combinations(range(len(gens)), c):
-        for cols in combinations(range(ring.nvars), c):
-            m = det(list(rows), list(cols))
-            if m.terms:
-                minors.append(m)
-    return Ideal(ring, gens + minors)
 
 
 # ---------------------------------------------------------------------------
@@ -462,20 +366,12 @@ def tangent_cone_multiplicity(P: PointedIdeal, pair_budget=None):
     h_name = _fresh_names(1, affine_names, "h_cone")[0]
     Rh = PolyRing(affine_names + [h_name], ring.field,
                   MonomialOrder.grevlex())
-    hpos = Rh.nvars - 1
     homog = []
     for g in affine_gens:
         d = g.total_degree()
         homog.append(Rh.from_dict({
             mon + (d - sum(mon),): c for mon, c in g.terms}))
-    gb = buchberger(homog, Rh, pair_budget=pair_budget)
-    sat = []
-    for g in gb:
-        a = min(mon[hpos] for mon, _ in g.terms)
-        if a:
-            g = Polynomial(Rh, tuple(
-                (mon[:hpos] + (mon[hpos] - a,), c) for mon, c in g.terms))
-        sat.append(g)
+    sat = _strip_last(buchberger(homog, Rh, pair_budget=pair_budget), Rh)
 
     # h-dominant order: the leading term of each basis element sits in the
     # maximal-h slice, which dehomogenizes to the lowest-degree form

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import comb
 
 from .gb import ResourceLimit
-from .homalg import (InternalIdentityError, ZeroIdeal, check_ndp,
-                     hilbert_data, is_acm, koszul_dim, min_generator_degree,
+from .homalg import (InternalIdentityError, ZeroIdeal, hilbert_data, is_acm,
+                     koszul_dim, max_ndp_steps, min_generator_degree,
                      minimal_free_resolution, projective_dimension,
                      regularity)
 from .ideal_ops import secant_join
@@ -28,12 +29,7 @@ class HypothesisViolated(UserWarning):
 def binomial(n: int, k: int) -> int:
     """C(n, k), zero for k < 0 or n < k (boundary indices of the formulas
     rely on this)."""
-    if k < 0 or n < k:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+    return comb(n, k) if 0 <= k <= n else 0
 
 
 def hypothesis_holds(g: int, deg_L: int, k: int) -> bool:
@@ -243,10 +239,7 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
         rows.append(_row("ndp_window", pred.predicted_ndp_window, None,
                          "skipped(degree-truncated table)"))
     else:
-        computed_p = -1
-        imax = max((i for (i, _), _ in B.entries), default=0)
-        while computed_p < imax and check_ndp(B, k + 2, computed_p + 1):
-            computed_p += 1
+        computed_p = max_ndp_steps(B, k + 2)
         if computed_p == max(pred.predicted_ndp_window, -1):
             v = "match"
         elif computed_p > pred.predicted_ndp_window:
@@ -271,6 +264,10 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
     if pred.predicted_min_gen_degree is None:
         rows.append(_row("min_gen_degree", None, mg,
                          "skipped(outside hypothesis window)"))
+    elif mg is None and truncated:
+        # no generator of degree <= truncated_at; the minimum lies above
+        rows.append(_row("min_gen_degree", pred.predicted_min_gen_degree,
+                         None, "skipped(degree-truncated table)"))
     else:
         rows.append(_row("min_gen_degree", pred.predicted_min_gen_degree, mg,
                          verdict(pred.predicted_min_gen_degree, mg)))

@@ -159,9 +159,6 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.variables)
 
-    def key(self, mon: tuple):
-        return self._key(mon)
-
     def var_index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -326,24 +323,6 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def term_mul(self, mon: tuple, coeff: int) -> "Polynomial":
-        p = self.ring.field.p
-        return Polynomial(self.ring,
-                          tuple((tuple(x + y for x, y in zip(m, mon)),
-                                 c * coeff % p) for m, c in self.terms))
-
-    def derivative(self, i: int) -> "Polynomial":
-        p = self.ring.field.p
-        coeffs = {}
-        for m, c in self.terms:
-            e = m[i]
-            if e == 0:
-                continue
-            nm = m[:i] + (e - 1,) + m[i + 1:]
-            nc = (coeffs.get(nm, 0) + c * e) % p
-            coeffs[nm] = nc
-        return self.ring.from_dict(coeffs)
 
     def evaluate(self, point) -> int:
         """Evaluate at a tuple of field values (ints)."""

@@ -85,6 +85,29 @@ def test_betti_truncated(curve_file, capsys):
     assert [0, 0, 1] in doc["entries"] and [1, 2, 3] in doc["entries"]
 
 
+def test_negative_max_degree_is_input_error(curve_file, capsys):
+    for argv in (["betti", "--ideal-file", curve_file("tc.ideal", IDEAL)],
+                 ["verify", "--file", curve_file("c.curve", RNC5),
+                  "--k", "1"]):
+        code, out, err = run(capsys, argv + ["--max-degree", "-1",
+                                             "--format", "json"])
+        assert code == 2 and out == "" and "max degree" in err
+
+
+def test_verify_truncated_below_generators_is_not_a_mismatch(curve_file,
+                                                             capsys):
+    # Sigma_1 of the RNC of degree 5 has cubic generators: a table cut at
+    # degree 2 shows none, which says only that none has degree <= 2
+    code, out, _ = run(capsys, ["verify", "--file",
+                                curve_file("c.curve", RNC5), "--k", "1",
+                                "--max-degree", "2", "--format", "json"])
+    assert code == 0
+    row, = [r for r in json.loads(out)["rows"]
+            if r["name"] == "min_gen_degree"]
+    assert row["computed"] is None
+    assert row["verdict"] == "skipped(degree-truncated table)"
+
+
 def test_betti_requires_source(capsys):
     code, _, err = run(capsys, ["betti", "--format", "json"])
     assert code == 2 and "error" in err

@@ -2,9 +2,9 @@ import pytest
 
 from secantlab.arith import PrimeField
 from secantlab.curves import (CurveModel, DegreeTooSmall, DuplicatePoints,
-                              embed, format_curve_file, parse_curve_file,
-                              point_on_secant, rational_normal_curve,
-                              rr_basis, sample_affine_points)
+                              embed, parse_curve_file, point_on_secant,
+                              rational_normal_curve, rr_basis,
+                              sample_affine_points)
 from secantlab.homalg import hilbert_data
 from secantlab.ideal_ops import secant_join
 from secantlab.oracle import predicted_degree
@@ -174,13 +174,6 @@ def test_secant_hypersurface_certificate(model, d):
 
 
 # -- curve files ------------------------------------------------------------
-
-def test_curve_file_round_trip():
-    m = elliptic()
-    txt = format_curve_file(m, 5)
-    m2, d2 = parse_curve_file(txt)
-    assert d2 == 5 and m2.genus == 1 and m2.equation == m.equation
-
 
 def test_curve_file_parsing_and_errors():
     m, d = parse_curve_file(

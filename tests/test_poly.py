@@ -18,7 +18,7 @@ polys = st.dictionaries(monomials, st.integers(1, 32002), min_size=0,
 # -- monomial orders --------------------------------------------------------
 
 def test_grevlex_known_comparisons():
-    key = R.key
+    key = R.order.key_function(R.nvars)
     # same degree: grevlex prefers smaller exponent on the last variable
     assert key((1, 1, 0)) > key((0, 0, 2))
     assert key((2, 0, 0)) > key((1, 1, 0)) > key((0, 2, 0)) > key((1, 0, 1))
@@ -28,14 +28,14 @@ def test_grevlex_known_comparisons():
 
 def test_lex_order():
     Rl = R.with_order(MonomialOrder.lex())
-    key = Rl.key
+    key = Rl.order.key_function(Rl.nvars)
     assert key((1, 0, 0)) > key((0, 5, 5))
     assert key((1, 1, 0)) > key((1, 0, 5))
 
 
 def test_block_order_eliminates_first_block():
     Rb = R.with_order(MonomialOrder.block_elim(1))
-    key = Rb.key
+    key = Rb.order.key_function(Rb.nvars)
     # any monomial involving x beats any monomial free of x
     assert key((1, 0, 0)) > key((0, 9, 9))
     assert key((2, 0, 0)) > key((1, 3, 3))
@@ -76,15 +76,6 @@ def test_power_matches_repeated_product(f, n):
     for _ in range(n):
         acc = acc * f
     assert f ** n == acc
-
-
-@given(polys, polys)
-@settings(max_examples=40, deadline=None)
-def test_derivative_product_rule(f, g):
-    for i in range(3):
-        lhs = (f * g).derivative(i)
-        rhs = f.derivative(i) * g + f * g.derivative(i)
-        assert lhs == rhs
 
 
 @given(polys, st.tuples(st.integers(0, 32002), st.integers(0, 32002),
