@@ -252,6 +252,8 @@ def _verify_instance(task):
 def cmd_verify(args) -> int:
     budget = _pair_budget(args)
     max_degree = _max_degree(args)
+    if args.jobs < 1:
+        raise InputError("jobs must be positive")
     tasks = [(path, args.k, args.seed, budget, max_degree)
              for path in args.file]
     if args.jobs > 1 and len(tasks) > 1:

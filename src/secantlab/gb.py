@@ -1,10 +1,17 @@
 """Groebner basis engine.
 
-Buchberger's algorithm with Gebauer-Moller pair elimination.  Pair selection
-uses the normal strategy (minimal lcm degree, then order) for graded orders
-and the sugar strategy for lex/elimination orders.  The reduced basis is
-canonical for the (ideal, order) pair, so recomputation from any generating
-set of the same ideal yields identical output.
+Buchberger's algorithm with Gebauer-Moller pair elimination.  Without a
+Hilbert target, every generator is reduced first, then pair selection uses
+the normal strategy (minimal lcm degree, then order) for graded orders and
+the sugar strategy for lex/elimination orders.  With a target, the exact
+weighted Hilbert series of S/I for a weighted-homogeneous ideal (Traverso,
+J. Symbolic Comput. 22, 1996), generators and pairs are taken together by
+the weighted degree of their lcm, and one of degree d is dropped unreduced
+once dim (S/in(G))_d equals the target's: in(G) is then complete in degree
+d, so it would reduce to zero.  The count of in(G) is kept incrementally,
+N(M + m) = N(M) - t^e N(M : m) for a new head m of weight e.  The reduced
+basis is canonical for the (ideal, order) pair, so recomputation from any
+generating set of the same ideal, driven or not, yields identical output.
 
 Internally monomials are packed into single integers whose most significant
 fields spell out the monomial-order key, followed by a total-degree field and
@@ -19,6 +26,8 @@ time keep both layouts exact.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
+from operator import mul
 
 from .poly import MonomialOrder, PolyRing, Polynomial, RingMismatch
 
@@ -320,20 +329,60 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.elements)} elements, {self.order.name})"
 
 
+@dataclass(frozen=True)
+class HilbertTarget:
+    """Weighted Hilbert series of S/I: HS = numerator(t) / prod_v
+    (1 - t^{w_v}) for S graded by ``weights`` (one positive weight per
+    variable), with ``numerator`` a dict degree -> coefficient."""
+
+    weights: tuple
+    numerator: dict
+
+
+def _weighted_degree(weights, exps) -> int:
+    return sum(map(mul, weights, exps))
+
+
+def _series_of_denominator(weights, length: int) -> list:
+    """Coefficients of 1 / prod_v (1 - t^{w_v}) in degrees < length."""
+    c = [1] + [0] * (length - 1)
+    for w in weights:
+        for i in range(w, length):
+            c[i] += c[i - w]
+    return c
+
+
 def buchberger(generators, ring: PolyRing,
                order: MonomialOrder | None = None,
-               pair_budget: int | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``generators``."""
+               pair_budget: int | None = None,
+               target: HilbertTarget | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by ``generators``.
+
+    With ``target``, the exact weighted Hilbert series of S/I, every
+    generator must be weighted-homogeneous for ``target.weights`` (else
+    ValueError), and S-pairs in a degree whose leading-term count is
+    already complete are dropped unreduced.  Dropped pairs do not count
+    against the pair budget.
+    """
     if order is not None and order != ring.order:
         ring = ring.with_order(order)
+    if target is not None:
+        for f in generators:
+            if len({_weighted_degree(target.weights, m)
+                    for m, _ in f.terms}) > 1:
+                raise ValueError(
+                    f"generator {f} is not weighted-homogeneous for the "
+                    f"weights {target.weights}")
     budget = pair_budget if pair_budget is not None else DEFAULT_PAIR_BUDGET
     try:
-        return _buchberger(generators, ring, budget, _Codec(ring))
+        return _buchberger(generators, ring, budget, _Codec(ring), target)
     except _NeedWide:
-        return _buchberger(generators, ring, budget, _Codec(ring, wide=True))
+        return _buchberger(generators, ring, budget, _Codec(ring, wide=True),
+                           target)
 
 
-def _buchberger(generators, ring, budget, codec: _Codec) -> GroebnerBasis:
+def _buchberger(generators, ring, budget, codec: _Codec,
+                target: HilbertTarget | None) -> GroebnerBasis:
     one = codec.one
     p = ring.field.p
     graded = ring.order.is_graded()
@@ -353,10 +402,42 @@ def _buchberger(generators, ring, budget, codec: _Codec) -> GroebnerBasis:
     packed_gens.sort(key=lambda it: it[0][0])
 
     basis: list[_Reducer] = []
-    pair_heap: list = []       # (priority, i, j)
+    # generators and S-pairs share one queue of (priority, i, j); a
+    # generator is (priority, -1, index into packed_gens), a pair (i, j)
+    # is live while it is in pair_set.  Without a target every generator
+    # comes before every pair.
+    queue: list = []
     pair_set: dict = {}        # (i, j) -> packed lcm
 
+    if target is None:
+        for g in range(len(packed_gens)):
+            queue.append(((-1, g), -1, g))
+    else:
+        # Hilbert-driven: take everything by the weighted degree of its
+        # lcm, generators first within a degree.  excess(d) is
+        # HF_{S/in(G)}(d) - target(d), read off the numerator difference
+        # ``excess_num`` over the common denominator.
+        from .homalg import InternalIdentityError, _numerator  # imports gb
+
+        weights = target.weights
+        for g, items in enumerate(packed_gens):
+            wd = _weighted_degree(weights, codec.decode(items[0][0]))
+            queue.append(((wd, -1, g), -1, g))
+        excess_num = {d: -c for d, c in target.numerator.items()}
+        excess_num[0] = excess_num.get(0, 0) + 1
+        series = []
+
+        def excess(d):
+            nonlocal series
+            if d >= len(series):
+                series = _series_of_denominator(weights, 2 * d + 1)
+            return sum(c * series[d - e]
+                       for e, c in excess_num.items() if e <= d)
+    heapq.heapify(queue)
+
     def pair_priority(i, j, lcm):
+        if target is not None:
+            return (_weighted_degree(weights, codec.decode(lcm)), lcm, j, i)
         dl = codec.deg(lcm)
         if graded:
             return (dl, lcm, j, i)
@@ -373,6 +454,20 @@ def _buchberger(generators, ring, budget, codec: _Codec) -> GroebnerBasis:
         red.lm_full = lm_full
         red.lmdeg = codec.deg(lm_full)
         red.smask = codec.support_mask(lm_full)
+
+        if target is not None:
+            # N(M + m) = N(M) - t^e N(M : m) for the minimal generators M
+            # of in(G), which are the heads of the live elements
+            colon = [tuple(a - b if a > b else 0
+                           for a, b in zip(g.exps, exps))
+                     for g in basis if g.alive]
+            e = _weighted_degree(weights, exps)
+            for d, c in _numerator(colon, weights, {}).items():
+                c = excess_num.get(d + e, 0) - c
+                if c:
+                    excess_num[d + e] = c
+                else:
+                    excess_num.pop(d + e, None)
 
         # candidate new pairs, examined by ascending lcm
         cand = [(codec.lcm(exps, g.exps), g.index) for g in basis if g.alive]
@@ -399,45 +494,45 @@ def _buchberger(generators, ring, budget, codec: _Codec) -> GroebnerBasis:
             if all(x == 0 or y == 0 for x, y in zip(exps, basis[i].exps)):
                 continue
             pair_set[(i, t)] = lcm
-            heapq.heappush(pair_heap, (pair_priority(i, t, lcm), i, t))
+            heapq.heappush(queue, (pair_priority(i, t, lcm), i, t))
         # head-redundant old elements stop generating pairs
         for g in basis[:-1]:
             if g.alive and codec.divides(lm_full, g.lm_full):
                 g.alive = False
 
-    for items in packed_gens:
-        sugar0 = max(codec.deg(m) for m, _ in items)
-        terms, sugar = _reduce_full(items, basis, codec, p, sugar0)
-        if not terms:
-            continue
-        if terms[0][1] != 1:
-            inv = ring.field.inv(terms[0][1])
-            terms = tuple((m, c * inv % p) for m, c in terms)
-        add_element(terms, sugar)
-
     processed = 0
-    while pair_heap:
-        _, i, j = heapq.heappop(pair_heap)
-        lcm = pair_set.pop((i, j), None)
-        if lcm is None:
-            continue
-        processed += 1
-        if processed > budget:
-            raise ResourceLimit(processed, budget)
-        gi, gj = basis[i], basis[j]
-        qi = lcm - gi.lm_full + one
-        qj = lcm - gj.lm_full + one
-        spoly: dict = {lcm: 0}
-        for m, c in ((gi.lm_full, 1),) + gi.tail:
-            nm = m + qi - one
-            spoly[nm] = (spoly.get(nm, 0) + c) % p
-        for m, c in ((gj.lm_full, 1),) + gj.tail:
-            nm = m + qj - one
-            spoly[nm] = (spoly.get(nm, 0) - c) % p
-        items = [(m, c) for m, c in spoly.items() if c]
-        if not items:
-            continue
-        sugar0 = max(gi.sugar + codec.deg(qi), gj.sugar + codec.deg(qj))
+    top = 0                    # largest weighted degree taken from the queue
+    while queue:
+        prio, i, j = heapq.heappop(queue)
+        if i >= 0:
+            lcm = pair_set.pop((i, j), None)
+            if lcm is None:
+                continue
+        if target is not None:
+            top = prio[0]
+            if excess(top) == 0:
+                continue       # in(G) is complete in this degree
+        if i < 0:
+            items = packed_gens[j]
+            sugar0 = max(codec.deg(m) for m, _ in items)
+        else:
+            processed += 1
+            if processed > budget:
+                raise ResourceLimit(processed, budget)
+            gi, gj = basis[i], basis[j]
+            qi = lcm - gi.lm_full + one
+            qj = lcm - gj.lm_full + one
+            spoly: dict = {lcm: 0}
+            for m, c in ((gi.lm_full, 1),) + gi.tail:
+                nm = m + qi - one
+                spoly[nm] = (spoly.get(nm, 0) + c) % p
+            for m, c in ((gj.lm_full, 1),) + gj.tail:
+                nm = m + qj - one
+                spoly[nm] = (spoly.get(nm, 0) - c) % p
+            items = [(m, c) for m, c in spoly.items() if c]
+            if not items:
+                continue
+            sugar0 = max(gi.sugar + codec.deg(qi), gj.sugar + codec.deg(qj))
         terms, sugar = _reduce_full(items, basis, codec, p, sugar0)
         if not terms:
             continue
@@ -446,6 +541,12 @@ def _buchberger(generators, ring, budget, codec: _Codec) -> GroebnerBasis:
             terms = tuple((m, c * inv % p) for m, c in terms)
         add_element(terms, sugar)
 
+    if target is not None:
+        wrong = [d for d in range(top + 1) if excess(d)]
+        if wrong:
+            raise InternalIdentityError(
+                f"the basis's initial ideal misses the Hilbert target in "
+                f"degrees {wrong}")
     return _interreduce(basis, ring, codec)
 
 

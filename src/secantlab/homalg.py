@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import mul
 
 # perfbench/traced.py hooks homalg.buchberger, so the name stays bound
 # here although homalg reaches Buchberger only through Ideal.groebner
@@ -35,9 +36,10 @@ class ZeroIdeal(ValueError):
 
 
 class InternalIdentityError(RuntimeError):
-    """A computed Betti table broke an identity that holds by theorem
-    (beta_{i,j} >= 0, Betti numerator = Hilbert numerator): the table is
-    wrong, not the prediction."""
+    """A computed result broke an identity that holds by theorem
+    (beta_{i,j} >= 0, Betti numerator = Hilbert numerator, a driven basis
+    meets its exact Hilbert target): the result is wrong, not the
+    prediction."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +65,10 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return {d: c for d, c in out.items() if c}
 
 
-def _numerator(gens, memo) -> dict:
-    """Numerator N(t) of the Hilbert series N(t)/(1-t)^n of S/(gens)."""
+def _numerator(gens, weights, memo) -> dict:
+    """Numerator N(t) of the Hilbert series N(t) / prod_v (1 - t^{w_v}) of
+    S/(gens), with variable v of weight w_v; all-ones ``weights`` give the
+    standard N(t)/(1-t)^n."""
     gens = _minimalize(gens)
     key = frozenset(gens)
     hit = memo.get(key)
@@ -79,9 +83,10 @@ def _numerator(gens, memo) -> dict:
         # pairwise coprime generators: product formula
         res = {0: 1}
         for g in gens:
-            res = _poly_mul(res, {0: 1, sum(g): -1})
+            res = _poly_mul(res, {0: 1, sum(map(mul, weights, g)): -1})
     else:
-        # pivot on the most shared variable
+        # pivot on the most shared variable:
+        # N(M) = N(M + x_v) + t^{w_v} N(M : x_v)
         n = len(gens[0])
         counts = [sum(1 for g in gens if g[v]) for v in range(n)]
         v = max(range(n), key=lambda i: counts[i])
@@ -89,11 +94,11 @@ def _numerator(gens, memo) -> dict:
         plus = [piv] + [g for g in gens if g[v] == 0]
         colon = [tuple(max(e - 1, 0) if i == v else e
                        for i, e in enumerate(g)) for g in gens]
-        np_ = _numerator(plus, memo)
-        nc = _numerator(colon, memo)
+        np_ = _numerator(plus, weights, memo)
+        nc = _numerator(colon, weights, memo)
         res = dict(np_)
         for d, c in nc.items():
-            res[d + 1] = res.get(d + 1, 0) + c
+            res[d + weights[v]] = res.get(d + weights[v], 0) + c
         res = {d: c for d, c in res.items() if c}
     memo[key] = res
     return res
@@ -160,7 +165,7 @@ def _hilbert_data(I: Ideal, pair_budget) -> HilbertData:
         return HilbertData(n, (1,), n, 1)
     gb = I.groebner(pair_budget=pair_budget)
     lms = [f.lm for f in gb]
-    num = _numerator(lms, {})
+    num = _numerator(lms, (1,) * n, {})
     if not num:
         # unit ideal: S/I = 0
         return HilbertData(n, (0,), -1, 0)

@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
 
-from .gb import GroebnerBasis, Ideal, buchberger
-from .homalg import hilbert_data
+from .gb import GroebnerBasis, HilbertTarget, Ideal, buchberger
+from .homalg import _numerator, _poly_mul, hilbert_data
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 
@@ -131,15 +131,25 @@ class SecantSpec:
             raise ValueError("base ideal must be homogeneous")
 
 
-def _join_with_parametrization(param: ConeParametrization, cur_gens,
-                               ring: PolyRing, pair_budget):
+def _join_with_parametrization(param: ConeParametrization, cur: Ideal,
+                               pair_budget):
     """One join step C * V(cur) using a cone chart of the base curve.
 
     Imposes cur(x − ν(params)) plus the chart constraints and eliminates the
     parameters under a block order graded by the chart weights, for which
     these generators are weighted-homogeneous; far fewer variables than
     ``_join_literal``.
+
+    The elimination is driven by the exact Hilbert series of its ideal J,
+    which needs no extra Groebner basis.  J = φ(I₀) for I₀ = (constraints(p))
+    + (cur(x)) and φ: x ↦ x − ν(p), p ↦ p, a ring automorphism of k[p, x]
+    (inverse x ↦ x + ν(p)) that preserves the grading, because every ν_i
+    has the weight ``image_weight`` of x_i.  So HS(k[p, x]/J) =
+    HS(k[p]/constraints) · HS(k[x]/cur)(t^image_weight): the chart's
+    factor, from a basis in its few variables, times the Hilbert numerator
+    of ``cur``, whose grevlex basis is cached after the first step.
     """
+    ring = cur.ring
     n = ring.nvars
     m = param.ring.nvars
     pnames = _fresh_names(m, ring.variables, "p_join")
@@ -150,8 +160,14 @@ def _join_with_parametrization(param: ConeParametrization, cur_gens,
     nu = [_transplant(f, big, pos_p) for f in param.images]
     imgs = [big.gen(m + i) - nu[i] for i in range(n)]
     gens = [_transplant(f, big, pos_p) for f in param.constraints]
-    gens += [f.compose(imgs, big) for f in cur_gens]
-    gb = buchberger(gens, big, pair_budget=pair_budget)
+    gens += [f.compose(imgs, big) for f in cur.generators]
+    chart_num = _numerator(
+        [f.lm for f in buchberger(param.constraints, param.ring)],
+        param.weights, {})
+    cur_num = {param.image_weight * d: c for d, c in enumerate(
+        hilbert_data(cur, pair_budget=pair_budget).numerator) if c}
+    target = HilbertTarget(weights, _poly_mul(chart_num, cur_num))
+    gb = buchberger(gens, big, pair_budget=pair_budget, target=target)
     return _subring_part(gb, m, ring)
 
 
@@ -269,7 +285,8 @@ def secant_join(spec: SecantSpec, seed: int = 0,
     """Homogeneous ideal of the k-th secant variety Σ_k of V(base_ideal).
 
     Joins the curve onto the running secant k times, each step through
-    the cone chart ``spec.parametrization``, then saturates the raw join by
+    the cone chart ``spec.parametrization`` and driven by the step's
+    closed-form Hilbert series, then saturates the raw join by
     one seeded random linear form ℓ.  ``_is_saturation``
     certifies the result from Hilbert data; if the certificate fails, the
     full irrelevant-ideal saturation is computed instead.
@@ -278,16 +295,15 @@ def secant_join(spec: SecantSpec, seed: int = 0,
     if spec.k == 0 or spec.base_ideal.is_zero():
         return spec.base_ideal
 
-    gens = list(spec.base_ideal.generators)
+    raw = spec.base_ideal
     for _ in range(spec.k):
         gens = _join_with_parametrization(
-            spec.parametrization, gens, ring, pair_budget)
+            spec.parametrization, raw, pair_budget)
         if not gens:
             return Ideal(ring, [])
-
-    # the join output is already a reduced grevlex basis
-    raw = _ideal_with_gb(ring, gens) if ring.order == MonomialOrder.grevlex() \
-        else Ideal(ring, gens)
+        # the join output is already a reduced grevlex basis
+        raw = _ideal_with_gb(ring, gens) \
+            if ring.order == MonomialOrder.grevlex() else Ideal(ring, gens)
     rng = random.Random(seed)
     ell = [rng.randrange(1, ring.field.p) for _ in range(ring.nvars)]
     sat = _saturate_wrt_linear(raw, ell, pair_budget)

@@ -158,9 +158,10 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
            degree_bound=None) -> VerificationReport:
     """Run secant_join -> hilbert_data -> minimal_free_resolution on the
     embedding and compare every prediction; failures downgrade rows to
-    skipped instead of raising.  A Betti table that breaks a run-time
-    identity gives every row the verdict "error(internal identity)" and
-    puts the message in ``instance["error"]``."""
+    skipped instead of raising.  A join basis or Betti table that breaks
+    a run-time identity gives every row the verdict
+    "error(internal identity)" and puts the message in
+    ``instance["error"]``."""
     g = emb.model.genus
     d = emb.d
     pred = predictions(g, d, k)
@@ -188,11 +189,17 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
     def skip_all(reason):
         return all_rows(f"skipped({reason})")
 
+    def internal_error(e):
+        instance["error"] = str(e)
+        return all_rows("error(internal identity)")
+
     try:
         S = secant_join(emb.secant_spec(k), seed=seed,
                         pair_budget=pair_budget)
     except ResourceLimit:
         return skip_all("resource limit in secant_join")
+    except InternalIdentityError as e:
+        return internal_error(e)
 
     if S.is_zero() or 2 * k + 1 >= emb.r:
         return skip_all("fills ambient")
@@ -204,8 +211,7 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
     except ResourceLimit:
         return skip_all("resource limit in resolution")
     except InternalIdentityError as e:
-        instance["error"] = str(e)
-        return all_rows("error(internal identity)")
+        return internal_error(e)
 
     reg = regularity(B)
     pd_ = projective_dimension(B)

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import secantlab
-from secantlab import homalg
+from secantlab import homalg, ideal_ops
 from secantlab.arith import MAX_PRIME, is_prime
 from secantlab.cli import main
+from secantlab.gb import HilbertTarget
 
 RNC5 = "genus: 0\nfield: 32003\ndegree: 5\n"
 RNC3 = "genus: 0\nfield: 32003\ndegree: 3\n"
@@ -106,6 +107,14 @@ def test_verify_truncated_below_generators_is_not_a_mismatch(curve_file,
             if r["name"] == "min_gen_degree"]
     assert row["computed"] is None
     assert row["verdict"] == "skipped(degree-truncated table)"
+
+
+def test_nonpositive_jobs_is_input_error(curve_file, capsys):
+    paths = [curve_file("a.curve", RNC5), curve_file("b.curve", E5)]
+    for jobs in ("0", "-2"):
+        code, out, err = run(capsys, ["verify", "--file", *paths, "--k", "1",
+                                      "--jobs", jobs])
+        assert code == 2 and out == "" and "jobs" in err
 
 
 def test_betti_requires_source(capsys):
@@ -246,6 +255,26 @@ def test_identity_failure_is_internal_error(curve_file, capsys,
     assert "Hilbert numerator" in doc["instance"]["error"]
     code, _, err = run(capsys, ["betti", "--file", path, "--k", "1"])
     assert code == 4 and "internal error" in err
+
+
+def test_join_target_failure_is_internal_error(curve_file, capsys,
+                                               monkeypatch):
+    # a join target one below the truth in degree 0 is never met, so the
+    # driven elimination reduces everything and then rejects its basis
+    def short(weights, numerator):
+        return HilbertTarget(weights, {**numerator, 0: numerator[0] - 1})
+
+    monkeypatch.setattr(ideal_ops, "HilbertTarget", short)
+    path = curve_file("c.curve", RNC5)
+    code, _, err = run(capsys, ["secant", "--file", path, "--k", "1"])
+    assert code == 4 and "Hilbert target" in err
+    code, out, _ = run(capsys, ["verify", "--file", path, "--k", "1",
+                                "--format", "json"])
+    assert code == 4
+    doc = json.loads(out)
+    assert {r["verdict"] for r in doc["rows"]} == \
+        {"error(internal identity)"}
+    assert "Hilbert target" in doc["instance"]["error"]
 
 
 def test_cli_import_needs_no_numpy():

@@ -1,11 +1,14 @@
 import random
+from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secantlab.arith import PrimeField
-from secantlab.gb import Ideal, ResourceLimit, buchberger
+from secantlab.gb import HilbertTarget, Ideal, ResourceLimit, buchberger
+from secantlab.homalg import InternalIdentityError, _numerator
 from secantlab.poly import MonomialOrder, PolyRing
 
 F = PrimeField(32003)
@@ -113,3 +116,55 @@ def test_generators_always_reduce_to_zero(gens):
     gb = buchberger(gens, R, pair_budget=200000)
     for g in gens:
         assert gb.normal_form(g).is_zero()
+
+
+def _exact_target(basis, weights):
+    """The weighted Hilbert series of S/I read off a reduced basis of I."""
+    return HilbertTarget(weights, _numerator([f.lm for f in basis], weights,
+                                             {}))
+
+
+@st.composite
+def weighted_homogeneous_ideals(draw):
+    weights = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, 6))
+        mons = [e for e in product(range(d + 1), repeat=3)
+                if sum(map(mul, weights, e)) == d]
+        if mons:
+            chosen = draw(st.lists(st.sampled_from(mons), min_size=1,
+                                   max_size=3, unique=True))
+            gens.append({e: draw(st.integers(1, 32002)) for e in chosen})
+    return weights, gens
+
+
+@given(weighted_homogeneous_ideals(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_driven_basis_equals_untargeted(ideal, eliminate):
+    # the reduced basis is canonical: dropping pairs in degrees whose
+    # leading-term count is complete must not change it
+    weights, terms = ideal
+    order = (MonomialOrder.block_elim(1, weights) if eliminate
+             else MonomialOrder.grevlex())
+    Rw = PolyRing(["x", "y", "z"], F, order)
+    gens = [Rw.from_dict(t) for t in terms]
+    ref = buchberger(gens, Rw, pair_budget=200000)
+    driven = buchberger(gens, Rw, pair_budget=200000,
+                        target=_exact_target(ref, weights))
+    assert [f.terms for f in driven] == [f.terms for f in ref]
+
+
+def test_hilbert_target_guards():
+    w = (1, 1, 1)
+    with pytest.raises(ValueError, match="weighted-homogeneous"):
+        buchberger([R.parse("x^2 - y")], R,
+                   target=HilbertTarget(w, {0: 1, 2: -1}))
+    gens = [R.parse("x*y - z^2"), R.parse("x^2 - y*z")]
+    exact = _exact_target(buchberger(gens, R), w)
+    assert buchberger(gens, R, target=exact) == buchberger(gens, R)
+    # one standard monomial too few in degree 2: the count there is never
+    # met, and the finished basis disagrees with the target
+    short = HilbertTarget(w, {**exact.numerator, 2: exact.numerator[2] - 1})
+    with pytest.raises(InternalIdentityError, match="degrees"):
+        buchberger(gens, R, target=short)

@@ -1,12 +1,14 @@
 import pytest
 
+from secantlab import gb as gb_module
 from secantlab import ideal_ops
 from secantlab.arith import PrimeField
 from secantlab.curves import CurveModel, embed, rational_normal_curve
 from secantlab.gb import Ideal, buchberger
-from secantlab.homalg import hilbert_data
+from secantlab.homalg import _numerator, hilbert_data
 from secantlab.ideal_ops import (PointNotOnVariety, PointedIdeal, SecantSpec,
-                                 _is_saturation, _join_literal,
+                                 _ideal_with_gb, _is_saturation,
+                                 _join_literal,
                                  _join_with_parametrization,
                                  _saturate_wrt_linear, intersect,
                                  saturate_irrelevant, secant_join,
@@ -61,8 +63,7 @@ def test_saturation_strategies_agree():
     E = rational_normal_curve(5, F)
     C = E.ideal
     A = secant_join(E.secant_spec(1), seed=3)
-    raw = Ideal(C.ring, _join_with_parametrization(
-        E.parametrization, C.generators, C.ring, None))
+    raw = Ideal(C.ring, _join_with_parametrization(E.parametrization, C, None))
     B = saturate_irrelevant(raw)
     assert basis_terms(A) == basis_terms(B)
 
@@ -144,3 +145,72 @@ def test_elliptic_sextic_join_basis_gate(monkeypatch):
     secant_join(E.secant_spec(1))
     elim = [n for name, n in sizes if name == "block_elim(3)"]
     assert len(elim) == 1 and elim[0] <= 99
+
+
+def test_elliptic_sextic_join_reduction_gate(monkeypatch):
+    # Deterministic work counter: the Hilbert-driven elimination divides
+    # 266 times (10 generators, 157 S-pairs, 99 interreductions), 68 of
+    # them to zero; the untargeted loop divided 600 times, 381 to zero.
+    reduce_full = gb_module._reduce_full
+    remainders = []
+    active = []
+
+    def reduce_spy(*args, **kwargs):
+        out = reduce_full(*args, **kwargs)
+        if active:
+            remainders.append(out[0])
+        return out
+
+    def spy(gens, ring, *args, **kwargs):
+        if ring.order.name == "block_elim(3)":
+            active.append(True)
+        try:
+            return buchberger(gens, ring, *args, **kwargs)
+        finally:
+            active.clear()
+
+    monkeypatch.setattr(gb_module, "_reduce_full", reduce_spy)
+    monkeypatch.setattr(ideal_ops, "buchberger", spy)
+    R2 = PolyRing(["x", "y"], F)
+    E = embed(CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1")), 6)
+    secant_join(E.secant_spec(1))
+    assert len(remainders) <= 266
+    assert sum(1 for r in remainders if not r) <= 68
+
+
+LADDER = [
+    (0, None, 5, 2), (0, None, 6, 2), (0, None, 7, 2),
+    (1, "y^2 - x^3 - 4*x - 1", 5, 1), (1, "y^2 - x^3 - 4*x - 1", 6, 1),
+    (2, "y^2 - x^5 - x - 1", 6, 1),
+]
+
+
+@pytest.mark.parametrize("genus,equation,d,k", LADDER,
+                         ids=["rnc5", "rnc6", "rnc7", "ell5", "ell6", "g2_6"])
+def test_driven_join_equals_untargeted(genus, equation, d, k, monkeypatch):
+    # every join step (k = 2 covers k = 1): the driven elimination gives
+    # the untargeted reduced basis term for term, and its closed-form
+    # target is the weighted Hilbert series of that basis
+    steps = []
+
+    def spy(gens, ring, *args, target=None, **kwargs):
+        ref = buchberger(gens, ring, *args, **kwargs)
+        if target is not None:
+            lms = [f.lm for f in ref]
+            assert target.numerator == _numerator(lms, target.weights, {})
+            driven = buchberger(gens, ring, *args, target=target, **kwargs)
+            assert [f.terms for f in driven] == [f.terms for f in ref]
+            steps.append(len(ref))
+        return ref
+
+    monkeypatch.setattr(ideal_ops, "buchberger", spy)
+    if genus == 0:
+        E = rational_normal_curve(d, F)
+    else:
+        R2 = PolyRing(["x", "y"], F)
+        E = embed(CurveModel(genus, F, R2.parse(equation)), d)
+    cur = E.ideal
+    for _ in range(k):
+        cur = _ideal_with_gb(cur.ring, _join_with_parametrization(
+            E.parametrization, cur, None))
+    assert len(steps) == k
