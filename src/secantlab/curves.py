@@ -16,9 +16,9 @@ import random
 from dataclasses import dataclass
 
 from .arith import DEFAULT_PRIME, PrimeField, is_prime
-from .gb import Ideal, buchberger
+from .gb import Ideal, _ideal_with_gb, buchberger
 from .ideal_ops import (ConeParametrization, PointedIdeal, SecantSpec,
-                        _ideal_with_gb, _subring_part, _transplant)
+                        _subring_part, _transplant)
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 

@@ -3,15 +3,18 @@
 Buchberger's algorithm with Gebauer-Moller pair elimination.  Without a
 Hilbert target, every generator is reduced first, then pair selection uses
 the normal strategy (minimal lcm degree, then order) for graded orders and
-the sugar strategy for lex/elimination orders.  With a target, the exact
-weighted Hilbert series of S/I for a weighted-homogeneous ideal (Traverso,
-J. Symbolic Comput. 22, 1996), generators and pairs are taken together by
-the weighted degree of their lcm, and one of degree d is dropped unreduced
-once dim (S/in(G))_d equals the target's: in(G) is then complete in degree
-d, so it would reduce to zero.  The count of in(G) is kept incrementally,
-N(M + m) = N(M) - t^e N(M : m) for a new head m of weight e.  The reduced
-basis is canonical for the (ideal, order) pair, so recomputation from any
-generating set of the same ideal, driven or not, yields identical output.
+the sugar strategy for lex/elimination orders.  With a target, a weighted
+Hilbert series that is either exact for S/I or a coefficient-wise lower
+bound on it, for a weighted-homogeneous ideal (Traverso, J. Symbolic
+Comput. 22, 1996), generators and pairs are taken together by the weighted
+degree of their lcm, and one of degree d is dropped unreduced once
+dim (S/in(G))_d equals the target's.  Since dim (S/in(G))_d >= dim (S/I)_d
+>= target(d), in(G) is then complete in degree d, so it would reduce to
+zero; this holds for a lower bound as much as for the exact series.  The
+count of in(G) is kept incrementally, N(M + m) = N(M) - t^e N(M : m) for a
+new head m of weight e.  The reduced basis is canonical for the (ideal,
+order) pair, so recomputation from any generating set of the same ideal,
+driven or not, yields identical output.
 
 Internally monomials are packed into single integers whose most significant
 fields spell out the monomial-order key, followed by a total-degree field and
@@ -331,12 +334,14 @@ class GroebnerBasis:
 
 @dataclass(frozen=True)
 class HilbertTarget:
-    """Weighted Hilbert series of S/I: HS = numerator(t) / prod_v
-    (1 - t^{w_v}) for S graded by ``weights`` (one positive weight per
-    variable), with ``numerator`` a dict degree -> coefficient."""
+    """Weighted Hilbert series numerator(t) / prod_v (1 - t^{w_v}) for S
+    graded by ``weights`` (one positive weight per variable), with
+    ``numerator`` a dict degree -> coefficient.  With ``exact`` it is the
+    series of S/I; without, a coefficient-wise lower bound on it."""
 
     weights: tuple
     numerator: dict
+    exact: bool = True
 
 
 def _weighted_degree(weights, exps) -> int:
@@ -358,11 +363,14 @@ def buchberger(generators, ring: PolyRing,
                target: HilbertTarget | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
-    With ``target``, the exact weighted Hilbert series of S/I, every
-    generator must be weighted-homogeneous for ``target.weights`` (else
-    ValueError), and S-pairs in a degree whose leading-term count is
-    already complete are dropped unreduced.  Dropped pairs do not count
-    against the pair budget.
+    With ``target``, the weighted Hilbert series of S/I or a lower bound
+    on it, every generator must be weighted-homogeneous for
+    ``target.weights`` (else ValueError), and generators and S-pairs in a
+    degree whose leading-term count is already complete are dropped
+    unreduced.  Dropped pairs do not count against the pair budget.  The
+    finished basis is checked against the target in every degree the run
+    reached: an exact target must be met, and a lower bound must not be
+    undercut, else InternalIdentityError.
     """
     if order is not None and order != ring.order:
         ring = ring.with_order(order)
@@ -542,7 +550,10 @@ def _buchberger(generators, ring, budget, codec: _Codec,
         add_element(terms, sugar)
 
     if target is not None:
-        wrong = [d for d in range(top + 1) if excess(d)]
+        # a lower bound may stay below HF_{S/I}: only a deficit is wrong
+        excesses = [excess(d) for d in range(top + 1)]
+        wrong = [d for d, e in enumerate(excesses)
+                 if e < 0 or target.exact and e]
         if wrong:
             raise InternalIdentityError(
                 f"the basis's initial ideal misses the Hilbert target in "
@@ -605,3 +616,13 @@ class Ideal:
     def __repr__(self):
         return f"Ideal({len(self.generators)} generators in {self.ring!r})"
 
+
+def _ideal_with_gb(ring: PolyRing, gens,
+                   basis: GroebnerBasis | None = None) -> Ideal:
+    """Ideal generated by ``gens`` with its reduced Groebner basis for the
+    ring's order cached: ``basis``, or else ``gens`` themselves, which must
+    then be that basis."""
+    I = Ideal(ring, gens)
+    I._gb_cache[ring.order] = (basis if basis is not None
+                               else GroebnerBasis(gens, ring))
+    return I

@@ -7,7 +7,9 @@ derived invariants: regularity, projective dimension, ACM-ness, the N_{d,p}
 syzygy properties, and Koszul cohomology dimensions.
 
 Before any strand is built, I is cut by seeded generic linear forms, one
-chain of cuts down to Krull dimension 0.  Hilbert data certify every form:
+chain of cuts down to Krull dimension 0.  Each cut's Groebner basis is
+driven by the Hilbert series of the ideal it cuts, a lower bound on its
+own that is exact for a nonzerodivisor.  Hilbert data certify every form:
 the prefix of cuts that leave the Hilbert numerator unchanged are
 nonzerodivisors, and the last ideal J of that prefix has the Betti table of
 I (Artinian reduction).  The strand window is the Bayer-Stillman criterion
@@ -25,9 +27,8 @@ from itertools import combinations
 from math import comb
 from operator import mul
 
-# perfbench/traced.py hooks homalg.buchberger, so the name stays bound
-# here although homalg reaches Buchberger only through Ideal.groebner
-from .gb import GroebnerBasis, Ideal, buchberger  # noqa: F401
+from .gb import (GroebnerBasis, HilbertTarget, Ideal, _ideal_with_gb,
+                 buchberger)
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 
@@ -38,8 +39,8 @@ class ZeroIdeal(ValueError):
 class InternalIdentityError(RuntimeError):
     """A computed result broke an identity that holds by theorem
     (beta_{i,j} >= 0, Betti numerator = Hilbert numerator, a driven basis
-    meets its exact Hilbert target): the result is wrong, not the
-    prediction."""
+    meets its exact Hilbert target and never undercuts a lower bound): the
+    result is wrong, not the prediction."""
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +341,31 @@ def _strip(coeffs) -> tuple:
 
 def _cut(I: Ideal, h: Polynomial, pair_budget):
     """(I + (h))/(h) and its Hilbert data, as an ideal of the grevlex ring
-    without the leading variable of the linear form h."""
+    without the leading variable of the linear form h.
+
+    The Groebner basis of the cut is driven by a lower bound on its Hilbert
+    function.  For A = S/I, HF_{A/hA}(d) = HF_A(d) - HF_A(d-1) +
+    HF_{0:h}(d-1) >= HF_A(d) - HF_A(d-1), so the Hilbert numerator of I
+    over (1-t)^{n-1} is a sound target, and it is exact exactly when h is a
+    nonzerodivisor on A.
+    """
     ring = I.ring
     h = h.monic()
     v = h.lm.index(1)
     reduce_h = GroebnerBasis([h], ring).normal_form
     cut_ring = PolyRing(ring.variables[:v] + ring.variables[v + 1:],
                         ring.field, MonomialOrder.grevlex())
-    J = Ideal(cut_ring, [
-        cut_ring.from_dict({m[:v] + m[v + 1:]: c
-                            for m, c in reduce_h(f).terms})
-        for f in I.generators])
+    gens = [cut_ring.from_dict({m[:v] + m[v + 1:]: c
+                                for m, c in reduce_h(f).terms})
+            for f in I.generators]
+    hd = I._hilbert_cache   # the cut chain has computed it already
+    if hd is None:
+        hd = hilbert_data(I, pair_budget=pair_budget)
+    bound = HilbertTarget((1,) * cut_ring.nvars,
+                          {d: c for d, c in enumerate(hd.numerator) if c},
+                          exact=False)
+    J = _ideal_with_gb(cut_ring, gens, buchberger(
+        gens, cut_ring, pair_budget=pair_budget, target=bound))
     return J, hilbert_data(J, pair_budget=pair_budget)
 
 
@@ -364,7 +379,9 @@ def regular_cut(I: Ideal, hd: HilbertData, seed: int = 0, pair_budget=None):
     HS(S/(A,h)) = (1-t) HS(S/A) + t HS(0:h), the Hilbert numerator is
     unchanged exactly when h is one.  The last certified J has the Betti
     table of I in fewer variables; an ACM S/I is certified all the way
-    down to Krull dimension 0.
+    down to Krull dimension 0.  (1-t) HS(S/A) is also the lower bound
+    that drives each cut's Groebner basis (``_cut``): a zero-divisor cut
+    gets the same basis, with fewer pairs dropped.
     """
     rng = random.Random(seed)
     numerator = _strip(hd.numerator)

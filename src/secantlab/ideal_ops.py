@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate, zip_longest
 
-from .gb import GroebnerBasis, HilbertTarget, Ideal, buchberger
+from .gb import (GroebnerBasis, HilbertTarget, Ideal, _ideal_with_gb,
+                 buchberger)
 from .homalg import _numerator, _poly_mul, hilbert_data
 from .poly import MonomialOrder, PolyRing, Polynomial
 
@@ -59,14 +60,6 @@ def _subring_part(gb: GroebnerBasis, keep_start: int, target: PolyRing):
             else:
                 kept.append(target.from_dict(dict(terms)))
     return kept
-
-
-def _ideal_with_gb(target: PolyRing, gens) -> Ideal:
-    """Ideal whose grevlex-GB cache is preseeded with ``gens`` (which must
-    already be a reduced GB under the target ring's order)."""
-    I = Ideal(target, gens)
-    I._gb_cache[target.order] = GroebnerBasis(gens, target)
-    return I
 
 
 def intersect(I: Ideal, J: Ideal, pair_budget=None) -> Ideal:

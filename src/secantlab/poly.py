@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add
 
 from .arith import PrimeField
 
@@ -337,18 +338,37 @@ class Polynomial:
         return total
 
     def compose(self, images, target: PolyRing) -> "Polynomial":
-        """Substitute images[i] (a Polynomial over target) for variable i."""
+        """Substitute images[i] (a Polynomial over target) for variable i.
+
+        The powers of each image are built once (their products check the
+        ring), and the terms of the result are collected in one dict and
+        sorted once."""
         if len(images) != self.ring.nvars:
             raise ArityMismatch(
                 f"need {self.ring.nvars} images, got {len(images)}")
-        result = target.zero
+        p = target.field.p
+        powers = []
+        tops = map(max, zip(*(m for m, _ in self.terms)))
+        for img, top in zip(images, tops):
+            pw = [target.one]
+            for _ in range(top):
+                pw.append(pw[-1] * img)
+            powers.append([f.terms for f in pw])
+        one = (0,) * target.nvars
+        out: dict = {}
         for m, c in self.terms:
-            term = target.constant(c)
-            for img, e in zip(images, m):
+            term = {one: c}
+            for pw, e in zip(powers, m):
                 if e:
-                    term = term * img ** e
-            result = result + term
-        return result
+                    prod: dict = {}
+                    for m1, c1 in term.items():
+                        for m2, c2 in pw[e]:
+                            mm = tuple(map(add, m1, m2))
+                            prod[mm] = (prod.get(mm, 0) + c1 * c2) % p
+                    term = prod
+            for mm, cc in term.items():
+                out[mm] = out.get(mm, 0) + cc
+        return target.from_dict(out)
 
     # -- equality / printing -------------------------------------------------
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from secantlab.arith import PrimeField
 from secantlab.gb import HilbertTarget, Ideal, ResourceLimit, buchberger
-from secantlab.homalg import InternalIdentityError, _numerator
+from secantlab.homalg import InternalIdentityError, _numerator, _poly_mul
 from secantlab.poly import MonomialOrder, PolyRing
 
 F = PrimeField(32003)
@@ -139,19 +139,24 @@ def weighted_homogeneous_ideals(draw):
     return weights, gens
 
 
-@given(weighted_homogeneous_ideals(), st.booleans())
+@given(weighted_homogeneous_ideals(), st.booleans(), st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
-def test_driven_basis_equals_untargeted(ideal, eliminate):
+def test_driven_basis_equals_untargeted(ideal, eliminate, loss):
     # the reduced basis is canonical: dropping pairs in degrees whose
-    # leading-term count is complete must not change it
+    # leading-term count is complete must not change it.  loss > 0 drives
+    # by the lower bound (1 - t^loss) HS(S/I), tight below degree loss
     weights, terms = ideal
     order = (MonomialOrder.block_elim(1, weights) if eliminate
              else MonomialOrder.grevlex())
     Rw = PolyRing(["x", "y", "z"], F, order)
     gens = [Rw.from_dict(t) for t in terms]
     ref = buchberger(gens, Rw, pair_budget=200000)
-    driven = buchberger(gens, Rw, pair_budget=200000,
-                        target=_exact_target(ref, weights))
+    target = _exact_target(ref, weights)
+    if loss:
+        target = HilbertTarget(
+            weights, _poly_mul(target.numerator, {0: 1, loss: -1}),
+            exact=False)
+    driven = buchberger(gens, Rw, pair_budget=200000, target=target)
     assert [f.terms for f in driven] == [f.terms for f in ref]
 
 
@@ -168,3 +173,15 @@ def test_hilbert_target_guards():
     short = HilbertTarget(w, {**exact.numerator, 2: exact.numerator[2] - 1})
     with pytest.raises(InternalIdentityError, match="degrees"):
         buchberger(gens, R, target=short)
+
+
+def test_lower_bound_target_guard():
+    # a lower bound one above the truth in degree 0 (numerator plus
+    # (1-t)^3) cannot hold, and the finished basis undercuts it there
+    gens = [R.parse("x*y - z^2"), R.parse("x^2 - y*z")]
+    num = dict(_exact_target(buchberger(gens, R), (1, 1, 1)).numerator)
+    for d, c in enumerate((1, -3, 3, -1)):
+        num[d] = num.get(d, 0) + c
+    with pytest.raises(InternalIdentityError, match=r"degrees \[0\]"):
+        buchberger(gens, R, target=HilbertTarget((1, 1, 1), num,
+                                                 exact=False))

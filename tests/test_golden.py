@@ -24,6 +24,11 @@ CASES = {
                                  "2", "--max-degree", "4"],
     "betti_twisted_cubic.json": ["betti", "--ideal-file",
                                  "twisted_cubic.ideal"],
+    "betti_rational_quartic.json": ["betti", "--ideal-file",
+                                    "rational_quartic.ideal"],
+    "betti_rational_quartic_max4.json": ["betti", "--ideal-file",
+                                         "rational_quartic.ideal",
+                                         "--max-degree", "4"],
 }
 
 

@@ -9,7 +9,7 @@ from secantlab import gb as gb_module
 from secantlab import homalg
 from secantlab.arith import MAX_PRIME, PrimeField
 from secantlab.curves import CurveModel, embed, rational_normal_curve
-from secantlab.gb import Ideal
+from secantlab.gb import Ideal, buchberger
 from secantlab.homalg import (InternalIdentityError, ZeroIdeal,
                               _bayer_stillman, _cut, _koszul_betti,
                               _rank_mod, betti_numerator,
@@ -298,8 +298,13 @@ def test_rational_quartic_window_from_the_cut_chain(monkeypatch):
     runs, windows = [], []
     real_buchberger = gb_module.buchberger
     real_window = homalg._regularity_window
-    monkeypatch.setattr(gb_module, "buchberger", lambda *a, **kw:
-                        runs.append(a[1]) or real_buchberger(*a, **kw))
+
+    def spy(*a, **kw):
+        runs.append(a[1])
+        return real_buchberger(*a, **kw)
+
+    monkeypatch.setattr(gb_module, "buchberger", spy)
+    monkeypatch.setattr(homalg, "buchberger", spy)
     monkeypatch.setattr(homalg, "_regularity_window", lambda gb, chain:
                         windows.append((gb, real_window(gb, chain)))
                         or windows[-1][1])
@@ -414,19 +419,95 @@ def _hankel_minors(d):
     return Ideal(R, gens)
 
 
-def test_cut_reaches_dimension_zero_on_acm_fixtures():
+def _check_driven_cuts(monkeypatch):
+    """Make every cut's driven basis also compute the untargeted basis and
+    assert the two equal term for term; returns the list of checked cut
+    rings."""
+    checked = []
+
+    def spy(gens, ring, *args, target=None, **kwargs):
+        driven = buchberger(gens, ring, *args, target=target, **kwargs)
+        ref = buchberger(gens, ring, *args, **kwargs)
+        assert not target.exact
+        assert [f.terms for f in driven] == [f.terms for f in ref]
+        checked.append(ring)
+        return driven
+
+    monkeypatch.setattr(homalg, "buchberger", spy)
+    return checked
+
+
+def test_cut_reaches_dimension_zero_on_acm_fixtures(monkeypatch):
     # Deterministic speed gate: without the full cut the strands are built
     # over the whole ring, about 50 times slower, with the same tables.
+    # Every cut's driven basis is the untargeted one.
     R2 = PolyRing(["x", "y"], F)
     elliptic = CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1"))
     fixtures = [secant_join(rational_normal_curve(d, F).secant_spec(1))
                 for d in (5, 6, 7)]
     fixtures.append(secant_join(embed(elliptic, 6).secant_spec(1)))
     fixtures.append(_hankel_minors(8))
+    checked = _check_driven_cuts(monkeypatch)
     for I in fixtures:
         hd = hilbert_data(I)
         _, hd_J, cuts = _certified_cut(I, hd)
         assert cuts == hd.dimension == 4 and hd_J.dimension == 0
+    assert len(checked) == 4 * len(fixtures)
+
+
+def test_zero_divisor_cut_keeps_its_exact_basis(monkeypatch):
+    # the rational quartic has depth 1: its second cut is a zero divisor,
+    # so the lower bound stays strictly below the Hilbert function of the
+    # cut, and the driven run must neither raise nor change the basis
+    checked = _check_driven_cuts(monkeypatch)
+    I = _rational_quartic()
+    chain = list(regular_cut(I, hilbert_data(I)))
+    assert [ok for _, _, ok in chain] == [True, True, False]
+    assert len(checked) == 2
+    prev, last = chain[1][1], chain[2][1]
+    assert any(last.hilbert_function(d) > prev.hilbert_function(d)
+               - prev.hilbert_function(d - 1) for d in range(6))
+
+
+def test_driven_cut_reduction_gate(monkeypatch):
+    # Deterministic work counter: on the secant variety of the rational
+    # normal sextic (the 3x3 minors of the 3 x 5 Hankel matrix) each driven
+    # cut run reduces its 10 generators and nothing else, none to zero;
+    # untargeted, each made 25 reductions, 15 of them to zero.  The
+    # interreduction and the substitution's normal forms are not counted.
+    cut_runs = []       # remainders of each cut run's main-loop reductions
+    counting = []
+    real_run = gb_module._buchberger
+    real_reduce = gb_module._reduce_full
+    real_interreduce = gb_module._interreduce
+
+    def run_spy(gens, ring, *args):
+        if ring.nvars < 7:          # a cut ring: I itself lives in 7
+            cut_runs.append([])
+            counting.append(True)
+        try:
+            return real_run(gens, ring, *args)
+        finally:
+            counting.clear()
+
+    def reduce_spy(*args, **kwargs):
+        out = real_reduce(*args, **kwargs)
+        if counting:
+            cut_runs[-1].append(out[0])
+        return out
+
+    def interreduce_spy(*args):
+        counting.clear()
+        return real_interreduce(*args)
+
+    monkeypatch.setattr(gb_module, "_buchberger", run_spy)
+    monkeypatch.setattr(gb_module, "_reduce_full", reduce_spy)
+    monkeypatch.setattr(gb_module, "_interreduce", interreduce_spy)
+    I = _hankel_minors(6)
+    assert len(list(regular_cut(I, hilbert_data(I)))) == 5
+    assert len(cut_runs) == 4
+    for remainders in cut_runs:
+        assert len(remainders) <= 10 and all(remainders)
 
 
 def test_identity_check_catches_wrong_ranks(monkeypatch):

@@ -4,11 +4,10 @@ from secantlab import gb as gb_module
 from secantlab import ideal_ops
 from secantlab.arith import PrimeField
 from secantlab.curves import CurveModel, embed, rational_normal_curve
-from secantlab.gb import Ideal, buchberger
+from secantlab.gb import Ideal, _ideal_with_gb, buchberger
 from secantlab.homalg import _numerator, hilbert_data
 from secantlab.ideal_ops import (PointNotOnVariety, PointedIdeal, SecantSpec,
-                                 _ideal_with_gb, _is_saturation,
-                                 _join_literal,
+                                 _is_saturation, _join_literal,
                                  _join_with_parametrization,
                                  _saturate_wrt_linear, intersect,
                                  saturate_irrelevant, secant_join,

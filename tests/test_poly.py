@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from secantlab.arith import PrimeField
 from secantlab.poly import (ArityMismatch, MonomialOrder, ParseError,
-                            PolyRing, UnknownVariable)
+                            PolyRing, RingMismatch, UnknownVariable)
 
 F = PrimeField(32003)
 R = PolyRing(["x", "y", "z"], F)
@@ -102,6 +102,28 @@ def test_compose_substitution():
     assert f.compose(img, Rt).is_zero()
 
 
+# images in a ring whose order is not grevlex, so the result's term order
+# is checked too
+Rst = PolyRing(["s", "t"], F, MonomialOrder.block_elim(1))
+images = st.lists(st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(1, 32002),
+    max_size=3).map(Rst.from_dict), min_size=3, max_size=3)
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                       st.integers(1, 32002), max_size=5).map(R.from_dict),
+       images)
+@settings(max_examples=60, deadline=None)
+def test_compose_equals_termwise_product(f, imgs):
+    naive = Rst.zero
+    for m, c in f.terms:
+        term = Rst.constant(c)
+        for img, e in zip(imgs, m):
+            term = term * img ** e
+        naive = naive + term
+    assert f.compose(imgs, Rst) == naive
+
+
 # -- parsing ----------------------------------------------------------------
 
 @given(polys)
@@ -130,3 +152,10 @@ def test_compose_arity_checked():
     Rt = PolyRing(["t"], F)
     with pytest.raises(ArityMismatch):
         R.parse("x").compose([Rt.parse("t")], Rt)
+
+
+def test_compose_ring_checked():
+    Rt = PolyRing(["t"], F)
+    Ru = PolyRing(["u"], F)
+    with pytest.raises(RingMismatch):
+        R.parse("x*y").compose([Rt.gen(0), Ru.gen(0), Rt.gen(0)], Rt)
