@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .arith import DEFAULT_PRIME, PrimeField, is_prime
-from .gb import Ideal, _ideal_with_gb, buchberger
+from .gb import Ideal, buchberger
 from .ideal_ops import (ConeParametrization, PointedIdeal, SecantSpec,
                         _subring_part, _transplant)
 from .poly import MonomialOrder, PolyRing, Polynomial
@@ -269,7 +269,7 @@ def embed(model: CurveModel, d: int, pair_budget=None) -> CurveEmbedding:
         gens.append(big.gen(3 + i) - mono)
     gb = buchberger(gens, big, pair_budget=pair_budget)
     target = PolyRing(znames, field, MonomialOrder.grevlex())
-    ideal = _ideal_with_gb(target, _subring_part(gb, 3, target))
+    ideal = Ideal(target, _subring_part(gb, 3, target))
     pring = PolyRing(["x", "y", "t"], field)
     images = tuple(pring.monomial((exps[0], exps[1], d - pole))
                    for exps, pole in basis)

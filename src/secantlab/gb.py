@@ -32,7 +32,7 @@ import heapq
 from dataclasses import dataclass
 from operator import mul
 
-from .poly import MonomialOrder, PolyRing, Polynomial, RingMismatch
+from .poly import PolyRing, Polynomial, RingMismatch
 
 DEFAULT_PAIR_BUDGET = 2_000_000
 
@@ -357,11 +357,10 @@ def _series_of_denominator(weights, length: int) -> list:
     return c
 
 
-def buchberger(generators, ring: PolyRing,
-               order: MonomialOrder | None = None,
-               pair_budget: int | None = None,
+def buchberger(generators, ring: PolyRing, pair_budget: int | None = None,
                target: HilbertTarget | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``generators``.
+    """Reduced Groebner basis of the ideal generated by ``generators``, for
+    the ring's order.
 
     With ``target``, the weighted Hilbert series of S/I or a lower bound
     on it, every generator must be weighted-homogeneous for
@@ -372,8 +371,6 @@ def buchberger(generators, ring: PolyRing,
     reached: an exact target must be met, and a lower bound must not be
     undercut, else InternalIdentityError.
     """
-    if order is not None and order != ring.order:
-        ring = ring.with_order(order)
     if target is not None:
         for f in generators:
             if len({_weighted_degree(target.weights, m)
@@ -582,8 +579,8 @@ def _interreduce(basis, ring, codec) -> GroebnerBasis:
 
 
 class Ideal:
-    """Generator list with a cached reduced Groebner basis per order and a
-    cached Hilbert series (written by ``homalg.hilbert_data``)."""
+    """Generator list with a cached reduced Groebner basis for the ring's
+    order and a cached Hilbert series (written by ``homalg.hilbert_data``)."""
 
     def __init__(self, ring: PolyRing, generators):
         for g in generators:
@@ -591,21 +588,17 @@ class Ideal:
                 raise RingMismatch("generator not over the ideal's ring")
         self.ring = ring
         self.generators = tuple(g for g in generators if g.terms)
-        self._gb_cache: dict = {}
+        self._gb = None
         self._hilbert_cache = None
 
-    def groebner(self, order: MonomialOrder | None = None,
-                 pair_budget: int | None = None) -> GroebnerBasis:
-        order = order if order is not None else self.ring.order
-        gb = self._gb_cache.get(order)
-        if gb is None:
-            gb = buchberger(self.generators, self.ring, order,
-                            pair_budget=pair_budget)
-            self._gb_cache[order] = gb
-        return gb
+    def groebner(self, pair_budget: int | None = None) -> GroebnerBasis:
+        if self._gb is None:
+            self._gb = buchberger(self.generators, self.ring,
+                                  pair_budget=pair_budget)
+        return self._gb
 
-    def contains(self, f: Polynomial, order=None) -> bool:
-        return self.groebner(order).contains(f)
+    def contains(self, f: Polynomial) -> bool:
+        return self.groebner().contains(f)
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -623,6 +616,5 @@ def _ideal_with_gb(ring: PolyRing, gens,
     ring's order cached: ``basis``, or else ``gens`` themselves, which must
     then be that basis."""
     I = Ideal(ring, gens)
-    I._gb_cache[ring.order] = (basis if basis is not None
-                               else GroebnerBasis(gens, ring))
+    I._gb = basis if basis is not None else GroebnerBasis(gens, ring)
     return I

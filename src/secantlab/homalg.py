@@ -358,11 +358,9 @@ def _cut(I: Ideal, h: Polynomial, pair_budget):
     gens = [cut_ring.from_dict({m[:v] + m[v + 1:]: c
                                 for m, c in reduce_h(f).terms})
             for f in I.generators]
-    hd = I._hilbert_cache   # the cut chain has computed it already
-    if hd is None:
-        hd = hilbert_data(I, pair_budget=pair_budget)
+    numerator = hilbert_data(I, pair_budget=pair_budget).numerator
     bound = HilbertTarget((1,) * cut_ring.nvars,
-                          {d: c for d, c in enumerate(hd.numerator) if c},
+                          {d: c for d, c in enumerate(numerator) if c},
                           exact=False)
     J = _ideal_with_gb(cut_ring, gens, buchberger(
         gens, cut_ring, pair_budget=pair_budget, target=bound))
@@ -452,9 +450,7 @@ def minimal_free_resolution(I: Ideal, degree_bound=None, pair_budget=None,
         raise ValueError("Betti tables require a homogeneous ideal")
     if I.is_zero():
         return BettiTable(n, (((0, 0), 1),))
-    hd = I._hilbert_cache   # the callers have usually computed it already
-    if hd is None:
-        hd = hilbert_data(I, pair_budget=pair_budget)
+    hd = hilbert_data(I, pair_budget=pair_budget)
     if hd.dimension < 0:
         raise ValueError("unit ideal has no graded Betti table")
 

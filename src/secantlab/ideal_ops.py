@@ -1,20 +1,19 @@
 """Ideal-theoretic constructions on top of the Groebner engine.
 
-The secant join through a cone chart of the curve, its certified
-saturation (with intersection as the fallback), and tangent cones with
+The secant join through a cone chart of the curve, certified saturated by
+the first seeded cut of the Betti stage's chain (with the irrelevant-ideal
+saturation, by intersection, as the fallback), and tangent cones with
 Hilbert-Samuel multiplicities.  Everything here is pure: input ideals are
 never mutated beyond their own write-once Groebner caches.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
 
 from .gb import (GroebnerBasis, HilbertTarget, Ideal, _ideal_with_gb,
                  buchberger)
-from .homalg import _numerator, _poly_mul, hilbert_data
+from .homalg import _numerator, _poly_mul, hilbert_data, regular_cut
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 
@@ -48,14 +47,17 @@ def _transplant(f: Polynomial, target: PolyRing, position) -> Polynomial:
 def _subring_part(gb: GroebnerBasis, keep_start: int, target: PolyRing):
     """Elements of an elimination GB supported on variables >= keep_start,
     re-read in ``target``.  By the elimination theorem this is again a
-    reduced Groebner basis, for the order restricted to the tail block
-    (grevlex, up to a uniform weight)."""
-    grevlex_target = target.order == MonomialOrder.grevlex()
+    reduced Groebner basis, for the order restricted to the tail block.
+    Its terms are kept in place only where that order is ``target``'s
+    grevlex: a grevlex tail block without weights or with uniform ones."""
+    kind, _, _, weights = gb.order.blocks[-1]      # the tail block
+    same_order = (target.order == MonomialOrder.grevlex() and kind == "grevlex"
+                  and (weights is None or len(set(weights)) == 1))
     kept = []
     for f in gb:
         if all(all(e == 0 for e in mon[:keep_start]) for mon, _ in f.terms):
             terms = tuple((mon[keep_start:], c) for mon, c in f.terms)
-            if grevlex_target:
+            if same_order:
                 kept.append(Polynomial(target, terms))
             else:
                 kept.append(target.from_dict(dict(terms)))
@@ -202,40 +204,10 @@ def _strip_last(gb, ring: PolyRing) -> list:
     return out
 
 
-def _saturate_wrt_linear(I: Ideal, coeffs, pair_budget):
-    """(I : ℓ^∞) for ℓ = Σ cᵢxᵢ with c_last ≠ 0, by a linear change of
-    coordinates sending ℓ to the last variable followed by the grevlex
-    last-variable trick (strip the highest dividing power from each reduced
-    GB element)."""
-    ring = I.ring
-    n = ring.nvars
-    p = ring.field.p
-    last = n - 1
-    if coeffs[last] % p == 0:
-        raise ValueError("last coefficient of the linear form must be nonzero")
-    inv = ring.field.inv(coeffs[last])
-    R = ring if ring.order == MonomialOrder.grevlex() \
-        else ring.with_order(MonomialOrder.grevlex())
-    fwd = [R.gen(i) for i in range(n)]
-    fwd[last] = R.from_dict({
-        tuple(1 if j == i else 0 for j in range(n)):
-            (inv if i == last else (-coeffs[i] * inv) % p)
-        for i in range(n)})
-    back = [R.gen(i) for i in range(n)]
-    back[last] = R.from_dict({
-        tuple(1 if j == i else 0 for j in range(n)): coeffs[i] % p
-        for i in range(n)})
-    gens = [g.compose(fwd, R) for g in I.generators]
-    gb = buchberger(gens, R, pair_budget=pair_budget)
-    out = [g.compose(back, R) for g in _strip_last(gb, R)]
-    if ring.order == R.order:
-        return Ideal(ring, [Polynomial(ring, f.terms) for f in out])
-    return Ideal(ring, [ring.from_dict(dict(f.terms)) for f in out])
-
-
 def saturate_irrelevant(I: Ideal, pair_budget=None) -> Ideal:
     """Full saturation with respect to the irrelevant ideal: intersect the
-    saturations by every single variable.  Slow; reference implementation."""
+    saturations by every single variable.  Slow: it is the fallback of
+    ``secant_join``'s certificate and a test oracle."""
     ring = I.ring
     n = ring.nvars
     out = None
@@ -248,29 +220,13 @@ def saturate_irrelevant(I: Ideal, pair_budget=None) -> Ideal:
         pos = [0] * n
         for newpos, old in enumerate(perm):
             pos[old] = newpos
-        J = Ideal(R, [_transplant(g, R, pos) for g in I.generators])
-        unit_last = [0] * (n - 1) + [1]
-        Js = _saturate_wrt_linear(J, unit_last, pair_budget)
+        gb = buchberger([_transplant(g, R, pos) for g in I.generators], R,
+                        pair_budget=pair_budget)
         # a swap is its own inverse
-        Ji = Ideal(ring, [_transplant(g, ring, pos) for g in Js.generators])
+        Ji = Ideal(ring, [_transplant(g, ring, pos)
+                          for g in _strip_last(gb, R)])
         out = Ji if out is None else intersect(out, Ji, pair_budget)
     return out
-
-
-def _is_saturation(I: Ideal, J: Ideal, pair_budget=None) -> bool:
-    """True iff J = I : ℓ^∞ (ℓ a linear form) is the saturation of I.
-
-    J is saturated and contains I^sat, so J = I^sat exactly when S/J and
-    S/I have the same Hilbert polynomial: when (1 - t)^n divides N_I - N_J.
-    """
-    diff = [a - b for a, b in zip_longest(
-        hilbert_data(I, pair_budget=pair_budget).numerator,
-        hilbert_data(J, pair_budget=pair_budget).numerator, fillvalue=0)]
-    for _ in range(I.ring.nvars):
-        if sum(diff):
-            return False
-        diff = list(accumulate(diff))[:-1]   # divide by (1 - t)
-    return True
 
 
 def secant_join(spec: SecantSpec, seed: int = 0,
@@ -279,10 +235,14 @@ def secant_join(spec: SecantSpec, seed: int = 0,
 
     Joins the curve onto the running secant k times, each step through
     the cone chart ``spec.parametrization`` and driven by the step's
-    closed-form Hilbert series, then saturates the raw join by
-    one seeded random linear form ℓ.  ``_is_saturation``
-    certifies the result from Hilbert data; if the certificate fails, the
-    full irrelevant-ideal saturation is computed instead.
+    closed-form Hilbert series.  The raw join is then certified saturated
+    by the first cut of ``regular_cut``, the seeded linear form h₁ that the
+    Betti stage draws first for the same seed.  An unchanged Hilbert
+    numerator makes h₁ a nonzerodivisor on S/raw, so raw is saturated
+    (f ∈ raw^sat gives h₁^N f ∈ raw, hence f ∈ raw) and is returned with
+    the reduced basis and Hilbert data it already has.  Otherwise the full
+    irrelevant-ideal saturation is computed instead.  Either way the
+    result is raw^sat.
     """
     ring = spec.base_ideal.ring
     if spec.k == 0 or spec.base_ideal.is_zero():
@@ -297,12 +257,11 @@ def secant_join(spec: SecantSpec, seed: int = 0,
         # the join output is already a reduced grevlex basis
         raw = _ideal_with_gb(ring, gens) \
             if ring.order == MonomialOrder.grevlex() else Ideal(ring, gens)
-    rng = random.Random(seed)
-    ell = [rng.randrange(1, ring.field.p) for _ in range(ring.nvars)]
-    sat = _saturate_wrt_linear(raw, ell, pair_budget)
-    if _is_saturation(raw, sat, pair_budget):
-        return sat
-    return saturate_irrelevant(raw, pair_budget)
+    chain = regular_cut(raw, hilbert_data(raw, pair_budget=pair_budget),
+                        seed, pair_budget)
+    next(chain)                                        # raw itself
+    _, _, certified = next(chain, (raw, None, False))  # no cut: Artinian
+    return raw if certified else saturate_irrelevant(raw, pair_budget)
 
 
 # ---------------------------------------------------------------------------

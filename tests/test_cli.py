@@ -52,6 +52,17 @@ def test_secant_json(curve_file, capsys):
     assert len(doc["generators"]) > 0
 
 
+def test_secant_prints_the_reduced_basis_for_every_seed(curve_file, capsys):
+    path = curve_file("e5.curve", E5)
+    gens = []
+    for seed in ("0", "5"):
+        code, out, _ = run(capsys, ["secant", "--file", path, "--k", "1",
+                                    "--seed", seed, "--format", "json"])
+        assert code == 0
+        gens.append(json.loads(out)["generators"])
+    assert gens[0] == gens[1] and len(gens[0]) == 1
+
+
 def test_secant_fills_ambient_message(curve_file, capsys):
     code, out, _ = run(capsys, ["secant", "--file",
                                 curve_file("c.curve", RNC3), "--k", "1"])

@@ -5,6 +5,7 @@ from secantlab.curves import (CurveModel, DegreeTooSmall, DuplicatePoints,
                               embed, parse_curve_file, point_on_secant,
                               rational_normal_curve, rr_basis,
                               sample_affine_points)
+from secantlab.gb import buchberger
 from secantlab.homalg import hilbert_data
 from secantlab.ideal_ops import secant_join
 from secantlab.oracle import predicted_degree
@@ -103,6 +104,23 @@ def test_genus2_degree7_embedding():
     E = embed(genus2(), 7)
     hd = hilbert_data(E.ideal)
     assert E.r == 5 and hd.degree == 7 and hd.dimension == 2
+
+
+@pytest.mark.parametrize("model,d", [
+    (elliptic(F), 5), (elliptic(F), 6), (genus2(), 7)])
+def test_embedding_generators_are_grevlex_polynomials(model, d):
+    # the elimination weighs z_i by 1 + pole, but the curve ideal lives in
+    # grevlex: each generator keeps grevlex term order, so it re-parses
+    # from its printed form, and the ideal's basis is its reduced grevlex
+    # basis (11 elements on the elliptic sextic, not the 9 generators)
+    E = embed(model, d)
+    ring = E.ideal.ring
+    for f in E.ideal.generators:
+        keys = [ring._key(mon) for mon, _ in f.terms]
+        assert keys == sorted(keys, reverse=True)
+        assert ring.parse(str(f)) == f
+    assert [f.terms for f in E.ideal.groebner()] \
+        == [f.terms for f in buchberger(E.ideal.generators, ring)]
 
 
 def _weight(mon, weights):

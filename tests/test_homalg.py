@@ -44,15 +44,15 @@ def test_hilbert_twisted_cubic():
 
 def test_resolution_reuses_callers_hilbert_data(monkeypatch):
     # cli.cmd_betti and oracle.verify compute hilbert_data(I) first; the
-    # resolution reads it from I instead of asking for it again
+    # resolution gets it from the cache on I instead of computing it again
     I = twisted_cubic()
     hd = hilbert_data(I)
-    asked = []
-    real = homalg.hilbert_data
-    monkeypatch.setattr(homalg, "hilbert_data",
-                        lambda J, **kw: asked.append(J) or real(J, **kw))
+    computed = []
+    real = homalg._hilbert_data
+    monkeypatch.setattr(homalg, "_hilbert_data",
+                        lambda J, *a: computed.append(J) or real(J, *a))
     minimal_free_resolution(I)
-    assert asked and all(J is not I for J in asked)   # only the cut ideals
+    assert computed and all(J is not I for J in computed)   # only the cuts
     assert hilbert_data(I) is hd
 
 

@@ -1,11 +1,13 @@
 """Static checks on the package source."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "secantlab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "secantlab"
 
 
 def _unused_imports(path: Path) -> list:
@@ -49,3 +51,49 @@ def test_check_sees_an_unused_import(tmp_path):
                    "from re import compile\n"
                    "__all__ = ['compile']\n")
     assert _unused_imports(mod) == ["lru_cache (line 1)"]
+
+
+def _references(node) -> Counter:
+    """How often each name is read, read as an attribute, or imported
+    under ``node``."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.split(".")[-1]] += 1
+    return out
+
+
+def _unreferenced_definitions(package: Path, others) -> list:
+    """Module-level functions and classes of ``package`` that no file in
+    ``package`` or ``others`` refers to, other than from inside their own
+    definition (a recursive call is not a use)."""
+    paths = sorted(package.glob("*.py"))
+    trees = {path: ast.parse(path.read_text())
+             for path in paths + [p for d in others for p in d.glob("*.py")]}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    return [f"{path.name}:{node.name}" for path in paths
+            for node in trees[path].body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and total[node.name] == _references(node)[node.name]]
+
+
+def test_every_definition_is_referenced():
+    assert _unreferenced_definitions(SRC, [TESTS]) == []
+
+
+def test_check_sees_an_unreferenced_definition(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text("def used():\n    return 1\n\n"
+                              "def orphan(n):\n    return orphan(n - 1)\n\n"
+                              "class Kept:\n    pass\n")
+    (pkg / "b.py").write_text("from .a import used\nX = used()\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_a.py").write_text("import pkg.a\npkg.a.Kept()\n")
+    assert _unreferenced_definitions(pkg, [tests]) == ["a.py:orphan"]

@@ -7,10 +7,8 @@ from secantlab.curves import CurveModel, embed, rational_normal_curve
 from secantlab.gb import Ideal, _ideal_with_gb, buchberger
 from secantlab.homalg import _numerator, hilbert_data
 from secantlab.ideal_ops import (PointNotOnVariety, PointedIdeal, SecantSpec,
-                                 _is_saturation, _join_literal,
-                                 _join_with_parametrization,
-                                 _saturate_wrt_linear, intersect,
-                                 saturate_irrelevant, secant_join,
+                                 _join_literal, _join_with_parametrization,
+                                 intersect, saturate_irrelevant, secant_join,
                                  tangent_cone_multiplicity)
 from secantlab.poly import PolyRing
 
@@ -58,7 +56,8 @@ def test_construction_strategies_agree():
 
 
 def test_saturation_strategies_agree():
-    # one certified linear-form saturation against the full one
+    # the join certified saturated by one seeded cut against the full
+    # saturation
     E = rational_normal_curve(5, F)
     C = E.ideal
     A = secant_join(E.secant_spec(1), seed=3)
@@ -67,20 +66,30 @@ def test_saturation_strategies_agree():
     assert basis_terms(A) == basis_terms(B)
 
 
-def test_saturation_certificate_needs_the_hilbert_polynomial():
-    # (xy, xz) = (x) ∩ (y, z) is saturated: a line and a point in P^2.
-    # Saturating by z drops the point; (x) has the same dimension and
-    # degree, but not the same Hilbert polynomial, and is rejected.
-    R = PolyRing(["x", "y", "z"], F)
-    I = Ideal(R, [R.parse("x*y"), R.parse("x*z")])
-    by_z = _saturate_wrt_linear(I, [0, 0, 1], None)
-    assert [str(f) for f in by_z.groebner()] == ["x"]
-    assert hilbert_data(by_z).dimension == hilbert_data(I).dimension
-    assert hilbert_data(by_z).degree == hilbert_data(I).degree
-    assert not _is_saturation(I, by_z)
-    generic = _saturate_wrt_linear(I, [5, 7, 11], None)
-    assert _is_saturation(I, generic)
-    assert basis_terms(generic) == basis_terms(I)
+def test_saturation_certificate_needs_the_hilbert_polynomial(monkeypatch):
+    # A join of z0·(z0, ..., z4) is not saturated: its saturation is (z0),
+    # with the same dimension and degree.  Every linear form kills z0 in
+    # S/I, so the first seeded cut changes the Hilbert numerator, the
+    # certificate rejects the join, and the fallback saturates it.
+    E = rational_normal_curve(4, F)
+    R = E.ideal.ring
+    unsaturated = list(buchberger([R.gen(0) * z for z in R.gens()], R))
+    monkeypatch.setattr(ideal_ops, "_join_with_parametrization",
+                        lambda *args: unsaturated)
+    fallback = []
+
+    def spy(I, *args, **kwargs):
+        fallback.append(I)
+        return saturate_irrelevant(I, *args, **kwargs)
+
+    monkeypatch.setattr(ideal_ops, "saturate_irrelevant", spy)
+    S = secant_join(E.secant_spec(1))
+    assert len(fallback) == 1
+    assert [str(f) for f in S.groebner()] == ["z0"]
+    raw = hilbert_data(fallback[0])
+    assert (raw.dimension, raw.degree) == (hilbert_data(S).dimension,
+                                           hilbert_data(S).degree)
+    assert raw.numerator != hilbert_data(S).numerator
 
 
 def test_secant_join_deterministic_per_seed():
@@ -177,6 +186,13 @@ def test_elliptic_sextic_join_reduction_gate(monkeypatch):
     assert sum(1 for r in remainders if not r) <= 68
 
 
+def _ladder_curve(genus, equation, d):
+    if genus == 0:
+        return rational_normal_curve(d, F)
+    R2 = PolyRing(["x", "y"], F)
+    return embed(CurveModel(genus, F, R2.parse(equation)), d)
+
+
 LADDER = [
     (0, None, 5, 2), (0, None, 6, 2), (0, None, 7, 2),
     (1, "y^2 - x^3 - 4*x - 1", 5, 1), (1, "y^2 - x^3 - 4*x - 1", 6, 1),
@@ -203,13 +219,29 @@ def test_driven_join_equals_untargeted(genus, equation, d, k, monkeypatch):
         return ref
 
     monkeypatch.setattr(ideal_ops, "buchberger", spy)
-    if genus == 0:
-        E = rational_normal_curve(d, F)
-    else:
-        R2 = PolyRing(["x", "y"], F)
-        E = embed(CurveModel(genus, F, R2.parse(equation)), d)
+    E = _ladder_curve(genus, equation, d)
     cur = E.ideal
     for _ in range(k):
         cur = _ideal_with_gb(cur.ring, _join_with_parametrization(
             E.parametrization, cur, None))
     assert len(steps) == k
+
+
+SPY_LADDER = [(0, None, 5, 1)] + LADDER[1:]
+
+
+@pytest.mark.parametrize("genus,equation,d,k", SPY_LADDER,
+                         ids=["rnc5", "rnc6", "rnc7", "ell5", "ell6", "g2_6"])
+def test_ladder_joins_are_certified_saturated(genus, equation, d, k,
+                                              monkeypatch):
+    # the first seeded cut certifies every ladder join, so the fallback
+    # never runs, and Σ_k comes back with its driven basis and Hilbert
+    # data: no further Buchberger run is needed for either
+    def refuse(*args, **kwargs):
+        raise AssertionError("unexpected call")
+
+    monkeypatch.setattr(ideal_ops, "saturate_irrelevant", refuse)
+    S = secant_join(_ladder_curve(genus, equation, d).secant_spec(k))
+    monkeypatch.setattr(gb_module, "buchberger", refuse)
+    assert hilbert_data(S).dimension == 2 * k + 2
+    assert list(S.groebner()) == list(S.generators)
