@@ -166,8 +166,7 @@ def cmd_curve(args) -> int:
 def cmd_secant(args) -> int:
     budget = _pair_budget(args)
     emb = _build_embedding(args.file, budget)
-    S = secant_join(emb.secant_spec(args.k), seed=args.seed,
-                    pair_budget=budget)
+    S = secant_join(emb.secant_spec(args.k), pair_budget=budget)
     gens = [str(f) for f in S.generators]
     if args.format == "json":
         payload = _json({
@@ -199,14 +198,15 @@ def cmd_betti(args) -> int:
         if not args.file or args.k is None:
             raise InputError("betti needs --file with --k, or --ideal-file")
         emb = _build_embedding(args.file, budget)
-        I = secant_join(emb.secant_spec(args.k), seed=args.seed,
-                        pair_budget=budget)
+        I = secant_join(emb.secant_spec(args.k), pair_budget=budget)
     if I.is_zero():
         _emit("(zero ideal)\n" if args.format == "text"
               else _json({"r": I.ring.nvars - 1, "entries": [[0, 0, 1]]}),
               args.output)
         return EXIT_OK
     hd = hilbert_data(I, pair_budget=budget)
+    if hd.dimension < 0:
+        raise InputError("the unit ideal has no graded Betti table")
     B = minimal_free_resolution(I, degree_bound=max_degree,
                                 pair_budget=budget, seed=args.seed)
     if args.format == "json":
@@ -296,8 +296,7 @@ def cmd_bench(args) -> int:
     emb = _build_embedding(args.file, budget)
     t_embed = time.monotonic() - t0
     t0 = time.monotonic()
-    S = secant_join(emb.secant_spec(args.k), seed=args.seed,
-                    pair_budget=budget)
+    S = secant_join(emb.secant_spec(args.k), pair_budget=budget)
     t_join = time.monotonic() - t0
     t0 = time.monotonic()
     if not S.is_zero():

@@ -193,7 +193,7 @@ class CurveEmbedding:
     parametrization: ConeParametrization
 
     def secant_spec(self, k: int) -> SecantSpec:
-        return SecantSpec(k=k, ambient_dim=self.r, base_ideal=self.ideal,
+        return SecantSpec(k=k, base_ideal=self.ideal,
                           parametrization=self.parametrization)
 
     def evaluate(self, param) -> tuple:

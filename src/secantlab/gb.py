@@ -2,19 +2,19 @@
 
 Buchberger's algorithm with Gebauer-Moller pair elimination.  Without a
 Hilbert target, every generator is reduced first, then pair selection uses
-the normal strategy (minimal lcm degree, then order) for graded orders and
-the sugar strategy for lex/elimination orders.  With a target, a weighted
-Hilbert series that is either exact for S/I or a coefficient-wise lower
-bound on it, for a weighted-homogeneous ideal (Traverso, J. Symbolic
-Comput. 22, 1996), generators and pairs are taken together by the weighted
-degree of their lcm, and one of degree d is dropped unreduced once
-dim (S/in(G))_d equals the target's.  Since dim (S/in(G))_d >= dim (S/I)_d
->= target(d), in(G) is then complete in degree d, so it would reduce to
-zero; this holds for a lower bound as much as for the exact series.  The
-count of in(G) is kept incrementally, N(M + m) = N(M) - t^e N(M : m) for a
-new head m of weight e.  The reduced basis is canonical for the (ideal,
-order) pair, so recomputation from any generating set of the same ideal,
-driven or not, yields identical output.
+the sugar strategy (minimal sugar, then lcm degree, then order), which is
+the normal strategy on homogeneous input, where sugar is the lcm degree.
+With a target, a weighted Hilbert series that is either exact for S/I or
+a coefficient-wise lower bound on it, for a weighted-homogeneous ideal
+(Traverso, J. Symbolic Comput. 22, 1996), generators and pairs are taken
+together by the weighted degree of their lcm, and one of degree d is
+dropped unreduced once dim (S/in(G))_d equals the target's.  Since
+dim (S/in(G))_d >= dim (S/I)_d >= target(d), in(G) is then complete in
+degree d, so it would reduce to zero; this holds for a lower bound as much
+as for the exact series.  The count of in(G) is kept incrementally,
+N(M + m) = N(M) - t^e N(M : m) for a new head m of weight e.  The reduced
+basis is canonical for the (ideal, order) pair, so recomputation from any
+generating set of the same ideal, driven or not, yields identical output.
 
 Internally monomials are packed into single integers whose most significant
 fields spell out the monomial-order key, followed by a total-degree field and
@@ -177,15 +177,16 @@ class _Reducer:
     __slots__ = ("lm", "lm_full", "lmdeg", "smask", "tail", "sugar", "alive",
                  "index", "exps")
 
-    def __init__(self, lm, tail, sugar, index, exps):
-        self.lm = lm              # packed monomial
-        self.lmdeg = 0
-        self.smask = 0            # bit i set iff variable i appears in lm
+    def __init__(self, lm_full, tail, sugar, index, codec: _Codec):
+        self.lm_full = lm_full    # packed monomial, order key included
+        self.lm = lm_full & codec.pmask    # exponent fields only
+        self.lmdeg = codec.deg(lm_full)
+        self.smask = codec.support_mask(lm_full)  # bit i: variable i in lm
         self.tail = tail          # tuple of (packed, coeff), head stripped
         self.sugar = sugar
         self.alive = True         # False once head-redundant (still a reducer)
         self.index = index
-        self.exps = exps          # decoded exponents of lm, for lcm work
+        self.exps = codec.decode(lm_full)  # exponents of lm, for lcm work
 
 
 def _reduce_full(items, reducers, codec: _Codec, p: int, sugar: int = 0):
@@ -277,18 +278,13 @@ class GroebnerBasis:
 
     def _prepared(self):
         if self._reducers is None:
-            enc = self._codec.encode
-            reds = []
-            for i, f in enumerate(self.elements):
-                lm = enc(f.terms[0][0])
-                tail = tuple((enc(m), c) for m, c in f.terms[1:])
-                r = _Reducer(lm, tail, 0, i, f.terms[0][0])
-                r.lm_full = lm
-                r.lm = lm & self._codec.pmask
-                r.lmdeg = self._codec.deg(lm)
-                r.smask = self._codec.support_mask(lm)
-                reds.append(r)
-            self._reducers = reds
+            codec = self._codec
+            enc = codec.encode
+            self._reducers = [
+                _Reducer(enc(f.terms[0][0]),
+                         tuple((enc(m), c) for m, c in f.terms[1:]), 0, i,
+                         codec)
+                for i, f in enumerate(self.elements)]
         return self._reducers
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -390,7 +386,6 @@ def _buchberger(generators, ring, budget, codec: _Codec,
                 target: HilbertTarget | None) -> GroebnerBasis:
     one = codec.one
     p = ring.field.p
-    graded = ring.order.is_graded()
 
     packed_gens = []
     for f in generators:
@@ -444,21 +439,15 @@ def _buchberger(generators, ring, budget, codec: _Codec,
         if target is not None:
             return (_weighted_degree(weights, codec.decode(lcm)), lcm, j, i)
         dl = codec.deg(lcm)
-        if graded:
-            return (dl, lcm, j, i)
         gi, gj = basis[i], basis[j]
         sugar = max(gi.sugar + dl - gi.lmdeg, gj.sugar + dl - gj.lmdeg)
         return (sugar, dl, lcm, j, i)
 
     def add_element(terms, sugar):
         """Gebauer-Moller update with the new monic element."""
-        lm_full = terms[0][0]
-        exps = codec.decode(lm_full)
         t = len(basis)
-        red = _Reducer(lm_full & codec.pmask, terms[1:], sugar, t, exps)
-        red.lm_full = lm_full
-        red.lmdeg = codec.deg(lm_full)
-        red.smask = codec.support_mask(lm_full)
+        red = _Reducer(terms[0][0], terms[1:], sugar, t, codec)
+        lm_full, exps = red.lm_full, red.exps
 
         if target is not None:
             # N(M + m) = N(M) - t^e N(M : m) for the minimal generators M

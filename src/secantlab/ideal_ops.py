@@ -1,10 +1,10 @@
 """Ideal-theoretic constructions on top of the Groebner engine.
 
 The secant join through a cone chart of the curve, certified saturated by
-the first seeded cut of the Betti stage's chain (with the irrelevant-ideal
-saturation, by intersection, as the fallback), and tangent cones with
-Hilbert-Samuel multiplicities.  Everything here is pure: input ideals are
-never mutated beyond their own write-once Groebner caches.
+the last-variable criterion on its reduced grevlex basis (with the
+irrelevant-ideal saturation, by intersection, as the fallback), and tangent
+cones with Hilbert-Samuel multiplicities.  Everything here is pure: input
+ideals are never mutated beyond their own write-once Groebner caches.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .gb import (GroebnerBasis, HilbertTarget, Ideal, _ideal_with_gb,
                  buchberger)
-from .homalg import _numerator, _poly_mul, hilbert_data, regular_cut
+from .homalg import _numerator, _poly_mul, hilbert_data
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 
@@ -107,11 +107,12 @@ class ConeParametrization:
 
 @dataclass(frozen=True)
 class SecantSpec:
-    """Input bundle for secant_join: Σ_k of V(base_ideal) ⊆ P^ambient_dim,
-    with ``parametrization`` a cone chart of V(base_ideal)."""
+    """Input bundle for secant_join: Σ_k of V(base_ideal) ⊆ P^r, with
+    ``base_ideal`` over a grevlex ring in r + 1 variables (the order the
+    saturation criterion reads) and ``parametrization`` a cone chart of
+    V(base_ideal)."""
 
     k: int
-    ambient_dim: int
     base_ideal: Ideal
     parametrization: ConeParametrization
 
@@ -120,8 +121,8 @@ class SecantSpec:
             raise TypeError("parametrization must be a ConeParametrization")
         if self.k < 0:
             raise ValueError("secant index must be nonnegative")
-        if self.base_ideal.ring.nvars != self.ambient_dim + 1:
-            raise ValueError("ambient dimension does not match the ring")
+        if self.base_ideal.ring.order != MonomialOrder.grevlex():
+            raise ValueError("base ideal must be over a grevlex ring")
         if not self.base_ideal.is_homogeneous():
             raise ValueError("base ideal must be homogeneous")
 
@@ -229,20 +230,22 @@ def saturate_irrelevant(I: Ideal, pair_budget=None) -> Ideal:
     return out
 
 
-def secant_join(spec: SecantSpec, seed: int = 0,
-                pair_budget=None) -> Ideal:
+def secant_join(spec: SecantSpec, pair_budget=None) -> Ideal:
     """Homogeneous ideal of the k-th secant variety Σ_k of V(base_ideal).
 
     Joins the curve onto the running secant k times, each step through
     the cone chart ``spec.parametrization`` and driven by the step's
-    closed-form Hilbert series.  The raw join is then certified saturated
-    by the first cut of ``regular_cut``, the seeded linear form h₁ that the
-    Betti stage draws first for the same seed.  An unchanged Hilbert
-    numerator makes h₁ a nonzerodivisor on S/raw, so raw is saturated
-    (f ∈ raw^sat gives h₁^N f ∈ raw, hence f ∈ raw) and is returned with
-    the reduced basis and Hilbert data it already has.  Otherwise the full
-    irrelevant-ideal saturation is computed instead.  Either way the
-    result is raw^sat.
+    closed-form Hilbert series.  The raw join comes with its reduced
+    grevlex basis, and it is certified saturated when the last variable
+    divides no leading monomial of that basis.  For grevlex,
+    in(raw : x_last) = in(raw) : x_last (Bayer and Stillman, Invent. Math.
+    87, 1987), so the criterion holds iff x_last is a nonzerodivisor on
+    S/raw, and then raw is saturated (f ∈ raw^sat gives x_last^N f ∈ raw,
+    hence f ∈ raw).  Σ_k is irreducible and spans P^r, so raw^sat = I(Σ_k)
+    is prime and contains no variable: the criterion holds whenever raw is
+    saturated, and raw then comes back with the basis it already has.
+    Otherwise the full irrelevant-ideal saturation is computed instead.
+    Either way the result is raw^sat.
     """
     ring = spec.base_ideal.ring
     if spec.k == 0 or spec.base_ideal.is_zero():
@@ -255,13 +258,10 @@ def secant_join(spec: SecantSpec, seed: int = 0,
         if not gens:
             return Ideal(ring, [])
         # the join output is already a reduced grevlex basis
-        raw = _ideal_with_gb(ring, gens) \
-            if ring.order == MonomialOrder.grevlex() else Ideal(ring, gens)
-    chain = regular_cut(raw, hilbert_data(raw, pair_budget=pair_budget),
-                        seed, pair_budget)
-    next(chain)                                        # raw itself
-    _, _, certified = next(chain, (raw, None, False))  # no cut: Artinian
-    return raw if certified else saturate_irrelevant(raw, pair_budget)
+        raw = _ideal_with_gb(ring, gens)
+    if any(f.lm[-1] for f in raw.groebner()):
+        return saturate_irrelevant(raw, pair_budget)
+    return raw
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,7 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
         return all_rows("error(internal identity)")
 
     try:
-        S = secant_join(emb.secant_spec(k), seed=seed,
-                        pair_budget=pair_budget)
+        S = secant_join(emb.secant_spec(k), pair_budget=pair_budget)
     except ResourceLimit:
         return skip_all("resource limit in secant_join")
     except InternalIdentityError as e:

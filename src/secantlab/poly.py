@@ -114,12 +114,6 @@ class MonomialOrder:
             return tuple(out)
         return key
 
-    def is_graded(self) -> bool:
-        """True when the order refines total degree (single unit-weight
-        degree-first block)."""
-        return (len(self.blocks) == 1 and self.blocks[0][0] == "grevlex"
-                and self.blocks[0][3] is None)
-
     def __repr__(self):
         return f"MonomialOrder({self.name})"
 

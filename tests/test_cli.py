@@ -253,6 +253,16 @@ def test_ideal_file_bad_field_is_input_error(curve_file, capsys):
         assert code == 2 and "error" in err
 
 
+def test_unit_ideal_file_is_input_error(curve_file, capsys):
+    # a unit ideal has no Betti table: an input error, not a mismatch
+    for gens in (["1"], ["x^2", "2"]):
+        text = "field: 32003\nvariables: x, y\n" + "".join(
+            f"generator: {g}\n" for g in gens)
+        path = curve_file("unit.ideal", text)
+        code, out, err = run(capsys, ["betti", "--ideal-file", path])
+        assert code == 2 and out == "" and "unit ideal" in err
+
+
 def test_identity_failure_is_internal_error(curve_file, capsys,
                                             monkeypatch):
     monkeypatch.setattr(homalg, "_rank_mod", lambda A, p: 0)

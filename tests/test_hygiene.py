@@ -67,19 +67,34 @@ def _references(node) -> Counter:
     return out
 
 
+def _definitions(tree):
+    """(label, node) for each module-level function and class of ``tree``,
+    and for each non-dunder method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node
+            for meth in node.body:
+                if (isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (meth.name.startswith("__")
+                                 and meth.name.endswith("__"))):
+                    yield f"{node.name}.{meth.name}", meth
+
+
 def _unreferenced_definitions(package: Path, others) -> list:
-    """Module-level functions and classes of ``package`` that no file in
-    ``package`` or ``others`` refers to, other than from inside their own
-    definition (a recursive call is not a use)."""
+    """Module-level functions and classes of ``package``, and the
+    non-dunder methods of those classes, that no file in ``package`` or
+    ``others`` refers to, other than from inside their own definition (a
+    recursive call is not a use).  A method counts as referenced when
+    its name is read anywhere, whatever the object."""
     paths = sorted(package.glob("*.py"))
     trees = {path: ast.parse(path.read_text())
              for path in paths + [p for d in others for p in d.glob("*.py")]}
     total = sum((_references(tree) for tree in trees.values()), Counter())
-    return [f"{path.name}:{node.name}" for path in paths
-            for node in trees[path].body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and total[node.name] == _references(node)[node.name]]
+    return [f"{path.name}:{label}" for path in paths
+            for label, node in _definitions(trees[path])
+            if total[node.name] == _references(node)[node.name]]
 
 
 def test_every_definition_is_referenced():
@@ -91,9 +106,14 @@ def test_check_sees_an_unreferenced_definition(tmp_path):
     pkg.mkdir()
     (pkg / "a.py").write_text("def used():\n    return 1\n\n"
                               "def orphan(n):\n    return orphan(n - 1)\n\n"
-                              "class Kept:\n    pass\n")
+                              "class Kept:\n"
+                              "    def __repr__(self):\n        return ''\n"
+                              "    def called(self):\n        return 1\n"
+                              "    def unused(self):\n"
+                              "        return self.unused()\n")
     (pkg / "b.py").write_text("from .a import used\nX = used()\n")
     tests = tmp_path / "tests"
     tests.mkdir()
-    (tests / "test_a.py").write_text("import pkg.a\npkg.a.Kept()\n")
-    assert _unreferenced_definitions(pkg, [tests]) == ["a.py:orphan"]
+    (tests / "test_a.py").write_text("import pkg.a\npkg.a.Kept().called()\n")
+    assert _unreferenced_definitions(pkg, [tests]) == ["a.py:orphan",
+                                                       "a.py:Kept.unused"]

@@ -10,7 +10,7 @@ from secantlab.ideal_ops import (PointNotOnVariety, PointedIdeal, SecantSpec,
                                  _join_literal, _join_with_parametrization,
                                  intersect, saturate_irrelevant, secant_join,
                                  tangent_cone_multiplicity)
-from secantlab.poly import PolyRing
+from secantlab.poly import MonomialOrder, PolyRing
 
 F = PrimeField(32003)
 
@@ -56,11 +56,11 @@ def test_construction_strategies_agree():
 
 
 def test_saturation_strategies_agree():
-    # the join certified saturated by one seeded cut against the full
-    # saturation
+    # the join certified saturated by the last-variable criterion against
+    # the full saturation
     E = rational_normal_curve(5, F)
     C = E.ideal
-    A = secant_join(E.secant_spec(1), seed=3)
+    A = secant_join(E.secant_spec(1))
     raw = Ideal(C.ring, _join_with_parametrization(E.parametrization, C, None))
     B = saturate_irrelevant(raw)
     assert basis_terms(A) == basis_terms(B)
@@ -68,9 +68,10 @@ def test_saturation_strategies_agree():
 
 def test_saturation_certificate_needs_the_hilbert_polynomial(monkeypatch):
     # A join of z0·(z0, ..., z4) is not saturated: its saturation is (z0),
-    # with the same dimension and degree.  Every linear form kills z0 in
-    # S/I, so the first seeded cut changes the Hilbert numerator, the
-    # certificate rejects the join, and the fallback saturates it.
+    # with the same dimension and degree, so the Hilbert polynomial cannot
+    # tell them apart.  The last variable z4 divides the leading monomial
+    # z0·z4 of its basis, so the criterion rejects the join, and the
+    # fallback saturates it.
     E = rational_normal_curve(4, F)
     R = E.ideal.ring
     unsaturated = list(buchberger([R.gen(0) * z for z in R.gens()], R))
@@ -94,9 +95,29 @@ def test_saturation_certificate_needs_the_hilbert_polynomial(monkeypatch):
 
 def test_secant_join_deterministic_per_seed():
     spec = rational_normal_curve(5, F).secant_spec(1)
-    A = secant_join(spec, seed=12)
-    B = secant_join(spec, seed=12)
+    A = secant_join(spec)
+    B = secant_join(spec)
     assert [f.terms for f in A.groebner()] == [f.terms for f in B.groebner()]
+
+
+def test_saturated_join_with_a_zero_divisor_last_variable(monkeypatch):
+    # (z0·z4) is saturated, but z4 is a zero divisor on S/(z0·z4): the
+    # criterion is sufficient, not necessary, so it rejects this join and
+    # the fallback returns the same ideal
+    E = rational_normal_curve(4, F)
+    R = E.ideal.ring
+    monkeypatch.setattr(ideal_ops, "_join_with_parametrization",
+                        lambda *args: [R.gen(0) * R.gen(4)])
+    fallback = []
+
+    def spy(I, *args, **kwargs):
+        fallback.append(I)
+        return saturate_irrelevant(I, *args, **kwargs)
+
+    monkeypatch.setattr(ideal_ops, "saturate_irrelevant", spy)
+    S = secant_join(E.secant_spec(1))
+    assert len(fallback) == 1
+    assert [str(f) for f in S.groebner()] == ["z0*z4"]
 
 
 def test_pointed_ideal_validates_point():
@@ -122,18 +143,21 @@ def test_invalid_spec_rejected():
     E = rational_normal_curve(4, F)
     C, chart = E.ideal, E.parametrization
     with pytest.raises(ValueError):
-        SecantSpec(k=-1, ambient_dim=4, base_ideal=C, parametrization=chart)
+        SecantSpec(k=-1, base_ideal=C, parametrization=chart)
+    # the saturation criterion reads a grevlex basis
+    Rl = C.ring.with_order(MonomialOrder.lex())
+    Cl = Ideal(Rl, [Rl.from_dict(dict(f.terms)) for f in C.generators])
     with pytest.raises(ValueError):
-        SecantSpec(k=1, ambient_dim=7, base_ideal=C, parametrization=chart)
+        SecantSpec(k=1, base_ideal=Cl, parametrization=chart)
 
 
 def test_spec_requires_a_cone_chart():
     # secant_join has one join path, through the cone chart
     C = rational_normal_curve(4, F).ideal
     with pytest.raises(TypeError):
-        SecantSpec(k=1, ambient_dim=4, base_ideal=C)
+        SecantSpec(k=1, base_ideal=C)
     with pytest.raises(TypeError):
-        SecantSpec(k=1, ambient_dim=4, base_ideal=C, parametrization=None)
+        SecantSpec(k=1, base_ideal=C, parametrization=None)
 
 
 def test_elliptic_sextic_join_basis_gate(monkeypatch):
@@ -234,8 +258,8 @@ SPY_LADDER = [(0, None, 5, 1)] + LADDER[1:]
                          ids=["rnc5", "rnc6", "rnc7", "ell5", "ell6", "g2_6"])
 def test_ladder_joins_are_certified_saturated(genus, equation, d, k,
                                               monkeypatch):
-    # the first seeded cut certifies every ladder join, so the fallback
-    # never runs, and Σ_k comes back with its driven basis and Hilbert
+    # the last-variable criterion certifies every ladder join, so the
+    # fallback never runs, and Σ_k comes back with its driven basis and Hilbert
     # data: no further Buchberger run is needed for either
     def refuse(*args, **kwargs):
         raise AssertionError("unexpected call")

@@ -41,12 +41,6 @@ def test_block_order_eliminates_first_block():
     assert key((2, 0, 0)) > key((1, 3, 3))
 
 
-def test_graded_flags():
-    assert MonomialOrder.grevlex().is_graded()
-    assert not MonomialOrder.lex().is_graded()
-    assert not MonomialOrder.block_elim(1).is_graded()
-
-
 # -- arithmetic -------------------------------------------------------------
 
 @given(polys, polys, polys)
