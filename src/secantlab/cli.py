@@ -2,11 +2,12 @@
 verification reports.
 
 Subcommands: curve, secant, betti, verify, bench.  Exit codes form the CI
-contract: 0 success / all rows match, 1 mismatch, 2 input error, 3 resource
-limit, 4 internal error (a Betti table broke a run-time identity).  The
-environment variable SECANTLAB_PAIR_BUDGET overrides the default S-pair
-budget.  JSON output is deterministic for a fixed (config, seed, prime)
-and carries no timings; only ``bench`` reports wall-clock times.
+contract: 0 success / all rows match, 1 mismatch, 2 input error (a monomial
+degree too large to pack included), 3 resource limit, 4 internal error (a
+Betti table broke a run-time identity).  The environment variable
+SECANTLAB_PAIR_BUDGET overrides the default S-pair budget.  JSON output is
+deterministic for a fixed (config, seed, prime) and carries no timings;
+only ``bench`` reports wall-clock times.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .arith import PrimeField
 # rational_normal_curve is not called here (embed dispatches genus 0 to it);
 # it stays bound in this module because perfbench/traced.py hooks it here.
 from .curves import embed, parse_curve_file, rational_normal_curve  # noqa: F401
-from .gb import Ideal, ResourceLimit
+from .gb import DegreeTooLarge, Ideal, ResourceLimit
 from .homalg import (InternalIdentityError, hilbert_data, is_acm,
                      max_ndp_steps, minimal_free_resolution,
                      projective_dimension, regularity)
@@ -116,7 +117,10 @@ def parse_ideal_file(text: str) -> Ideal:
         field = PrimeField(prime)
     except ValueError as e:
         raise InputError(str(e))
-    ring = PolyRing(names, field, MonomialOrder.grevlex())
+    try:
+        ring = PolyRing(names, field, MonomialOrder.grevlex())
+    except ValueError as e:
+        raise InputError(f"variables: {e}")
     gens = []
     for lineno, text_ in raw_gens:
         try:
@@ -128,8 +132,11 @@ def parse_ideal_file(text: str) -> Ideal:
 
 def _emit(payload: str, output: str | None):
     if output:
-        with open(output, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(output, "w") as fh:
+                fh.write(payload)
+        except OSError as e:
+            raise InputError(f"cannot write {output}: {e.strerror}")
     else:
         print(payload, end="" if payload.endswith("\n") else "\n")
 
@@ -372,7 +379,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except InputError as e:
+    except (InputError, DegreeTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimit as e:

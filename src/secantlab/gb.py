@@ -41,6 +41,10 @@ class _NeedWide(Exception):
     """Internal: degrees outgrew the narrow packed layout; retry wide."""
 
 
+class DegreeTooLarge(OverflowError):
+    """A monomial degree exceeds what even the wide packed layout holds."""
+
+
 class ResourceLimit(RuntimeError):
     """The configurable S-pair budget was exhausted."""
 
@@ -139,7 +143,7 @@ class _Codec:
     def encode(self, exps) -> int:
         if sum(exps) >= self.deg_cap:
             if self.wide:
-                raise OverflowError("monomial degree too large to pack")
+                raise DegreeTooLarge("monomial degree too large to pack")
             raise _NeedWide
         m = self._const
         for c, e in zip(self._coeff_vec, exps):
@@ -224,7 +228,7 @@ def _reduce_full(items, reducers, codec: _Codec, p: int, sugar: int = 0):
         dm = (m >> deg_shift) & deg_mask
         if dm >= deg_cap:
             if codec.wide:
-                raise OverflowError("monomial degree too large to pack")
+                raise DegreeTooLarge("monomial degree too large to pack")
             raise _NeedWide
         mt = m & pmask
         sm = 0

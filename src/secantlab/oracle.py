@@ -163,142 +163,82 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
     "error(internal identity)" and puts the message in
     ``instance["error"]``."""
     g = emb.model.genus
-    d = emb.d
-    pred = predictions(g, d, k)
-    prime = emb.model.field.p
-    instance = {"genus": g, "degree": d, "k": k, "r": emb.r}
-    rows = []
+    pred = predictions(g, emb.d, k)
+    instance = {"genus": g, "degree": emb.d, "k": k, "r": emb.r}
+    predicted = {
+        "dim": pred.predicted_dim,
+        "degree": pred.predicted_degree,
+        "reg_structure_sheaf": pred.predicted_reg_structure_sheaf,
+        "reg_embedded": pred.predicted_reg_embedded,
+        "ndp_window": pred.predicted_ndp_window,
+        "acm": pred.predicted_acm,
+        "min_gen_degree": pred.predicted_min_gen_degree,
+        "canonical_h0": pred.predicted_canonical_h0,
+        "corner": list(pred.predicted_corner),
+    }
 
-    names = [
-        ("dim", pred.predicted_dim),
-        ("degree", pred.predicted_degree),
-        ("reg_structure_sheaf", pred.predicted_reg_structure_sheaf),
-        ("reg_embedded", pred.predicted_reg_embedded),
-        ("ndp_window", pred.predicted_ndp_window),
-        ("acm", pred.predicted_acm),
-        ("min_gen_degree", pred.predicted_min_gen_degree),
-        ("canonical_h0", pred.predicted_canonical_h0),
-        ("corner", list(pred.predicted_corner)),
-    ]
+    def report(computed, rule):
+        rows = [_row(name, p_, computed.get(name),
+                     rule(name, p_, computed.get(name)))
+                for name, p_ in predicted.items()]
+        return VerificationReport(instance, rows, seed, emb.model.field.p)
 
     def all_rows(verdict):
-        for name, p_ in names:
-            rows.append(_row(name, p_, None, verdict))
-        return VerificationReport(instance, rows, seed, prime)
+        return report({}, lambda *_: verdict)
 
-    def skip_all(reason):
-        return all_rows(f"skipped({reason})")
-
-    def internal_error(e):
-        instance["error"] = str(e)
-        return all_rows("error(internal identity)")
-
+    # the curve spans P^r, so Σ_k fills it once 2k + 1 >= r
+    if 2 * k + 1 >= emb.r:
+        return all_rows("skipped(fills ambient)")
+    stage = "secant_join"
     try:
         S = secant_join(emb.secant_spec(k), pair_budget=pair_budget)
-    except ResourceLimit:
-        return skip_all("resource limit in secant_join")
-    except InternalIdentityError as e:
-        return internal_error(e)
-
-    if S.is_zero() or 2 * k + 1 >= emb.r:
-        return skip_all("fills ambient")
-
-    try:
+        if S.is_zero():
+            return all_rows("skipped(fills ambient)")
+        stage = "resolution"
         hd = hilbert_data(S, pair_budget=pair_budget)
         B = minimal_free_resolution(S, degree_bound=degree_bound,
                                     pair_budget=pair_budget, seed=seed)
     except ResourceLimit:
-        return skip_all("resource limit in resolution")
+        return all_rows(f"skipped(resource limit in {stage})")
     except InternalIdentityError as e:
-        return internal_error(e)
+        instance["error"] = str(e)
+        return all_rows("error(internal identity)")
 
-    reg = regularity(B)
-    pd_ = projective_dimension(B)
-    truncated = B.truncated_at is not None
-
-    def verdict(p_, c_):
-        return "match" if p_ == c_ else "mismatch"
-
-    rows.append(_row("dim", pred.predicted_dim,
-                     hd.projective_dimension_of_variety,
-                     verdict(pred.predicted_dim,
-                             hd.projective_dimension_of_variety)))
-    rows.append(_row("degree", pred.predicted_degree, hd.degree,
-                     verdict(pred.predicted_degree, hd.degree)))
-    if truncated:
-        rows.append(_row("reg_structure_sheaf",
-                         pred.predicted_reg_structure_sheaf, None,
-                         "skipped(degree-truncated table)"))
-        rows.append(_row("reg_embedded", pred.predicted_reg_embedded, None,
-                         "skipped(degree-truncated table)"))
-    else:
-        rows.append(_row("reg_structure_sheaf",
-                         pred.predicted_reg_structure_sheaf, reg,
-                         verdict(pred.predicted_reg_structure_sheaf, reg)))
-        rows.append(_row("reg_embedded", pred.predicted_reg_embedded,
-                         reg + 1,
-                         verdict(pred.predicted_reg_embedded, reg + 1)))
-
-    # N_{k+2, p} window: the theorem is a lower bound on the true window
-    if truncated:
-        rows.append(_row("ndp_window", pred.predicted_ndp_window, None,
-                         "skipped(degree-truncated table)"))
-    else:
-        computed_p = max_ndp_steps(B, k + 2)
-        if computed_p == max(pred.predicted_ndp_window, -1):
-            v = "match"
-        elif computed_p > pred.predicted_ndp_window:
-            v = "match (prediction is a lower bound)"
-        else:
-            v = "mismatch"
-        rows.append(_row("ndp_window", pred.predicted_ndp_window,
-                         computed_p, v))
-
-    if truncated:
-        rows.append(_row("acm", pred.predicted_acm, None,
-                         "skipped(degree-truncated table)"))
-    else:
-        acm = is_acm(B, hd)
-        rows.append(_row("acm", pred.predicted_acm, acm,
-                         verdict(pred.predicted_acm, acm)))
-
+    # a row the Betti table cannot decide gets no computed value
+    computed = {"dim": hd.projective_dimension_of_variety,
+                "degree": hd.degree}
     try:
-        mg = min_generator_degree(B)
+        # no generator of degree <= truncated_at leaves the minimum unknown
+        computed["min_gen_degree"] = min_generator_degree(B)
     except ZeroIdeal:
-        mg = None
-    if pred.predicted_min_gen_degree is None:
-        rows.append(_row("min_gen_degree", None, mg,
-                         "skipped(outside hypothesis window)"))
-    elif mg is None and truncated:
-        # no generator of degree <= truncated_at; the minimum lies above
-        rows.append(_row("min_gen_degree", pred.predicted_min_gen_degree,
-                         None, "skipped(degree-truncated table)"))
-    else:
-        rows.append(_row("min_gen_degree", pred.predicted_min_gen_degree, mg,
-                         verdict(pred.predicted_min_gen_degree, mg)))
-
+        pass
+    if B.truncated_at is None:
+        reg = regularity(B)
+        computed.update(reg_structure_sheaf=reg, reg_embedded=reg + 1,
+                        ndp_window=max_ndp_steps(B, k + 2),
+                        acm=is_acm(B, hd))
+        # for g >= 1 the table ends exactly at the predicted corner; for
+        # g = 0 the corner group vanishes and pins down nothing
+        if g:
+            computed["corner"] = [projective_dimension(B), reg]
     # canonical h^0 sits in the corner Koszul group K_{r-2k-1, 2k+2}
     ci, cq = pred.predicted_corner
-    corner_j = ci + cq
-    if truncated and corner_j > B.truncated_at:
-        rows.append(_row("canonical_h0", pred.predicted_canonical_h0, None,
-                         "skipped(degree-truncated table)"))
-    else:
-        kc = koszul_dim(B, ci, cq)
-        rows.append(_row("canonical_h0", pred.predicted_canonical_h0, kc,
-                         verdict(pred.predicted_canonical_h0, kc)))
-    # for g >= 1 the table ends exactly at the predicted corner; for g = 0
-    # the corner group vanishes and pins down nothing
-    if g == 0:
-        rows.append(_row("corner", list(pred.predicted_corner), None,
-                         "skipped(corner vanishes for genus 0)"))
-    elif truncated:
-        rows.append(_row("corner", list(pred.predicted_corner), None,
-                         "skipped(degree-truncated table)"))
-    else:
-        computed_corner = [pd_, reg]
-        rows.append(_row("corner", list(pred.predicted_corner),
-                         computed_corner,
-                         verdict(list(pred.predicted_corner),
-                                 computed_corner)))
-    return VerificationReport(instance, rows, seed, prime)
+    if B.truncated_at is None or ci + cq <= B.truncated_at:
+        computed["canonical_h0"] = koszul_dim(B, ci, cq)
+
+    def verdict(name, p_, c_):
+        if name == "corner" and g == 0:
+            return "skipped(corner vanishes for genus 0)"
+        if name == "min_gen_degree" and p_ is None:
+            return "skipped(outside hypothesis window)"
+        if c_ is None:
+            return "skipped(degree-truncated table)"
+        if name == "ndp_window":
+            # N_{k+2, p} window: the theorem is a lower bound on the truth
+            if c_ == max(p_, -1):
+                return "match"
+            if c_ > p_:
+                return "match (prediction is a lower bound)"
+        return "match" if p_ == c_ else "mismatch"
+
+    return report(computed, verdict)

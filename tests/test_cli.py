@@ -209,6 +209,14 @@ def test_output_flag_writes_file(curve_file, capsys, tmp_path):
     assert json.loads(dest.read_text())["r"] == 5
 
 
+def test_unwritable_output_is_input_error(curve_file, capsys, tmp_path):
+    dest = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, ["curve", "--file",
+                                  curve_file("c.curve", RNC5),
+                                  "--output", str(dest)])
+    assert code == 2 and out == "" and "cannot write" in err
+
+
 def test_bench_prints_stages(curve_file, capsys):
     code, out, _ = run(capsys, ["bench", "--file",
                                 curve_file("c.curve", RNC3), "--k", "1"])
@@ -251,6 +259,21 @@ def test_ideal_file_bad_field_is_input_error(curve_file, capsys):
         path = curve_file("i.ideal", IDEAL.replace("32003", field))
         code, _, err = run(capsys, ["betti", "--ideal-file", path])
         assert code == 2 and "error" in err
+
+
+def test_ideal_file_bad_variables_is_input_error(curve_file, capsys):
+    for names in ("x, x", "1x, y"):
+        path = curve_file("v.ideal", "field: 32003\nvariables: " + names +
+                          "\ngenerator: x^2\n")
+        code, out, err = run(capsys, ["betti", "--ideal-file", path])
+        assert code == 2 and out == "" and "variables" in err
+
+
+def test_degree_too_large_to_pack_is_input_error(curve_file, capsys):
+    path = curve_file("big.ideal", "field: 32003\nvariables: x, y\n"
+                                   "generator: x^20000\n")
+    code, out, err = run(capsys, ["betti", "--ideal-file", path])
+    assert code == 2 and out == "" and "too large to pack" in err
 
 
 def test_unit_ideal_file_is_input_error(curve_file, capsys):

@@ -1,7 +1,8 @@
 """Byte-for-byte checks of the ``--format json`` output against stored files.
 
-The inputs and the expected stdout live in ``tests/golden/``.  To rewrite
-the expected files after a deliberate output change, run
+The inputs and the expected stdout live in ``tests/golden/``; each case
+also names the exit code its run must return.  To rewrite the expected
+files after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -16,19 +17,33 @@ from secantlab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# name of the expected stdout -> (exit code, argv)
 CASES = {
-    "verify_rnc5_k1.json": ["verify", "--file", "rnc5.curve", "--k", "1"],
-    "verify_elliptic5_k1.json": ["verify", "--file", "elliptic5.curve",
-                                 "--k", "1"],
-    "verify_rnc6_k2_max4.json": ["verify", "--file", "rnc6.curve", "--k",
-                                 "2", "--max-degree", "4"],
-    "betti_twisted_cubic.json": ["betti", "--ideal-file",
-                                 "twisted_cubic.ideal"],
-    "betti_rational_quartic.json": ["betti", "--ideal-file",
-                                    "rational_quartic.ideal"],
-    "betti_rational_quartic_max4.json": ["betti", "--ideal-file",
-                                         "rational_quartic.ideal",
-                                         "--max-degree", "4"],
+    "verify_rnc5_k1.json": (0, ["verify", "--file", "rnc5.curve", "--k", "1"]),
+    "verify_elliptic5_k1.json": (0, ["verify", "--file", "elliptic5.curve",
+                                     "--k", "1"]),
+    "verify_rnc6_k2_max4.json": (0, ["verify", "--file", "rnc6.curve", "--k",
+                                     "2", "--max-degree", "4"]),
+    # mismatch rows and the ndp_window lower-bound match
+    "verify_genus2_6_k1.json": (1, ["verify", "--file", "genus2_6.curve",
+                                    "--k", "1"]),
+    # genus 1 truncated: at 4 every table-read row is skipped, at 6 the
+    # canonical corner degree 6 is inside the bound and computed
+    "verify_elliptic6_k1_max4.json": (0, ["verify", "--file",
+                                          "elliptic6.curve", "--k", "1",
+                                          "--max-degree", "4"]),
+    "verify_elliptic6_k1_max6.json": (0, ["verify", "--file",
+                                          "elliptic6.curve", "--k", "1",
+                                          "--max-degree", "6"]),
+    "verify_rnc5_k1_budget5.json": (3, ["verify", "--file", "rnc5.curve",
+                                        "--k", "1", "--pair-budget", "5"]),
+    "betti_twisted_cubic.json": (0, ["betti", "--ideal-file",
+                                     "twisted_cubic.ideal"]),
+    "betti_rational_quartic.json": (0, ["betti", "--ideal-file",
+                                        "rational_quartic.ideal"]),
+    "betti_rational_quartic_max4.json": (0, ["betti", "--ideal-file",
+                                             "rational_quartic.ideal",
+                                             "--max-degree", "4"]),
 }
 
 
@@ -42,14 +57,15 @@ def _run(argv):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_json_output_matches_golden(name):
-    code, out = _run(CASES[name])
-    assert code == 0
+    expected_code, argv = CASES[name]
+    code, out = _run(argv)
+    assert code == expected_code
     assert out == (GOLDEN / name).read_text()
 
 
 if __name__ == "__main__":
-    for name, argv in CASES.items():
+    for name, (expected_code, argv) in CASES.items():
         code, out = _run(argv)
-        if code != 0:
-            sys.exit(f"{name}: exit {code}")
+        if code != expected_code:
+            sys.exit(f"{name}: exit {code}, expected {expected_code}")
         (GOLDEN / name).write_text(out)

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from secantlab import oracle
 from secantlab.arith import PrimeField
 from secantlab.curves import CurveModel, embed, rational_normal_curve
 from secantlab.oracle import (HypothesisViolated, PredictionRecord,
@@ -94,6 +95,18 @@ def test_verify_genus0_rows():
 def test_verify_degenerate_secant_skips_all():
     rep = verify(rational_normal_curve(3, F), 1)
     assert all(r["verdict"] == "skipped(fills ambient)" for r in rep.rows)
+
+
+def test_verify_filling_k_skips_the_join(monkeypatch):
+    # Σ_2 of the elliptic sextic fills P^5 (2k + 1 = r): no join is needed
+    def no_join(*args, **kwargs):
+        raise AssertionError("secant_join called for a filling k")
+    monkeypatch.setattr(oracle, "secant_join", no_join)
+    R2 = PolyRing(["x", "y"], F)
+    m1 = CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1"))
+    rep = verify(embed(m1, 6), 2)
+    assert [r["verdict"] for r in rep.rows] == ["skipped(fills ambient)"] * 9
+    assert all(r["computed"] is None for r in rep.rows)
 
 
 def test_report_json_shape():
