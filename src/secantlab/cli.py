@@ -86,6 +86,14 @@ def _build_embedding(path: str, pair_budget=None):
         raise InputError(f"{path}: {e}")
 
 
+def _secant_ideal(emb, k: int, pair_budget=None) -> Ideal:
+    """The ideal of Σ_k: at once the zero ideal when Σ_k fills P^r, else
+    the secant join."""
+    if emb.secant_fills(k):
+        return Ideal(emb.ideal.ring, [])
+    return secant_join(emb.secant_spec(k), pair_budget=pair_budget)
+
+
 def parse_ideal_file(text: str) -> Ideal:
     """Homogeneous ideal file: "field: P", "variables: a, b, c", then one
     "generator: <polynomial>" line per generator."""
@@ -173,7 +181,7 @@ def cmd_curve(args) -> int:
 def cmd_secant(args) -> int:
     budget = _pair_budget(args)
     emb = _build_embedding(args.file, budget)
-    S = secant_join(emb.secant_spec(args.k), pair_budget=budget)
+    S = _secant_ideal(emb, args.k, budget)
     gens = [str(f) for f in S.generators]
     if args.format == "json":
         payload = _json({
@@ -205,7 +213,7 @@ def cmd_betti(args) -> int:
         if not args.file or args.k is None:
             raise InputError("betti needs --file with --k, or --ideal-file")
         emb = _build_embedding(args.file, budget)
-        I = secant_join(emb.secant_spec(args.k), pair_budget=budget)
+        I = _secant_ideal(emb, args.k, budget)
     if I.is_zero():
         _emit("(zero ideal)\n" if args.format == "text"
               else _json({"r": I.ring.nvars - 1, "entries": [[0, 0, 1]]}),
@@ -303,7 +311,7 @@ def cmd_bench(args) -> int:
     emb = _build_embedding(args.file, budget)
     t_embed = time.monotonic() - t0
     t0 = time.monotonic()
-    S = secant_join(emb.secant_spec(args.k), pair_budget=budget)
+    S = _secant_ideal(emb, args.k, budget)
     t_join = time.monotonic() - t0
     t0 = time.monotonic()
     if not S.is_zero():

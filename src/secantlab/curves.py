@@ -196,6 +196,11 @@ class CurveEmbedding:
         return SecantSpec(k=k, base_ideal=self.ideal,
                           parametrization=self.parametrization)
 
+    def secant_fills(self, k: int) -> bool:
+        """Σ_k fills P^r, so its ideal is zero: the curve spans P^r, and
+        Σ_k has the expected dimension min(2k + 1, r)."""
+        return 2 * k + 1 >= self.r
+
     def evaluate(self, param) -> tuple:
         """Embedded coordinates of an affine curve point.
 
@@ -267,7 +272,7 @@ def embed(model: CurveModel, d: int, pair_budget=None) -> CurveEmbedding:
     for i, (exps, _) in enumerate(basis):
         mono = big.monomial((exps[0], exps[1], 1) + (0,) * (r + 1))
         gens.append(big.gen(3 + i) - mono)
-    gb = buchberger(gens, big, pair_budget=pair_budget)
+    gb = buchberger(gens, big, pair_budget=pair_budget, eliminate=3)
     target = PolyRing(znames, field, MonomialOrder.grevlex())
     ideal = Ideal(target, _subring_part(gb, 3, target))
     pring = PolyRing(["x", "y", "t"], field)

@@ -15,6 +15,10 @@ as for the exact series.  The count of in(G) is kept incrementally,
 N(M + m) = N(M) - t^e N(M : m) for a new head m of weight e.  The reduced
 basis is canonical for the (ideal, order) pair, so recomputation from any
 generating set of the same ideal, driven or not, yields identical output.
+An elimination run (``eliminate`` = the first block of a block order)
+minimalizes, tail-reduces and decodes only the elements free of that
+block: the reduced basis of the elimination ideal, at the cost of that
+part alone.
 
 Internally monomials are packed into single integers whose most significant
 fields spell out the monomial-order key, followed by a total-degree field and
@@ -358,9 +362,18 @@ def _series_of_denominator(weights, length: int) -> list:
 
 
 def buchberger(generators, ring: PolyRing, pair_budget: int | None = None,
-               target: HilbertTarget | None = None) -> GroebnerBasis:
+               target: HilbertTarget | None = None,
+               eliminate: int = 0) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``, for
     the ring's order.
+
+    With ``eliminate`` = m > 0, which must be the size of the first block
+    of the ring's order (else ValueError), only the elements free of the
+    variables 0..m-1 are tail-reduced and returned: the reduced basis of
+    I ∩ k[x_m, ...], still over ``ring``.  The first block is an
+    elimination block, so an element whose head is free of it is free of
+    it throughout, and only such heads divide its terms: the kept
+    elements come out exactly as in the full reduced basis.
 
     With ``target``, the weighted Hilbert series of S/I or a lower bound
     on it, every generator must be weighted-homogeneous for
@@ -378,16 +391,24 @@ def buchberger(generators, ring: PolyRing, pair_budget: int | None = None,
                 raise ValueError(
                     f"generator {f} is not weighted-homogeneous for the "
                     f"weights {target.weights}")
+    if eliminate:
+        first = ring.order.blocks[0]
+        if len(ring.order.blocks) < 2 or first[2] != eliminate:
+            raise ValueError(
+                f"eliminate={eliminate} is not the first block of the "
+                f"order {ring.order.name}")
     budget = pair_budget if pair_budget is not None else DEFAULT_PAIR_BUDGET
     try:
-        return _buchberger(generators, ring, budget, _Codec(ring), target)
+        return _buchberger(generators, ring, budget, _Codec(ring), target,
+                           eliminate)
     except _NeedWide:
         return _buchberger(generators, ring, budget, _Codec(ring, wide=True),
-                           target)
+                           target, eliminate)
 
 
 def _buchberger(generators, ring, budget, codec: _Codec,
-                target: HilbertTarget | None) -> GroebnerBasis:
+                target: HilbertTarget | None,
+                eliminate: int) -> GroebnerBasis:
     one = codec.one
     p = ring.field.p
 
@@ -548,12 +569,15 @@ def _buchberger(generators, ring, budget, codec: _Codec,
             raise InternalIdentityError(
                 f"the basis's initial ideal misses the Hilbert target in "
                 f"degrees {wrong}")
-    return _interreduce(basis, ring, codec)
+    return _interreduce(basis, ring, codec, eliminate)
 
 
-def _interreduce(basis, ring, codec) -> GroebnerBasis:
-    """Minimalize heads, then tail-reduce everything: the reduced GB."""
-    live = sorted(basis, key=lambda g: g.lm_full)
+def _interreduce(basis, ring, codec, eliminate) -> GroebnerBasis:
+    """Minimalize heads, then tail-reduce everything: the reduced GB.  With
+    ``eliminate`` = m, only the elements with heads free of the variables
+    0..m-1 take part."""
+    live = sorted((g for g in basis if not any(g.exps[:eliminate])),
+                  key=lambda g: g.lm_full)
     minimal: list[_Reducer] = []
     for g in live:
         if any(codec.divides(h.lm_full, g.lm_full) for h in minimal):

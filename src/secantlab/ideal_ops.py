@@ -45,22 +45,22 @@ def _transplant(f: Polynomial, target: PolyRing, position) -> Polynomial:
 
 
 def _subring_part(gb: GroebnerBasis, keep_start: int, target: PolyRing):
-    """Elements of an elimination GB supported on variables >= keep_start,
-    re-read in ``target``.  By the elimination theorem this is again a
-    reduced Groebner basis, for the order restricted to the tail block.
-    Its terms are kept in place only where that order is ``target``'s
-    grevlex: a grevlex tail block without weights or with uniform ones."""
+    """An ``eliminate=keep_start`` basis, supported on variables >=
+    keep_start, re-read in ``target``.  By the elimination theorem this is
+    again a reduced Groebner basis, for the order restricted to the tail
+    block.  Its terms are kept in place only where that order is
+    ``target``'s grevlex: a grevlex tail block without weights or with
+    uniform ones."""
     kind, _, _, weights = gb.order.blocks[-1]      # the tail block
     same_order = (target.order == MonomialOrder.grevlex() and kind == "grevlex"
                   and (weights is None or len(set(weights)) == 1))
     kept = []
     for f in gb:
-        if all(all(e == 0 for e in mon[:keep_start]) for mon, _ in f.terms):
-            terms = tuple((mon[keep_start:], c) for mon, c in f.terms)
-            if same_order:
-                kept.append(Polynomial(target, terms))
-            else:
-                kept.append(target.from_dict(dict(terms)))
+        terms = tuple((mon[keep_start:], c) for mon, c in f.terms)
+        if same_order:
+            kept.append(Polynomial(target, terms))
+        else:
+            kept.append(target.from_dict(dict(terms)))
     return kept
 
 
@@ -75,7 +75,7 @@ def intersect(I: Ideal, J: Ideal, pair_budget=None) -> Ideal:
     gens = [tv * _transplant(g, big, pos) for g in I.generators]
     gens += [(big.constant(1) - tv) * _transplant(g, big, pos)
              for g in J.generators]
-    gb = buchberger(gens, big, pair_budget=pair_budget)
+    gb = buchberger(gens, big, pair_budget=pair_budget, eliminate=1)
     kept = _subring_part(gb, 1, ring)
     return Ideal(ring, kept)
 
@@ -163,7 +163,8 @@ def _join_with_parametrization(param: ConeParametrization, cur: Ideal,
     cur_num = {param.image_weight * d: c for d, c in enumerate(
         hilbert_data(cur, pair_budget=pair_budget).numerator) if c}
     target = HilbertTarget(weights, _poly_mul(chart_num, cur_num))
-    gb = buchberger(gens, big, pair_budget=pair_budget, target=target)
+    gb = buchberger(gens, big, pair_budget=pair_budget, target=target,
+                    eliminate=m)
     return _subring_part(gb, m, ring)
 
 
@@ -188,7 +189,7 @@ def _join_literal(spec: SecantSpec, pair_budget):
         for j in range(nb):
             s = s - big.gen(j * n + i)
         gens.append(s)
-    gb = buchberger(gens, big, pair_budget=pair_budget)
+    gb = buchberger(gens, big, pair_budget=pair_budget, eliminate=nb * n)
     return _subring_part(gb, nb * n, ring)
 
 

@@ -186,8 +186,7 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
     def all_rows(verdict):
         return report({}, lambda *_: verdict)
 
-    # the curve spans P^r, so Σ_k fills it once 2k + 1 >= r
-    if 2 * k + 1 >= emb.r:
+    if emb.secant_fills(k):
         return all_rows("skipped(fills ambient)")
     stage = "secant_join"
     try:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import secantlab
-from secantlab import homalg, ideal_ops
+from secantlab import cli, homalg, ideal_ops, oracle
 from secantlab.arith import MAX_PRIME, is_prime
 from secantlab.cli import main
 from secantlab.gb import HilbertTarget
@@ -67,6 +67,43 @@ def test_secant_fills_ambient_message(curve_file, capsys):
     code, out, _ = run(capsys, ["secant", "--file",
                                 curve_file("c.curve", RNC3), "--k", "1"])
     assert code == 0 and "zero ideal" in out
+
+
+E6 = "genus: 1\nfield: 32003\nequation: y^2 - x^3 - 4*x - 1\ndegree: 6\n"
+
+
+@pytest.mark.parametrize("text,k,r", [(RNC3, 1, 3), (E6, 2, 5)],
+                         ids=["rnc3_k1", "ell6_k2"])
+def test_filling_secant_answers_without_a_join(curve_file, capsys,
+                                               monkeypatch, text, k, r):
+    # 2k + 1 >= r: Σ_k fills P^r, so every command prints its zero-ideal
+    # answer without running the join
+    def refuse(*args, **kwargs):
+        raise AssertionError("secant_join called")
+
+    for module in (cli, oracle):
+        monkeypatch.setattr(module, "secant_join", refuse)
+    path = curve_file("c.curve", text)
+    k = str(k)
+    code, out, _ = run(capsys, ["secant", "--file", path, "--k", k])
+    assert code == 0
+    assert out.endswith("\n  (zero ideal: the secant variety fills P^r)\n")
+    code, out, _ = run(capsys, ["secant", "--file", path, "--k", k,
+                                "--format", "json"])
+    assert code == 0 and json.loads(out)["generators"] == []
+    code, out, _ = run(capsys, ["betti", "--file", path, "--k", k])
+    assert (code, out) == (0, "(zero ideal)\n")
+    code, out, _ = run(capsys, ["betti", "--file", path, "--k", k,
+                                "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"r": r, "entries": [[0, 0, 1]]}
+    code, out, _ = run(capsys, ["bench", "--file", path, "--k", k])
+    assert code == 0 and "join" in out
+    code, out, _ = run(capsys, ["verify", "--file", path, "--k", k,
+                                "--format", "json"])
+    assert code == 0
+    assert {row["verdict"] for row in json.loads(out)["rows"]} == {
+        "skipped(fills ambient)"}
 
 
 def test_betti_from_curve(curve_file, capsys):

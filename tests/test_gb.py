@@ -118,6 +118,11 @@ def test_generators_always_reduce_to_zero(gens):
         assert gb.normal_form(g).is_zero()
 
 
+def _free_of(f, m):
+    """f involves none of the variables 0..m-1."""
+    return not any(any(mon[:m]) for mon, _ in f.terms)
+
+
 def _exact_target(basis, weights):
     """The weighted Hilbert series of S/I read off a reduced basis of I."""
     return HilbertTarget(weights, _numerator([f.lm for f in basis], weights,
@@ -144,7 +149,8 @@ def weighted_homogeneous_ideals(draw):
 def test_driven_basis_equals_untargeted(ideal, eliminate, loss):
     # the reduced basis is canonical: dropping pairs in degrees whose
     # leading-term count is complete must not change it.  loss > 0 drives
-    # by the lower bound (1 - t^loss) HS(S/I), tight below degree loss
+    # by the lower bound (1 - t^loss) HS(S/I), tight below degree loss.
+    # Eliminating x keeps exactly the elements of that basis free of x
     weights, terms = ideal
     order = (MonomialOrder.block_elim(1, weights) if eliminate
              else MonomialOrder.grevlex())
@@ -158,6 +164,37 @@ def test_driven_basis_equals_untargeted(ideal, eliminate, loss):
             exact=False)
     driven = buchberger(gens, Rw, pair_budget=200000, target=target)
     assert [f.terms for f in driven] == [f.terms for f in ref]
+    if eliminate:
+        kept = buchberger(gens, Rw, pair_budget=200000, target=target,
+                          eliminate=1)
+        assert [f.terms for f in kept] == [f.terms for f in ref
+                                           if _free_of(f, 1)]
+
+
+def test_elimination_on_the_wide_layout():
+    # degree 70 is past the narrow layout's cap of 64: both runs restart
+    # wide, and the elimination keeps the parameter-free part
+    Rt = PolyRing(["t", "u", "v"], F, MonomialOrder.block_elim(1))
+    gens = [Rt.parse("t*u - v^2"), Rt.parse("t^2 - u^68*v^2"),
+            Rt.parse("u^70 - t*v^69")]
+    full = buchberger(gens, Rt)
+    kept = buchberger(gens, Rt, eliminate=1)
+    assert full._codec.wide and kept._codec.wide
+    expected = [f.terms for f in full if _free_of(f, 1)]
+    assert 0 < len(expected) < len(full)
+    assert [f.terms for f in kept] == expected
+
+
+def test_eliminate_must_be_the_first_block():
+    gens = [R.parse("x*y - z^2"), R.parse("x^2 - y*z")]
+    with pytest.raises(ValueError, match="first block"):
+        buchberger(gens, R, eliminate=1)
+    Rb = PolyRing(["x", "y", "z"], F, MonomialOrder.block_elim(1))
+    gens = [Rb.from_dict(dict(f.terms)) for f in gens]
+    for m in (2, -1):
+        with pytest.raises(ValueError, match="first block"):
+            buchberger(gens, Rb, eliminate=m)
+    assert len(buchberger(gens, Rb, eliminate=1)) == 1
 
 
 def test_hilbert_target_guards():

@@ -1,7 +1,7 @@
 import pytest
 
+from secantlab import curves, ideal_ops
 from secantlab import gb as gb_module
-from secantlab import ideal_ops
 from secantlab.arith import PrimeField
 from secantlab.curves import CurveModel, embed, rational_normal_curve
 from secantlab.gb import Ideal, _ideal_with_gb, buchberger
@@ -163,13 +163,14 @@ def test_spec_requires_a_cone_chart():
 def test_elliptic_sextic_join_basis_gate(monkeypatch):
     # Deterministic work counter: the weighted-homogeneous chart keeps the
     # block_elim(3) elimination basis of the elliptic sextic at 99 elements
-    # (131 with the unweighted chart t*m_i(x, y)).
+    # (131 with the unweighted chart t*m_i(x, y)).  The join asks only for
+    # the parameter-free part, so the full basis is counted on the side.
     sizes = []
 
-    def spy(gens, ring, *args, **kwargs):
-        gb = buchberger(gens, ring, *args, **kwargs)
-        sizes.append((ring.order.name, len(gb)))
-        return gb
+    def spy(gens, ring, *args, eliminate=0, **kwargs):
+        full = buchberger(gens, ring, *args, **kwargs)
+        sizes.append((ring.order.name, len(full)))
+        return buchberger(gens, ring, *args, eliminate=eliminate, **kwargs)
 
     monkeypatch.setattr(ideal_ops, "buchberger", spy)
     R2 = PolyRing(["x", "y"], F)
@@ -181,8 +182,9 @@ def test_elliptic_sextic_join_basis_gate(monkeypatch):
 
 def test_elliptic_sextic_join_reduction_gate(monkeypatch):
     # Deterministic work counter: the Hilbert-driven elimination divides
-    # 266 times (10 generators, 157 S-pairs, 99 interreductions), 68 of
-    # them to zero; the untargeted loop divided 600 times, 381 to zero.
+    # 172 times (10 generators, 157 S-pairs, 5 interreductions, one per
+    # parameter-free element), 68 of them to zero; interreducing the whole
+    # basis took 266 divisions, and the untargeted loop 600, 381 to zero.
     reduce_full = gb_module._reduce_full
     remainders = []
     active = []
@@ -206,8 +208,69 @@ def test_elliptic_sextic_join_reduction_gate(monkeypatch):
     R2 = PolyRing(["x", "y"], F)
     E = embed(CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1")), 6)
     secant_join(E.secant_spec(1))
-    assert len(remainders) <= 266
+    assert len(remainders) <= 172
     assert sum(1 for r in remainders if not r) <= 68
+
+
+def _free_of(f, m):
+    """f involves none of the variables 0..m-1."""
+    return not any(any(mon[:m]) for mon, _ in f.terms)
+
+
+def _elimination_runs(monkeypatch, module, run):
+    """(generators, ring, eliminate) of every elimination Buchberger run
+    that ``run()`` makes through ``module``'s binding."""
+    runs = []
+    real = module.buchberger
+
+    def spy(gens, ring, *args, eliminate=0, **kwargs):
+        if eliminate:
+            runs.append((list(gens), ring, eliminate))
+        return real(gens, ring, *args, eliminate=eliminate, **kwargs)
+
+    monkeypatch.setattr(module, "buchberger", spy)
+    run()
+    monkeypatch.setattr(module, "buchberger", real)
+    return runs
+
+
+def _assert_parameter_free_part(runs):
+    for gens, ring, m in runs:
+        full = buchberger(gens, ring)
+        kept = [f.terms for f in full if _free_of(f, m)]
+        assert 0 < len(kept) < len(full)
+        assert [f.terms for f in buchberger(gens, ring, eliminate=m)] == kept
+
+
+@pytest.mark.parametrize("genus,equation,d", [
+    (1, "y^2 - x^3 - 4*x - 1", 6), (2, "y^2 - x^5 - x - 1", 7)],
+    ids=["ell6", "g2_7"])
+def test_embed_elimination_is_the_parameter_free_part(genus, equation, d,
+                                                      monkeypatch):
+    R2 = PolyRing(["x", "y"], F)
+    model = CurveModel(genus, F, R2.parse(equation))
+    runs = _elimination_runs(monkeypatch, curves,
+                             lambda: embed(model, d))
+    assert [m for _, _, m in runs] == [3]
+    _assert_parameter_free_part(runs)
+
+
+def test_intersect_elimination_is_the_parameter_free_part(monkeypatch):
+    R = PolyRing(["x", "y", "z"], F)
+    I = Ideal(R, [R.parse("x^2 - y*z"), R.parse("x*y - z^2")])
+    J = Ideal(R, [R.parse("x + y - z"), R.parse("y^3 - x*z^2")])
+    runs = _elimination_runs(monkeypatch, ideal_ops,
+                             lambda: intersect(I, J))
+    assert [m for _, _, m in runs] == [1]
+    _assert_parameter_free_part(runs)
+
+
+def test_literal_join_elimination_is_the_parameter_free_part(monkeypatch):
+    spec = rational_normal_curve(4, F).secant_spec(1)
+    runs = _elimination_runs(monkeypatch, ideal_ops,
+                             lambda: _join_literal(spec, None))
+    assert [m for _, _, m in runs] == [10]
+    _assert_parameter_free_part(runs)
 
 
 def _ladder_curve(genus, equation, d):
@@ -228,19 +291,24 @@ LADDER = [
                          ids=["rnc5", "rnc6", "rnc7", "ell5", "ell6", "g2_6"])
 def test_driven_join_equals_untargeted(genus, equation, d, k, monkeypatch):
     # every join step (k = 2 covers k = 1): the driven elimination gives
-    # the untargeted reduced basis term for term, and its closed-form
-    # target is the weighted Hilbert series of that basis
+    # the parameter-free part of the untargeted reduced basis term for
+    # term, and its closed-form target is the weighted Hilbert series of
+    # that full basis
     steps = []
 
-    def spy(gens, ring, *args, target=None, **kwargs):
+    def spy(gens, ring, *args, target=None, eliminate=0, **kwargs):
         ref = buchberger(gens, ring, *args, **kwargs)
-        if target is not None:
-            lms = [f.lm for f in ref]
-            assert target.numerator == _numerator(lms, target.weights, {})
-            driven = buchberger(gens, ring, *args, target=target, **kwargs)
-            assert [f.terms for f in driven] == [f.terms for f in ref]
-            steps.append(len(ref))
-        return ref
+        if target is None:
+            assert not eliminate
+            return ref
+        lms = [f.lm for f in ref]
+        assert target.numerator == _numerator(lms, target.weights, {})
+        driven = buchberger(gens, ring, *args, target=target,
+                            eliminate=eliminate, **kwargs)
+        assert [f.terms for f in driven] == [
+            f.terms for f in ref if _free_of(f, eliminate)]
+        steps.append(len(ref))
+        return driven
 
     monkeypatch.setattr(ideal_ops, "buchberger", spy)
     E = _ladder_curve(genus, equation, d)
