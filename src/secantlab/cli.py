@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from multiprocessing import Pool
 
 from .arith import PrimeField
 # rational_normal_curve is not called here (embed dispatches genus 0 to it);
@@ -272,6 +271,8 @@ def cmd_verify(args) -> int:
     tasks = [(path, args.k, args.seed, budget, max_degree)
              for path in args.file]
     if args.jobs > 1 and len(tasks) > 1:
+        from multiprocessing import Pool
+
         with Pool(args.jobs) as pool:
             reports = pool.map(_verify_instance, tasks)
     else:

@@ -1,9 +1,14 @@
 """Groebner basis engine.
 
-Buchberger's algorithm with Gebauer-Moller pair elimination.  Without a
-Hilbert target, every generator is reduced first, then pair selection uses
-the sugar strategy (minimal sugar, then lcm degree, then order), which is
-the normal strategy on homogeneous input, where sugar is the lcm degree.
+Buchberger's algorithm with Gebauer-Moller pair elimination.  The main
+loop reduces each generator and S-polynomial only until its head is
+irreducible and stores the rest unreduced: Buchberger's criterion needs
+irreducible heads only.  Tails are fully reduced once, when the finished
+basis is interreduced, and ``GroebnerBasis.normal_form`` always reduces
+fully.  Without a Hilbert target, every generator is reduced first, then
+pair selection uses the sugar strategy (minimal sugar, then lcm degree,
+then order; sugar grows over the head steps), which is the normal strategy
+on homogeneous input, where sugar is the lcm degree.
 With a target, a weighted Hilbert series that is either exact for S/I or
 a coefficient-wise lower bound on it, for a weighted-homogeneous ideal
 (Traverso, J. Symbolic Comput. 22, 1996), generators and pairs are taken
@@ -144,11 +149,15 @@ class _Codec:
         # them then keep every exponent and key field carry-free
         self.deg_cap = min(1 << (exp_bits - 2), kcap // (2 * maxweight + 1))
 
+    def too_large(self):
+        """Raise for a monomial of total degree >= deg_cap."""
+        if self.wide:
+            raise DegreeTooLarge("monomial degree too large to pack")
+        raise _NeedWide
+
     def encode(self, exps) -> int:
         if sum(exps) >= self.deg_cap:
-            if self.wide:
-                raise DegreeTooLarge("monomial degree too large to pack")
-            raise _NeedWide
+            self.too_large()
         m = self._const
         for c, e in zip(self._coeff_vec, exps):
             if e:
@@ -197,11 +206,16 @@ class _Reducer:
         self.exps = codec.decode(lm_full)  # exponents of lm, for lcm work
 
 
-def _reduce_full(items, reducers, codec: _Codec, p: int, sugar: int = 0):
-    """Full normal form of (packed, coeff) items against the reducer list.
+def _reduce_full(items, reducers, codec: _Codec, p: int, sugar: int = 0,
+                 head_only: bool = False):
+    """Normal form of (packed, coeff) items against the reducer list.
 
     Returns (terms_desc, sugar); terms_desc sorted descending as packed ints.
-    Reducers must be monic.
+    Reducers must be monic.  With ``head_only`` the reduction stops at the
+    first term no head divides, and the terms below it are returned
+    unreduced; sugar then counts the head steps only.  Every returned term
+    is checked against the degree cap, popped or not: under a block or
+    weighted order a tail term can outweigh its head in total degree.
     """
     one = codec.one
     guard = codec.guard
@@ -231,9 +245,7 @@ def _reduce_full(items, reducers, codec: _Codec, p: int, sugar: int = 0):
             continue
         dm = (m >> deg_shift) & deg_mask
         if dm >= deg_cap:
-            if codec.wide:
-                raise DegreeTooLarge("monomial degree too large to pack")
-            raise _NeedWide
+            codec.too_large()
         mt = m & pmask
         sm = 0
         for b, v in zip(mt.to_bytes(nbytes, "little"), var_of_byte):
@@ -249,6 +261,13 @@ def _reduce_full(items, reducers, codec: _Codec, p: int, sugar: int = 0):
                 break
         if red is None:
             remainder.append((m, c))
+            if head_only:
+                rest = sorted(coeffs, reverse=True)
+                for m2 in rest:
+                    if (m2 >> deg_shift) & deg_mask >= deg_cap:
+                        codec.too_large()
+                remainder += [(m2, coeffs[m2]) for m2 in rest]
+                break
             continue
         q1 = m - red.lm_full + one - one
         dq = dm - red.lmdeg
@@ -365,7 +384,8 @@ def buchberger(generators, ring: PolyRing, pair_budget: int | None = None,
                target: HilbertTarget | None = None,
                eliminate: int = 0) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``, for
-    the ring's order.
+    the ring's order.  New elements are only head-reduced while the loop
+    runs; the tails of the returned elements are reduced at the end.
 
     With ``eliminate`` = m > 0, which must be the size of the first block
     of the ring's order (else ValueError), only the elements free of the
@@ -552,7 +572,8 @@ def _buchberger(generators, ring, budget, codec: _Codec,
             if not items:
                 continue
             sugar0 = max(gi.sugar + codec.deg(qi), gj.sugar + codec.deg(qj))
-        terms, sugar = _reduce_full(items, basis, codec, p, sugar0)
+        terms, sugar = _reduce_full(items, basis, codec, p, sugar0,
+                                    head_only=True)
         if not terms:
             continue
         if terms[0][1] != 1:
@@ -587,8 +608,9 @@ def _interreduce(basis, ring, codec, eliminate) -> GroebnerBasis:
     out = []
     dec = codec.decode
     for g in minimal:
-        others = [h for h in minimal if h is not g]
-        tail, _ = _reduce_full(g.tail, others, codec, p)
+        # every term met while reducing g's tail is below g.lm, so g's own
+        # head divides none of them and one shared list serves every g
+        tail, _ = _reduce_full(g.tail, minimal, codec, p)
         terms = ((dec(g.lm_full), 1),) + tuple((dec(m), c) for m, c in tail)
         out.append(Polynomial(ring, terms))
     out.sort(key=lambda f: ring._key(f.terms[0][0]))

@@ -165,6 +165,14 @@ def test_nonpositive_jobs_is_input_error(curve_file, capsys):
         assert code == 2 and out == "" and "jobs" in err
 
 
+def test_parallel_verify_matches_serial(curve_file, capsys):
+    paths = [curve_file("a.curve", RNC3), curve_file("b.curve", RNC5)]
+    argv = ["verify", "--file", *paths, "--k", "1", "--format", "json"]
+    serial = run(capsys, argv + ["--jobs", "1"])
+    assert serial[0] == 0
+    assert run(capsys, argv + ["--jobs", "2"]) == serial
+
+
 def test_betti_requires_source(capsys):
     code, _, err = run(capsys, ["betti", "--format", "json"])
     assert code == 2 and "error" in err

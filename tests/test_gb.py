@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secantlab import gb as gb_module
 from secantlab.arith import PrimeField
 from secantlab.gb import HilbertTarget, Ideal, ResourceLimit, buchberger
 from secantlab.homalg import InternalIdentityError, _numerator, _poly_mul
@@ -183,6 +184,72 @@ def test_elimination_on_the_wide_layout():
     expected = [f.terms for f in full if _free_of(f, 1)]
     assert 0 < len(expected) < len(full)
     assert [f.terms for f in kept] == expected
+
+
+def _s_polynomial(f, g):
+    ring = f.ring
+    lcm = tuple(max(a, b) for a, b in zip(f.lm, g.lm))
+    return (ring.monomial(tuple(a - b for a, b in zip(lcm, f.lm))) * f
+            - ring.monomial(tuple(a - b for a, b in zip(lcm, g.lm))) * g)
+
+
+@given(weighted_homogeneous_ideals(), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_result_is_a_reduced_basis(ideal, block, wide):
+    # certificate independent of how the loop reduces: the result is monic
+    # and interreduced, and under full reduction every generator and every
+    # S-pair of the result goes to zero
+    weights, terms = ideal
+    order = (MonomialOrder.block_elim(1, weights) if block
+             else MonomialOrder.grevlex())
+    Rw = PolyRing(["x", "y", "z"], F, order)
+    gens = [Rw.from_dict(t) for t in terms]
+    basis = gb_module._buchberger(gens, Rw, 200000,
+                                  gb_module._Codec(Rw, wide=wide), None, 0)
+    assert basis._codec.wide == wide
+    for f in basis:
+        assert f.lc == 1
+        for g in basis:
+            for mon, _ in g.terms:
+                if f is not g or mon != f.lm:
+                    # f's head divides no other term of the basis
+                    assert not all(map(int.__le__, f.lm, mon))
+    for g in gens:
+        assert basis.normal_form(g).is_zero()
+    for i, f in enumerate(basis):
+        for g in basis.elements[i + 1:]:
+            assert basis.normal_form(_s_polynomial(f, g)).is_zero()
+
+
+def test_unreduced_tails_respect_the_narrow_cap(monkeypatch):
+    # the loop leaves tails unreduced, so a tail term is never popped; under
+    # a block order t*y^10 becomes x^60*y^10 of degree 70 below a head of
+    # degree 2, past the narrow cap of 64.  It must force the wide restart
+    # rather than be stored narrow
+    Rb = PolyRing(["t", "u", "x", "y", "z"], F, MonomialOrder.block_elim(2))
+    gens = [Rb.parse("t - x^60"), Rb.parse("t*y^10 + u*z"),
+            Rb.parse("u^2 - y")]
+    stored = []
+    real_reducer = gb_module._Reducer
+
+    class SpyReducer(real_reducer):
+        __slots__ = ()
+
+        def __init__(self, lm_full, tail, sugar, index, codec):
+            super().__init__(lm_full, tail, sugar, index, codec)
+            if not codec.wide:
+                stored.append(codec.deg(lm_full))
+                stored.extend(codec.deg(m) for m, _ in tail)
+
+    monkeypatch.setattr(gb_module, "_Reducer", SpyReducer)
+    kept = buchberger(gens, Rb, eliminate=2)
+    cap = gb_module._Codec(Rb).deg_cap
+    assert stored and max(stored) < cap
+    monkeypatch.setattr(gb_module, "_Reducer", real_reducer)
+    wide = gb_module._buchberger(gens, Rb, 200000,
+                                 gb_module._Codec(Rb, wide=True), None, 2)
+    assert kept._codec.wide
+    assert [f.terms for f in kept] == [f.terms for f in wide]
 
 
 def test_eliminate_must_be_the_first_block():
