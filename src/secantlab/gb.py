@@ -17,7 +17,9 @@ dropped unreduced once dim (S/in(G))_d equals the target's.  Since
 dim (S/in(G))_d >= dim (S/I)_d >= target(d), in(G) is then complete in
 degree d, so it would reduce to zero; this holds for a lower bound as much
 as for the exact series.  The count of in(G) is kept incrementally,
-N(M + m) = N(M) - t^e N(M : m) for a new head m of weight e.  The reduced
+N(M + m) = N(M) - t^e N(M : m) for a new head m of weight e, and a run
+without ``eliminate`` hands it to the returned basis.  Driven runs never
+read sugar and compute none for their generators and S-pairs.  The reduced
 basis is canonical for the (ideal, order) pair, so recomputation from any
 generating set of the same ideal, driven or not, yields identical output.
 An elimination run (``eliminate`` = the first block of a block order)
@@ -29,17 +31,22 @@ Internally monomials are packed into single integers whose most significant
 fields spell out the monomial-order key, followed by a total-degree field and
 guarded per-variable exponent fields.  Integer comparison then realizes the
 monomial order, multiplication is integer addition (up to a constant), and
-divisibility is a pair of mask operations.  A narrow layout (8-bit exponents)
-is tried first and transparently restarted with a wide layout when any total
-degree reaches the narrow capacity; degree checks at encode and reduction
-time keep both layouts exact.
+divisibility is a pair of mask operations.  The Gebauer-Moller update and
+the one Hilbert numerator kernel (``_numerator``, behind
+``GroebnerBasis.hilbert_numerator``) work on the exponent fields alone, the
+exponent words, where lcm, colon, coprimality and degree are a few integer
+operations each.  A narrow layout (8-bit exponents) is tried first and
+transparently restarted with a wide layout when any total degree reaches
+the narrow capacity; degree checks at encode and reduction time keep both
+layouts exact.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from operator import mul, or_
 
 from .poly import PolyRing, Polynomial, RingMismatch
 
@@ -52,6 +59,13 @@ class _NeedWide(Exception):
 
 class DegreeTooLarge(OverflowError):
     """A monomial degree exceeds what even the wide packed layout holds."""
+
+
+class InternalIdentityError(RuntimeError):
+    """A computed result broke an identity that holds by theorem
+    (beta_{i,j} >= 0, Betti numerator = Hilbert numerator, a driven basis
+    meets its exact Hilbert target and never undercuts a lower bound): the
+    result is wrong, not the prediction."""
 
 
 class ResourceLimit(RuntimeError):
@@ -82,9 +96,10 @@ class _Codec:
     monomials still fits its fields exactly.
     """
 
-    __slots__ = ("n", "one", "pmask", "guard", "deg_shift", "deg_mask",
-                 "deg_cap", "wide", "exp_nbytes", "var_of_byte",
-                 "_coeff_vec", "_const", "_shifts", "_exp_mask")
+    __slots__ = ("n", "one", "pmask", "guard", "low", "ones", "exp_bits",
+                 "deg_shift", "deg_mask", "deg_cap", "wide", "exp_nbytes",
+                 "var_of_byte", "_coeff_vec", "_const", "_shifts",
+                 "_exp_mask", "_sum_shift")
 
     def __init__(self, ring: PolyRing, wide: bool = False):
         exp_bits = 16 if wide else 8
@@ -106,6 +121,11 @@ class _Codec:
         for i in range(n):
             self.guard |= (1 << (exp_bits - 1)) << (exp_bits * i)
         self._exp_mask = (1 << exp_bits) - 1
+        self.exp_bits = exp_bits
+        self.low = self.pmask & ~self.guard
+        self.ones = sum(1 << (exp_bits * i) for i in range(n))
+        # field n-1 of word * ones holds the sum of all fields
+        self._sum_shift = exp_bits * max(n - 1, 0)
 
         # total degree field
         pos = exp_bits * n
@@ -181,29 +201,59 @@ class _Codec:
         t = ((b & self.pmask) | g) - (a & self.pmask)
         return (t & g) == g
 
-    def lcm(self, ea: tuple, eb: tuple) -> int:
-        return self.encode(tuple(x if x > y else y for x, y in zip(ea, eb)))
-
     def deg(self, m: int) -> int:
         return (m >> self.deg_shift) & self.deg_mask
+
+    # Exponent words: packed monomials masked by pmask, every field below
+    # deg_cap.  (a | guard) - b keeps each field's guard bit exactly where
+    # a_i >= b_i, and no borrow crosses a field.
+
+    def exp_colon(self, a: int, b: int) -> int:
+        """The word of a / gcd(a, b), i.e. max(a_i - b_i, 0) per field."""
+        t = (a | self.guard) - b
+        ge = t & self.guard
+        return t & (ge - (ge >> (self.exp_bits - 1)))
+
+    def exp_lcm(self, a: int, b: int) -> int:
+        """The word of lcm(a, b); a and b are coprime iff it is a + b."""
+        ge = ((a | self.guard) - b) & self.guard
+        fm = ge - (ge >> (self.exp_bits - 1))   # low bits where a_i >= b_i
+        return (a & fm) | (b & (self.low ^ fm))
+
+    def exp_deg(self, a: int) -> int:
+        """Total degree of a word whose field sum is below 2^exp_bits."""
+        return ((a * self.ones) >> self._sum_shift) & self._exp_mask
+
+    def exp_nonzero(self, a: int) -> int:
+        """The guard bits of the nonzero fields of a word."""
+        return ((a | self.guard) - self.ones) & self.guard
+
+    def weigher(self, weights):
+        """Weighted degree of a word, sum_i w_i a_i, as one total degree per
+        distinct weight."""
+        fields: dict = {}
+        for w, s in zip(weights, self._shifts):
+            fields[w] = fields.get(w, 0) | (self._exp_mask << s)
+        deg = self.exp_deg
+        fields = tuple(fields.items())
+        return lambda a: sum(w * deg(a & f) for w, f in fields)
 
 
 class _Reducer:
     """Monic basis element prepared for division: packed head plus tail."""
 
     __slots__ = ("lm", "lm_full", "lmdeg", "smask", "tail", "sugar", "alive",
-                 "index", "exps")
+                 "index")
 
     def __init__(self, lm_full, tail, sugar, index, codec: _Codec):
         self.lm_full = lm_full    # packed monomial, order key included
-        self.lm = lm_full & codec.pmask    # exponent fields only
+        self.lm = lm_full & codec.pmask    # exponent word, for lcm work
         self.lmdeg = codec.deg(lm_full)
         self.smask = codec.support_mask(lm_full)  # bit i: variable i in lm
         self.tail = tail          # tuple of (packed, coeff), head stripped
         self.sugar = sugar
         self.alive = True         # False once head-redundant (still a reducer)
         self.index = index
-        self.exps = codec.decode(lm_full)  # exponents of lm, for lcm work
 
 
 def _reduce_full(items, reducers, codec: _Codec, p: int, sugar: int = 0,
@@ -294,7 +344,8 @@ class GroebnerBasis:
     """Reduced Groebner basis: monic, mutually reduced, sorted by leading
     monomial ascending under the order."""
 
-    __slots__ = ("elements", "ring", "order", "_codec", "_reducers")
+    __slots__ = ("elements", "ring", "order", "_codec", "_reducers",
+                 "_hilbert")
 
     def __init__(self, elements, ring: PolyRing, codec: _Codec | None = None):
         self.elements = tuple(elements)
@@ -302,6 +353,7 @@ class GroebnerBasis:
         self.order = ring.order
         self._codec = codec if codec is not None else _Codec(ring)
         self._reducers = None
+        self._hilbert = None      # (weights, numerator) once counted
 
     def _prepared(self):
         if self._reducers is None:
@@ -330,6 +382,27 @@ class GroebnerBasis:
                                     self.ring.field.p)
         dec = codec.decode
         return Polynomial(self.ring, tuple((dec(m), c) for m, c in terms))
+
+    def hilbert_numerator(self, weights) -> dict:
+        """Numerator N(t), a dict degree -> coefficient, of the Hilbert
+        series N(t) / prod_v (1 - t^{w_v}) of S/I = S/in(I), with variable v
+        of weight w_v, counted on the heads of the basis.  A driven run
+        hands over the count it kept, for its own weights."""
+        weights = tuple(weights)
+        if self._hilbert is None or self._hilbert[0] != weights:
+            try:
+                num = _numerator(self._head_words(), self._codec, weights)
+            except _NeedWide:
+                self._codec = _Codec(self.ring, wide=True)
+                self._reducers = None
+                num = _numerator(self._head_words(), self._codec, weights)
+            self._hilbert = (weights, num)
+        return dict(self._hilbert[1])
+
+    def _head_words(self) -> list:
+        codec = self._codec
+        return [codec.encode(f.terms[0][0]) & codec.pmask
+                for f in self.elements]
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -365,6 +438,83 @@ class HilbertTarget:
     weights: tuple
     numerator: dict
     exact: bool = True
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for da, ca in a.items():
+        for db, cb in b.items():
+            d = da + db
+            out[d] = out.get(d, 0) + ca * cb
+    return {d: c for d, c in out.items() if c}
+
+
+def _numerator(words, codec: _Codec, weights) -> dict:
+    """Numerator N(t) of the Hilbert series N(t) / prod_v (1 - t^{w_v}) of
+    S/M, for M spanned by the exponent words ``words`` of ``codec`` and
+    variable v of weight w_v; all-ones ``weights`` give the standard
+    N(t)/(1-t)^n.
+
+    Bigatti's pivot recursion (J. Pure Appl. Algebra 119, 1997):
+    N(M) = N(M + x_v) + t^{w_v} N(M : x_v) for the variable x_v in the most
+    minimal generators, down to pairwise coprime generators, whose N is the
+    product of the 1 - t^{deg g}.  Minimal generators are found in
+    ascending word order, which meets every divisor of a word first.
+    """
+    guard = codec.guard
+    nonzero_of = codec.exp_nonzero
+    fmask = codec._exp_mask
+    shifts = codec._shifts
+    to_one = codec.exp_bits - 1        # guard bit -> lowest bit of a field
+    wdeg = codec.weigher(weights)
+    memo: dict = {}
+
+    def rec(gens):
+        mins = []
+        for g in sorted(set(gens)):
+            gg = g | guard
+            for h in mins:
+                if (gg - h) & guard == guard:
+                    break
+            else:
+                mins.append(g)
+        key = frozenset(mins)
+        res = memo.get(key)
+        if res is not None:
+            return res
+        if not mins:
+            res = {0: 1}
+        elif mins[0] == 0:
+            res = {}                   # the unit ideal
+        else:
+            nonzero = [nonzero_of(g) for g in mins]
+            if sum(nonzero) == reduce(or_, nonzero):
+                # no variable in two generators (two guard bits in one
+                # field would carry): pairwise coprime, product formula
+                res = {0: 1}
+                for g in mins:
+                    res = _poly_mul(res, {0: 1, wdeg(g): -1})
+            else:
+                # pivot on the most shared variable: sum the nonzero bits
+                # field by field, at most fmask generators per sum
+                counts = [0] * len(shifts)
+                for at in range(0, len(nonzero), fmask):
+                    acc = sum(z >> to_one for z in nonzero[at:at + fmask])
+                    for v, s in enumerate(shifts):
+                        counts[v] += (acc >> s) & fmask
+                v = max(range(len(shifts)), key=counts.__getitem__)
+                xv = 1 << shifts[v]
+                fv = fmask << shifts[v]
+                res = dict(rec([xv] + [g for g in mins if not g & fv]))
+                w = weights[v]
+                for d, c in rec([g - xv if g & fv else g
+                                 for g in mins]).items():
+                    res[d + w] = res.get(d + w, 0) + c
+                res = {d: c for d, c in res.items() if c}
+        memo[key] = res
+        return res
+
+    return rec(words)
 
 
 def _weighted_degree(weights, exps) -> int:
@@ -430,6 +580,9 @@ def _buchberger(generators, ring, budget, codec: _Codec,
                 target: HilbertTarget | None,
                 eliminate: int) -> GroebnerBasis:
     one = codec.one
+    pmask = codec.pmask
+    guard = codec.guard
+    exp_lcm = codec.exp_lcm
     p = ring.field.p
 
     packed_gens = []
@@ -461,13 +614,12 @@ def _buchberger(generators, ring, budget, codec: _Codec,
         # Hilbert-driven: take everything by the weighted degree of its
         # lcm, generators first within a degree.  excess(d) is
         # HF_{S/in(G)}(d) - target(d), read off the numerator difference
-        # ``excess_num`` over the common denominator.
-        from .homalg import InternalIdentityError, _numerator  # imports gb
-
-        weights = target.weights
+        # ``excess_num`` over the common denominator.  Sugar is never read.
+        weights = tuple(target.weights)
+        wdeg = codec.weigher(weights)
+        exp_colon = codec.exp_colon
         for g, items in enumerate(packed_gens):
-            wd = _weighted_degree(weights, codec.decode(items[0][0]))
-            queue.append(((wd, -1, g), -1, g))
+            queue.append(((wdeg(items[0][0] & pmask), -1, g), -1, g))
         excess_num = {d: -c for d, c in target.numerator.items()}
         excess_num[0] = excess_num.get(0, 0) + 1
         series = []
@@ -482,65 +634,66 @@ def _buchberger(generators, ring, budget, codec: _Codec,
 
     def pair_priority(i, j, lcm):
         if target is not None:
-            return (_weighted_degree(weights, codec.decode(lcm)), lcm, j, i)
+            return (wdeg(lcm & pmask), lcm, j, i)
         dl = codec.deg(lcm)
         gi, gj = basis[i], basis[j]
         sugar = max(gi.sugar + dl - gi.lmdeg, gj.sugar + dl - gj.lmdeg)
         return (sugar, dl, lcm, j, i)
 
     def add_element(terms, sugar):
-        """Gebauer-Moller update with the new monic element."""
+        """Gebauer-Moller update with the new monic element, on exponent
+        words."""
         t = len(basis)
         red = _Reducer(terms[0][0], terms[1:], sugar, t, codec)
-        lm_full, exps = red.lm_full, red.exps
+        lm = red.lm
+        live = [g for g in basis if g.alive]
 
         if target is not None:
             # N(M + m) = N(M) - t^e N(M : m) for the minimal generators M
             # of in(G), which are the heads of the live elements
-            colon = [tuple(a - b if a > b else 0
-                           for a, b in zip(g.exps, exps))
-                     for g in basis if g.alive]
-            e = _weighted_degree(weights, exps)
-            for d, c in _numerator(colon, weights, {}).items():
+            e = wdeg(lm)
+            colon = [exp_colon(g.lm, lm) for g in live]
+            for d, c in _numerator(colon, codec, weights).items():
                 c = excess_num.get(d + e, 0) - c
                 if c:
                     excess_num[d + e] = c
                 else:
                     excess_num.pop(d + e, None)
 
-        # candidate new pairs, examined by ascending lcm
-        cand = [(codec.lcm(exps, g.exps), g.index) for g in basis if g.alive]
-        cand.sort()
+        # candidate new pairs by ascending lcm word, then index: a proper
+        # divisor of an lcm is a smaller word, so it is examined first
+        cand = sorted([(exp_lcm(g.lm, lm), g.index) for g in live])
         basis.append(red)
         kept: list = []
         for lcm, i in cand:
-            skip = False
+            lg = lcm | guard
             for lcm2, _ in kept:
-                if lcm2 == lcm or codec.divides(lcm2, lcm):
-                    skip = True
+                if (lg - lcm2) & guard == guard:
                     break
-            if skip:
-                continue
-            kept.append((lcm, i))
+            else:
+                kept.append((lcm, i))
         # chain criterion against existing pairs
         for (i, j), lcm in list(pair_set.items()):
-            if (codec.divides(lm_full, lcm)
-                    and codec.lcm(basis[i].exps, exps) != lcm
-                    and codec.lcm(basis[j].exps, exps) != lcm):
+            w = lcm & pmask
+            if ((w | guard) - lm) & guard == guard \
+                    and exp_lcm(basis[i].lm, lm) != w \
+                    and exp_lcm(basis[j].lm, lm) != w:
                 del pair_set[(i, j)]
-        # product criterion on the survivors
+        # product criterion on the survivors; only kept pairs are encoded
         for lcm, i in kept:
-            if all(x == 0 or y == 0 for x, y in zip(exps, basis[i].exps)):
-                continue
+            if lcm == lm + basis[i].lm:
+                continue           # coprime heads
+            lcm = codec.encode(codec.decode(lcm))
             pair_set[(i, t)] = lcm
             heapq.heappush(queue, (pair_priority(i, t, lcm), i, t))
         # head-redundant old elements stop generating pairs
-        for g in basis[:-1]:
-            if g.alive and codec.divides(lm_full, g.lm_full):
+        for g in live:
+            if ((g.lm | guard) - lm) & guard == guard:
                 g.alive = False
 
     processed = 0
     top = 0                    # largest weighted degree taken from the queue
+    sugar0 = 0                 # stays 0 on a driven run
     while queue:
         prio, i, j = heapq.heappop(queue)
         if i >= 0:
@@ -553,7 +706,8 @@ def _buchberger(generators, ring, budget, codec: _Codec,
                 continue       # in(G) is complete in this degree
         if i < 0:
             items = packed_gens[j]
-            sugar0 = max(codec.deg(m) for m, _ in items)
+            if target is None:
+                sugar0 = max(codec.deg(m) for m, _ in items)
         else:
             processed += 1
             if processed > budget:
@@ -571,7 +725,9 @@ def _buchberger(generators, ring, budget, codec: _Codec,
             items = [(m, c) for m, c in spoly.items() if c]
             if not items:
                 continue
-            sugar0 = max(gi.sugar + codec.deg(qi), gj.sugar + codec.deg(qj))
+            if target is None:
+                sugar0 = max(gi.sugar + codec.deg(qi),
+                             gj.sugar + codec.deg(qj))
         terms, sugar = _reduce_full(items, basis, codec, p, sugar0,
                                     head_only=True)
         if not terms:
@@ -581,6 +737,7 @@ def _buchberger(generators, ring, budget, codec: _Codec,
             terms = tuple((m, c * inv % p) for m, c in terms)
         add_element(terms, sugar)
 
+    numerator = None
     if target is not None:
         # a lower bound may stay below HF_{S/I}: only a deficit is wrong
         excesses = [excess(d) for d in range(top + 1)]
@@ -590,14 +747,25 @@ def _buchberger(generators, ring, budget, codec: _Codec,
             raise InternalIdentityError(
                 f"the basis's initial ideal misses the Hilbert target in "
                 f"degrees {wrong}")
-    return _interreduce(basis, ring, codec, eliminate)
+        # N(S/in(G)) = excess_num + the target's numerator, the basis's
+        # own Hilbert numerator unless only a block of it is kept
+        if not eliminate:
+            numerator = dict(excess_num)
+            for d, c in target.numerator.items():
+                numerator[d] = numerator.get(d, 0) + c
+            numerator = {d: c for d, c in numerator.items() if c}
+    out = _interreduce(basis, ring, codec, eliminate)
+    if numerator is not None:
+        out._hilbert = (weights, numerator)
+    return out
 
 
 def _interreduce(basis, ring, codec, eliminate) -> GroebnerBasis:
     """Minimalize heads, then tail-reduce everything: the reduced GB.  With
     ``eliminate`` = m, only the elements with heads free of the variables
     0..m-1 take part."""
-    live = sorted((g for g in basis if not any(g.exps[:eliminate])),
+    block = (1 << (codec.exp_bits * eliminate)) - 1   # fields 0..m-1
+    live = sorted((g for g in basis if not g.lm & block),
                   key=lambda g: g.lm_full)
     minimal: list[_Reducer] = []
     for g in live:

@@ -1,6 +1,6 @@
 """Graded homological algebra over F_p.
 
-Hilbert series (via the pivot recursion on the monomial initial ideal),
+Hilbert series (read off the initial ideal by ``gb``'s numerator kernel),
 minimal graded Betti numbers (via Koszul homology: beta_{i,j} is the rank of
 Tor_i(S/I, k)_j, computed as linear algebra on the Koszul strands), and the
 derived invariants: regularity, projective dimension, ACM-ness, the N_{d,p}
@@ -25,10 +25,9 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from operator import mul
 
-from .gb import (GroebnerBasis, HilbertTarget, Ideal, _ideal_with_gb,
-                 buchberger)
+from .gb import (GroebnerBasis, HilbertTarget, Ideal, InternalIdentityError,
+                 _ideal_with_gb, buchberger)
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 
@@ -36,74 +35,9 @@ class ZeroIdeal(ValueError):
     """Operation undefined for the zero ideal."""
 
 
-class InternalIdentityError(RuntimeError):
-    """A computed result broke an identity that holds by theorem
-    (beta_{i,j} >= 0, Betti numerator = Hilbert numerator, a driven basis
-    meets its exact Hilbert target and never undercuts a lower bound): the
-    result is wrong, not the prediction."""
-
-
 # ---------------------------------------------------------------------------
 # Hilbert series
 # ---------------------------------------------------------------------------
-
-def _minimalize(gens):
-    """Minimal generators of the monomial ideal spanned by ``gens``."""
-    gens = sorted(set(gens), key=sum)
-    out = []
-    for g in gens:
-        if not any(all(x <= y for x, y in zip(h, g)) for h in out):
-            out.append(g)
-    return out
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for da, ca in a.items():
-        for db, cb in b.items():
-            d = da + db
-            out[d] = out.get(d, 0) + ca * cb
-    return {d: c for d, c in out.items() if c}
-
-
-def _numerator(gens, weights, memo) -> dict:
-    """Numerator N(t) of the Hilbert series N(t) / prod_v (1 - t^{w_v}) of
-    S/(gens), with variable v of weight w_v; all-ones ``weights`` give the
-    standard N(t)/(1-t)^n."""
-    gens = _minimalize(gens)
-    key = frozenset(gens)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if not gens:
-        res = {0: 1}
-    elif any(sum(g) == 0 for g in gens):
-        res = {}
-    elif all(not any(x and y for x, y in zip(a, b))
-             for a, b in combinations(gens, 2)):
-        # pairwise coprime generators: product formula
-        res = {0: 1}
-        for g in gens:
-            res = _poly_mul(res, {0: 1, sum(map(mul, weights, g)): -1})
-    else:
-        # pivot on the most shared variable:
-        # N(M) = N(M + x_v) + t^{w_v} N(M : x_v)
-        n = len(gens[0])
-        counts = [sum(1 for g in gens if g[v]) for v in range(n)]
-        v = max(range(n), key=lambda i: counts[i])
-        piv = tuple(1 if i == v else 0 for i in range(n))
-        plus = [piv] + [g for g in gens if g[v] == 0]
-        colon = [tuple(max(e - 1, 0) if i == v else e
-                       for i, e in enumerate(g)) for g in gens]
-        np_ = _numerator(plus, weights, memo)
-        nc = _numerator(colon, weights, memo)
-        res = dict(np_)
-        for d, c in nc.items():
-            res[d + weights[v]] = res.get(d + weights[v], 0) + c
-        res = {d: c for d, c in res.items() if c}
-    memo[key] = res
-    return res
-
 
 @dataclass(frozen=True)
 class HilbertData:
@@ -164,9 +98,7 @@ def _hilbert_data(I: Ideal, pair_budget) -> HilbertData:
     n = ring.nvars
     if I.is_zero():
         return HilbertData(n, (1,), n, 1)
-    gb = I.groebner(pair_budget=pair_budget)
-    lms = [f.lm for f in gb]
-    num = _numerator(lms, (1,) * n, {})
+    num = I.groebner(pair_budget=pair_budget).hilbert_numerator((1,) * n)
     if not num:
         # unit ideal: S/I = 0
         return HilbertData(n, (0,), -1, 0)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gb import (GroebnerBasis, HilbertTarget, Ideal, _ideal_with_gb,
-                 buchberger)
-from .homalg import _numerator, _poly_mul, hilbert_data
+                 _poly_mul, buchberger)
+from .homalg import hilbert_data
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 
@@ -157,9 +157,8 @@ def _join_with_parametrization(param: ConeParametrization, cur: Ideal,
     imgs = [big.gen(m + i) - nu[i] for i in range(n)]
     gens = [_transplant(f, big, pos_p) for f in param.constraints]
     gens += [f.compose(imgs, big) for f in cur.generators]
-    chart_num = _numerator(
-        [f.lm for f in buchberger(param.constraints, param.ring)],
-        param.weights, {})
+    chart_num = buchberger(param.constraints, param.ring).hilbert_numerator(
+        param.weights)
     cur_num = {param.image_weight * d: c for d, c in enumerate(
         hilbert_data(cur, pair_budget=pair_budget).numerator) if c}
     target = HilbertTarget(weights, _poly_mul(chart_num, cur_num))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from secantlab import gb as gb_module
 from secantlab.arith import PrimeField
-from secantlab.gb import HilbertTarget, Ideal, ResourceLimit, buchberger
-from secantlab.homalg import InternalIdentityError, _numerator, _poly_mul
+from secantlab.gb import (HilbertTarget, Ideal, InternalIdentityError,
+                          ResourceLimit, _poly_mul, buchberger)
 from secantlab.poly import MonomialOrder, PolyRing
 
 F = PrimeField(32003)
@@ -126,8 +126,7 @@ def _free_of(f, m):
 
 def _exact_target(basis, weights):
     """The weighted Hilbert series of S/I read off a reduced basis of I."""
-    return HilbertTarget(weights, _numerator([f.lm for f in basis], weights,
-                                             {}))
+    return HilbertTarget(weights, basis.hilbert_numerator(weights))
 
 
 @st.composite
@@ -289,3 +288,106 @@ def test_lower_bound_target_guard():
     with pytest.raises(InternalIdentityError, match=r"degrees \[0\]"):
         buchberger(gens, R, target=HilbertTarget((1, 1, 1), num,
                                                  exact=False))
+
+
+@st.composite
+def exponent_pairs(draw):
+    """A codec, narrow or wide, and two exponent vectors whose total
+    degrees stay below its cap, as every stored monomial's does."""
+    n = draw(st.integers(1, 6))
+    codec = gb_module._Codec(PolyRing([f"x{i}" for i in range(n)], F),
+                             wide=draw(st.booleans()))
+    vectors = []
+    for _ in range(2):
+        left = draw(st.integers(0, codec.deg_cap - 1))
+        e = []
+        for _ in range(n):
+            e.append(draw(st.integers(0, left)))
+            left -= e[-1]
+        vectors.append(tuple(draw(st.permutations(e))))
+    weights = draw(st.tuples(*[st.integers(1, 12)] * n))
+    return codec, vectors[0], vectors[1], weights
+
+
+def _word(codec, exps):
+    return sum(e << (codec.exp_bits * i) for i, e in enumerate(exps))
+
+
+@given(exponent_pairs())
+@settings(max_examples=200, deadline=None)
+def test_word_arithmetic_matches_tuples(case):
+    codec, ea, eb, weights = case
+    a, b = _word(codec, ea), _word(codec, eb)
+    assert codec.encode(ea) & codec.pmask == a
+    lcm = tuple(map(max, ea, eb))
+    assert codec.exp_colon(a, b) == _word(
+        codec, tuple(max(x - y, 0) for x, y in zip(ea, eb)))
+    assert codec.exp_lcm(a, b) == _word(codec, lcm)
+    coprime = all(x == 0 or y == 0 for x, y in zip(ea, eb))
+    assert (codec.exp_lcm(a, b) == a + b) == coprime
+    assert codec.exp_deg(a) == sum(ea)
+    assert codec.exp_deg(_word(codec, lcm)) == sum(lcm)
+    guard_bit = 1 << (codec.exp_bits - 1)
+    assert codec.exp_nonzero(a) == _word(
+        codec, tuple(guard_bit if x else 0 for x in ea))
+    assert codec.weigher(weights)(a) == sum(map(mul, weights, ea))
+
+
+def _standard_count(gens, weights, d):
+    """Monomials of weighted degree d divisible by no generator."""
+    return sum(
+        1 for e in product(*(range(d // w + 1) for w in weights))
+        if sum(map(mul, weights, e)) == d
+        and not any(all(map(int.__le__, g, e)) for g in gens))
+
+
+def _kernel_hilbert_function(gens, weights, wide, degrees):
+    codec = gb_module._Codec(
+        PolyRing([f"x{i}" for i in range(len(weights))], F), wide=wide)
+    num = gb_module._numerator([_word(codec, g) for g in gens], codec,
+                               weights)
+    series = gb_module._series_of_denominator(weights, max(degrees) + 1)
+    return [sum(c * series[d - e] for e, c in num.items() if e <= d)
+            for d in degrees]
+
+
+@given(st.tuples(*[st.integers(1, 3)] * 3),
+       st.lists(st.tuples(*[st.integers(0, 4)] * 3), max_size=6),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_numerator_kernel_counts_standard_monomials(weights, gens, wide):
+    degrees = range(13)
+    assert _kernel_hilbert_function(gens, weights, wide, degrees) == [
+        _standard_count(gens, weights, d) for d in degrees]
+
+
+def test_numerator_kernel_counts_past_one_field():
+    # (x, y, z)^23 has 300 minimal generators and x is in 276 of them,
+    # more than one narrow field counts at once
+    gens = [(a, b, 23 - a - b) for a in range(24) for b in range(24 - a)]
+    degrees = range(26)
+    expected = [(d + 1) * (d + 2) // 2 if d < 23 else 0 for d in degrees]
+    assert _kernel_hilbert_function(gens, (1, 1, 1), False,
+                                    degrees) == expected
+
+
+@given(weighted_homogeneous_ideals())
+@settings(max_examples=40, deadline=None)
+def test_driven_run_hands_over_its_numerator(ideal):
+    # a driven run keeps N(in G) and stores it on the basis; counting the
+    # heads of the same basis afresh gives the same numerator
+    weights, terms = ideal
+    gens = [R.from_dict(t) for t in terms]
+    target = _exact_target(buchberger(gens, R), weights)
+    driven = buchberger(gens, R, target=target)
+    assert driven._hilbert is not None
+    assert driven.hilbert_numerator(weights) == gb_module.GroebnerBasis(
+        driven.elements, R).hilbert_numerator(weights)
+
+
+def test_hilbert_numerator_restarts_wide():
+    # a head of degree 70 is past the narrow cap of 64
+    Ru = PolyRing(["u", "v"], F)
+    basis = gb_module.GroebnerBasis([Ru.parse("u^70"), Ru.parse("v^2")], Ru)
+    assert basis.hilbert_numerator((1, 1)) == {0: 1, 2: -1, 70: -1, 72: 1}
+    assert basis._codec.wide

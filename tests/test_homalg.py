@@ -510,6 +510,24 @@ def test_driven_cut_reduction_gate(monkeypatch):
         assert len(remainders) <= 10 and all(remainders)
 
 
+def test_cut_chain_reads_each_numerator_off_its_driven_run(monkeypatch):
+    # each driven cut run hands its Hilbert numerator to hilbert_data, so
+    # the chain never counts the heads of a cut's basis a second time
+    I = _hankel_minors(6)
+    hd = hilbert_data(I)
+    counted = []
+    real = gb_module.GroebnerBasis._head_words
+
+    def spy(self):
+        counted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(gb_module.GroebnerBasis, "_head_words", spy)
+    chain = list(regular_cut(I, hd))
+    assert len(chain) == 5 and all(ok for _, _, ok in chain)
+    assert counted == []
+
+
 def test_identity_check_catches_wrong_ranks(monkeypatch):
     I = twisted_cubic()
     monkeypatch.setattr(homalg, "_rank_mod", lambda A, p: 0)

@@ -5,7 +5,7 @@ from secantlab import gb as gb_module
 from secantlab.arith import PrimeField
 from secantlab.curves import CurveModel, embed, rational_normal_curve
 from secantlab.gb import Ideal, _ideal_with_gb, buchberger
-from secantlab.homalg import _numerator, hilbert_data
+from secantlab.homalg import hilbert_data
 from secantlab.ideal_ops import (PointNotOnVariety, PointedIdeal, SecantSpec,
                                  _join_literal, _join_with_parametrization,
                                  intersect, saturate_irrelevant, secant_join,
@@ -180,11 +180,8 @@ def test_elliptic_sextic_join_basis_gate(monkeypatch):
     assert len(elim) == 1 and elim[0] <= 99
 
 
-def test_elliptic_sextic_join_reduction_gate(monkeypatch):
-    # Deterministic work counter: the Hilbert-driven elimination divides
-    # 172 times (10 generators, 157 S-pairs, 5 interreductions, one per
-    # parameter-free element), 68 of them to zero; interreducing the whole
-    # basis took 266 divisions, and the untargeted loop 600, 381 to zero.
+def _driven_join_remainders(monkeypatch, spec):
+    """Remainders of every division in secant_join's Hilbert-driven runs."""
     reduce_full = gb_module._reduce_full
     remainders = []
     active = []
@@ -195,21 +192,40 @@ def test_elliptic_sextic_join_reduction_gate(monkeypatch):
             remainders.append(out[0])
         return out
 
-    def spy(gens, ring, *args, **kwargs):
-        if ring.order.name == "block_elim(3)":
+    def spy(*args, target=None, **kwargs):
+        if target is not None:
             active.append(True)
         try:
-            return buchberger(gens, ring, *args, **kwargs)
+            return buchberger(*args, target=target, **kwargs)
         finally:
             active.clear()
 
     monkeypatch.setattr(gb_module, "_reduce_full", reduce_spy)
     monkeypatch.setattr(ideal_ops, "buchberger", spy)
+    secant_join(spec)
+    return remainders
+
+
+def test_elliptic_sextic_join_reduction_gate(monkeypatch):
+    # Deterministic work counter: the Hilbert-driven elimination divides
+    # 172 times (10 generators, 157 S-pairs, 5 interreductions, one per
+    # parameter-free element), 68 of them to zero; interreducing the whole
+    # basis took 266 divisions, and the untargeted loop 600, 381 to zero.
     R2 = PolyRing(["x", "y"], F)
     E = embed(CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1")), 6)
-    secant_join(E.secant_spec(1))
+    remainders = _driven_join_remainders(monkeypatch, E.secant_spec(1))
     assert len(remainders) <= 172
     assert sum(1 for r in remainders if not r) <= 68
+
+
+def test_rnc6_k2_join_reduction_gate(monkeypatch):
+    # Deterministic work counter: the two driven joins of the secant plane
+    # variety of the rational normal sextic divide 352 times, 164 of them
+    # to zero
+    spec = rational_normal_curve(6, F).secant_spec(2)
+    remainders = _driven_join_remainders(monkeypatch, spec)
+    assert len(remainders) <= 352
+    assert sum(1 for r in remainders if not r) <= 164
 
 
 def _free_of(f, m):
@@ -301,8 +317,7 @@ def test_driven_join_equals_untargeted(genus, equation, d, k, monkeypatch):
         if target is None:
             assert not eliminate
             return ref
-        lms = [f.lm for f in ref]
-        assert target.numerator == _numerator(lms, target.weights, {})
+        assert target.numerator == ref.hilbert_numerator(target.weights)
         driven = buchberger(gens, ring, *args, target=target,
                             eliminate=eliminate, **kwargs)
         assert [f.terms for f in driven] == [
