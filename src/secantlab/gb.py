@@ -5,21 +5,20 @@ loop reduces each generator and S-polynomial only until its head is
 irreducible and stores the rest unreduced: Buchberger's criterion needs
 irreducible heads only.  Tails are fully reduced once, when the finished
 basis is interreduced, and ``GroebnerBasis.normal_form`` always reduces
-fully.  Without a Hilbert target, every generator is reduced first, then
-pair selection uses the sugar strategy (minimal sugar, then lcm degree,
-then order; sugar grows over the head steps), which is the normal strategy
-on homogeneous input, where sugar is the lcm degree.
-With a target, a weighted Hilbert series that is either exact for S/I or
-a coefficient-wise lower bound on it, for a weighted-homogeneous ideal
-(Traverso, J. Symbolic Comput. 22, 1996), generators and pairs are taken
-together by the weighted degree of their lcm, and one of degree d is
-dropped unreduced once dim (S/in(G))_d equals the target's.  Since
+fully.  Every run has one selection rule: generators and pairs are taken
+together by the weighted degree of their head or lcm, generators first
+within a degree, then pairs by ascending lcm.  The weights are the
+target's when there is one, else the order's (a block's weights, 1 in a
+block without), so on homogeneous input this is the normal strategy.
+A Hilbert target, a weighted Hilbert series that is either exact for S/I
+or a coefficient-wise lower bound on it, for a weighted-homogeneous ideal
+(Traverso, J. Symbolic Comput. 22, 1996), lets a run drop a generator or
+pair of degree d unreduced once dim (S/in(G))_d equals the target's.  Since
 dim (S/in(G))_d >= dim (S/I)_d >= target(d), in(G) is then complete in
 degree d, so it would reduce to zero; this holds for a lower bound as much
 as for the exact series.  The count of in(G) is kept incrementally,
 N(M + m) = N(M) - t^e N(M : m) for a new head m of weight e, and a run
-without ``eliminate`` hands it to the returned basis.  Driven runs never
-read sugar and compute none for their generators and S-pairs.  The reduced
+without ``eliminate`` hands it to the returned basis.  The reduced
 basis is canonical for the (ideal, order) pair, so recomputation from any
 generating set of the same ideal, driven or not, yields identical output.
 An elimination run (``eliminate`` = the first block of a block order)
@@ -96,10 +95,9 @@ class _Codec:
     monomials still fits its fields exactly.
     """
 
-    __slots__ = ("n", "one", "pmask", "guard", "low", "ones", "exp_bits",
-                 "deg_shift", "deg_mask", "deg_cap", "wide", "exp_nbytes",
-                 "var_of_byte", "_coeff_vec", "_const", "_shifts",
-                 "_exp_mask", "_sum_shift")
+    __slots__ = ("one", "pmask", "guard", "low", "ones", "exp_bits",
+                 "deg_shift", "deg_mask", "deg_cap", "wide", "order_weights",
+                 "_coeff_vec", "_const", "_shifts", "_exp_mask", "_sum_shift")
 
     def __init__(self, ring: PolyRing, wide: bool = False):
         exp_bits = 16 if wide else 8
@@ -107,7 +105,6 @@ class _Codec:
         deg_bits = 24 if wide else 16
         kcap = 1 << (key_bits - 2)
         n = ring.nvars
-        self.n = n
         self.wide = wide
         # linear form: packed(e) = const + sum_i coeff[i] * e_i
         coeff = [0] * n
@@ -135,13 +132,17 @@ class _Codec:
             coeff[i] += 1 << pos
         pos += deg_bits
 
-        # order key fields, least significant block first
-        maxweight = 1
+        # order key fields, least significant block first; order_weights
+        # grades each variable by its block's weight, 1 in an unweighted one
         blocks = []
+        order_weights = [1] * n
         for kind, start, stop, weights in ring.order.blocks:
-            blocks.append((kind, start, n if stop is None else stop, weights))
+            stop = n if stop is None else stop
+            blocks.append((kind, start, stop, weights))
             if weights is not None:
-                maxweight = max(maxweight, *weights)
+                order_weights[start:stop] = weights
+        self.order_weights = tuple(order_weights)
+        maxweight = max(order_weights, default=1)
         for kind, start, stop, weights in reversed(blocks):
             idx = list(range(start, stop))
             if kind == "lex":
@@ -163,8 +164,6 @@ class _Codec:
         self._const = const
         self.one = const
         self._shifts = [exp_bits * i for i in range(n)]
-        self.exp_nbytes = (exp_bits // 8) * n
-        self.var_of_byte = [i // (exp_bits // 8) for i in range(self.exp_nbytes)]
         # stored monomials stay below deg_cap; transient products of two of
         # them then keep every exponent and key field carry-free
         self.deg_cap = min(1 << (exp_bits - 2), kcap // (2 * maxweight + 1))
@@ -187,14 +186,6 @@ class _Codec:
     def decode(self, m: int) -> tuple:
         p = m & self.pmask
         return tuple((p >> s) & self._exp_mask for s in self._shifts)
-
-    def support_mask(self, m: int) -> int:
-        sm = 0
-        for b, v in zip((m & self.pmask).to_bytes(self.exp_nbytes, "little"),
-                        self.var_of_byte):
-            if b:
-                sm |= 1 << v
-        return sm
 
     def divides(self, a: int, b: int) -> bool:
         g = self.guard
@@ -242,30 +233,28 @@ class _Codec:
 class _Reducer:
     """Monic basis element prepared for division: packed head plus tail."""
 
-    __slots__ = ("lm", "lm_full", "lmdeg", "smask", "tail", "sugar", "alive",
-                 "index")
+    __slots__ = ("lm", "lm_full", "lmdeg", "tail", "alive", "index")
 
-    def __init__(self, lm_full, tail, sugar, index, codec: _Codec):
+    def __init__(self, lm_full, tail, index, codec: _Codec):
         self.lm_full = lm_full    # packed monomial, order key included
-        self.lm = lm_full & codec.pmask    # exponent word, for lcm work
+        self.lm = lm_full & codec.pmask    # exponent word: division, lcms
         self.lmdeg = codec.deg(lm_full)
-        self.smask = codec.support_mask(lm_full)  # bit i: variable i in lm
         self.tail = tail          # tuple of (packed, coeff), head stripped
-        self.sugar = sugar
         self.alive = True         # False once head-redundant (still a reducer)
         self.index = index
 
 
-def _reduce_full(items, reducers, codec: _Codec, p: int, sugar: int = 0,
-                 head_only: bool = False):
-    """Normal form of (packed, coeff) items against the reducer list.
+def _reduce_full(items, reducers, codec: _Codec, p: int,
+                 head_only: bool = False) -> tuple:
+    """Normal form of (packed, coeff) items against the reducer list, as a
+    tuple of terms sorted descending as packed ints.
 
-    Returns (terms_desc, sugar); terms_desc sorted descending as packed ints.
-    Reducers must be monic.  With ``head_only`` the reduction stops at the
+    Reducers must be monic; each term is divided by the first reducer
+    whose head divides it.  With ``head_only`` the reduction stops at the
     first term no head divides, and the terms below it are returned
-    unreduced; sugar then counts the head steps only.  Every returned term
-    is checked against the degree cap, popped or not: under a block or
-    weighted order a tail term can outweigh its head in total degree.
+    unreduced.  Every returned term is checked against the degree cap,
+    popped or not: under a block or weighted order a tail term can outweigh
+    its head in total degree.
     """
     one = codec.one
     guard = codec.guard
@@ -273,8 +262,6 @@ def _reduce_full(items, reducers, codec: _Codec, p: int, sugar: int = 0,
     deg_shift = codec.deg_shift
     deg_mask = codec.deg_mask
     deg_cap = codec.deg_cap
-    nbytes = codec.exp_nbytes
-    var_of_byte = codec.var_of_byte
     coeffs: dict = {}
     get = coeffs.get
     for m, c in items:
@@ -296,17 +283,10 @@ def _reduce_full(items, reducers, codec: _Codec, p: int, sugar: int = 0,
         dm = (m >> deg_shift) & deg_mask
         if dm >= deg_cap:
             codec.too_large()
-        mt = m & pmask
-        sm = 0
-        for b, v in zip(mt.to_bytes(nbytes, "little"), var_of_byte):
-            if b:
-                sm |= 1 << v
-        notm = ~sm
-        mp = mt | guard
+        mp = (m & pmask) | guard
         red = None
         for g in reducers:
-            if g.lmdeg <= dm and not (g.smask & notm) \
-                    and (mp - g.lm) & guard == guard:
+            if g.lmdeg <= dm and (mp - g.lm) & guard == guard:
                 red = g
                 break
         if red is None:
@@ -320,9 +300,6 @@ def _reduce_full(items, reducers, codec: _Codec, p: int, sugar: int = 0,
                 break
             continue
         q1 = m - red.lm_full + one - one
-        dq = dm - red.lmdeg
-        if red.sugar + dq > sugar:
-            sugar = red.sugar + dq
         for m2, c2 in red.tail:
             nm = m2 + q1
             old = get(nm)
@@ -337,7 +314,7 @@ def _reduce_full(items, reducers, codec: _Codec, p: int, sugar: int = 0,
                     coeffs[nm] = nc
                 else:
                     del coeffs[nm]
-    return tuple(remainder), sugar
+    return tuple(remainder)
 
 
 class GroebnerBasis:
@@ -361,8 +338,7 @@ class GroebnerBasis:
             enc = codec.encode
             self._reducers = [
                 _Reducer(enc(f.terms[0][0]),
-                         tuple((enc(m), c) for m, c in f.terms[1:]), 0, i,
-                         codec)
+                         tuple((enc(m), c) for m, c in f.terms[1:]), i, codec)
                 for i, f in enumerate(self.elements)]
         return self._reducers
 
@@ -372,14 +348,14 @@ class GroebnerBasis:
         try:
             codec = self._codec
             items = [(codec.encode(m), c) for m, c in f.terms]
-            terms, _ = _reduce_full(items, self._prepared(), codec,
-                                    self.ring.field.p)
+            terms = _reduce_full(items, self._prepared(), codec,
+                                 self.ring.field.p)
         except _NeedWide:
             self._codec = codec = _Codec(self.ring, wide=True)
             self._reducers = None
             items = [(codec.encode(m), c) for m, c in f.terms]
-            terms, _ = _reduce_full(items, self._prepared(), codec,
-                                    self.ring.field.p)
+            terms = _reduce_full(items, self._prepared(), codec,
+                                 self.ring.field.p)
         dec = codec.decode
         return Polynomial(self.ring, tuple((dec(m), c) for m, c in terms))
 
@@ -600,26 +576,23 @@ def _buchberger(generators, ring, budget, codec: _Codec,
     packed_gens.sort(key=lambda it: it[0][0])
 
     basis: list[_Reducer] = []
-    # generators and S-pairs share one queue of (priority, i, j); a
-    # generator is (priority, -1, index into packed_gens), a pair (i, j)
-    # is live while it is in pair_set.  Without a target every generator
-    # comes before every pair.
-    queue: list = []
+    # generators and S-pairs share one queue of (priority, i, j), taken by
+    # the weighted degree of their head or lcm, generators first within a
+    # degree: a generator is ((wdeg, -1, index into packed_gens), -1,
+    # index), a pair (i, j) is ((wdeg, lcm, j, i), i, j) and live while it
+    # is in pair_set.  The weights are the target's, else the order's.
+    weights = codec.order_weights if target is None else tuple(target.weights)
+    wdeg = codec.weigher(weights)
+    queue = [((wdeg(items[0][0] & pmask), -1, g), -1, g)
+             for g, items in enumerate(packed_gens)]
+    heapq.heapify(queue)
     pair_set: dict = {}        # (i, j) -> packed lcm
 
-    if target is None:
-        for g in range(len(packed_gens)):
-            queue.append(((-1, g), -1, g))
-    else:
-        # Hilbert-driven: take everything by the weighted degree of its
-        # lcm, generators first within a degree.  excess(d) is
-        # HF_{S/in(G)}(d) - target(d), read off the numerator difference
-        # ``excess_num`` over the common denominator.  Sugar is never read.
-        weights = tuple(target.weights)
-        wdeg = codec.weigher(weights)
+    if target is not None:
+        # Hilbert-driven: excess(d) is HF_{S/in(G)}(d) - target(d), read
+        # off the numerator difference ``excess_num`` over the common
+        # denominator
         exp_colon = codec.exp_colon
-        for g, items in enumerate(packed_gens):
-            queue.append(((wdeg(items[0][0] & pmask), -1, g), -1, g))
         excess_num = {d: -c for d, c in target.numerator.items()}
         excess_num[0] = excess_num.get(0, 0) + 1
         series = []
@@ -630,21 +603,12 @@ def _buchberger(generators, ring, budget, codec: _Codec,
                 series = _series_of_denominator(weights, 2 * d + 1)
             return sum(c * series[d - e]
                        for e, c in excess_num.items() if e <= d)
-    heapq.heapify(queue)
 
-    def pair_priority(i, j, lcm):
-        if target is not None:
-            return (wdeg(lcm & pmask), lcm, j, i)
-        dl = codec.deg(lcm)
-        gi, gj = basis[i], basis[j]
-        sugar = max(gi.sugar + dl - gi.lmdeg, gj.sugar + dl - gj.lmdeg)
-        return (sugar, dl, lcm, j, i)
-
-    def add_element(terms, sugar):
+    def add_element(terms):
         """Gebauer-Moller update with the new monic element, on exponent
         words."""
         t = len(basis)
-        red = _Reducer(terms[0][0], terms[1:], sugar, t, codec)
+        red = _Reducer(terms[0][0], terms[1:], t, codec)
         lm = red.lm
         live = [g for g in basis if g.alive]
 
@@ -685,7 +649,7 @@ def _buchberger(generators, ring, budget, codec: _Codec,
                 continue           # coprime heads
             lcm = codec.encode(codec.decode(lcm))
             pair_set[(i, t)] = lcm
-            heapq.heappush(queue, (pair_priority(i, t, lcm), i, t))
+            heapq.heappush(queue, ((wdeg(lcm & pmask), lcm, t, i), i, t))
         # head-redundant old elements stop generating pairs
         for g in live:
             if ((g.lm | guard) - lm) & guard == guard:
@@ -693,7 +657,6 @@ def _buchberger(generators, ring, budget, codec: _Codec,
 
     processed = 0
     top = 0                    # largest weighted degree taken from the queue
-    sugar0 = 0                 # stays 0 on a driven run
     while queue:
         prio, i, j = heapq.heappop(queue)
         if i >= 0:
@@ -706,8 +669,6 @@ def _buchberger(generators, ring, budget, codec: _Codec,
                 continue       # in(G) is complete in this degree
         if i < 0:
             items = packed_gens[j]
-            if target is None:
-                sugar0 = max(codec.deg(m) for m, _ in items)
         else:
             processed += 1
             if processed > budget:
@@ -725,17 +686,13 @@ def _buchberger(generators, ring, budget, codec: _Codec,
             items = [(m, c) for m, c in spoly.items() if c]
             if not items:
                 continue
-            if target is None:
-                sugar0 = max(gi.sugar + codec.deg(qi),
-                             gj.sugar + codec.deg(qj))
-        terms, sugar = _reduce_full(items, basis, codec, p, sugar0,
-                                    head_only=True)
+        terms = _reduce_full(items, basis, codec, p, head_only=True)
         if not terms:
             continue
         if terms[0][1] != 1:
             inv = ring.field.inv(terms[0][1])
             terms = tuple((m, c * inv % p) for m, c in terms)
-        add_element(terms, sugar)
+        add_element(terms)
 
     numerator = None
     if target is not None:
@@ -778,7 +735,7 @@ def _interreduce(basis, ring, codec, eliminate) -> GroebnerBasis:
     for g in minimal:
         # every term met while reducing g's tail is below g.lm, so g's own
         # head divides none of them and one shared list serves every g
-        tail, _ = _reduce_full(g.tail, minimal, codec, p)
+        tail = _reduce_full(g.tail, minimal, codec, p)
         terms = ((dec(g.lm_full), 1),) + tuple((dec(m), c) for m, c in tail)
         out.append(Polynomial(ring, terms))
     out.sort(key=lambda f: ring._key(f.terms[0][0]))
@@ -787,7 +744,7 @@ def _interreduce(basis, ring, codec, eliminate) -> GroebnerBasis:
 
 class Ideal:
     """Generator list with a cached reduced Groebner basis for the ring's
-    order and a cached Hilbert series (written by ``homalg.hilbert_data``)."""
+    order."""
 
     def __init__(self, ring: PolyRing, generators):
         for g in generators:
@@ -796,7 +753,6 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(g for g in generators if g.terms)
         self._gb = None
-        self._hilbert_cache = None
 
     def groebner(self, pair_budget: int | None = None) -> GroebnerBasis:
         if self._gb is None:

@@ -85,17 +85,11 @@ class HilbertData:
 def hilbert_data(I: Ideal, pair_budget=None) -> HilbertData:
     """Hilbert series, Krull dimension, and degree of S/I.
 
-    Works from the initial ideal of a Groebner basis, independent of any
-    resolution machinery.  The result is cached on I.
+    Works from the initial ideal of I's cached Groebner basis, whose
+    ``hilbert_numerator`` is counted once per basis, independent of any
+    resolution machinery.
     """
-    if I._hilbert_cache is None:
-        I._hilbert_cache = _hilbert_data(I, pair_budget)
-    return I._hilbert_cache
-
-
-def _hilbert_data(I: Ideal, pair_budget) -> HilbertData:
-    ring = I.ring
-    n = ring.nvars
+    n = I.ring.nvars
     if I.is_zero():
         return HilbertData(n, (1,), n, 1)
     num = I.groebner(pair_budget=pair_budget).hilbert_numerator((1,) * n)

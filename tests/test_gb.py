@@ -220,6 +220,32 @@ def test_result_is_a_reduced_basis(ideal, block, wide):
             assert basis.normal_form(_s_polynomial(f, g)).is_zero()
 
 
+def test_untargeted_run_adds_heads_by_order_weighted_degree(monkeypatch):
+    # without a target the queue is graded by the order's own weights, so
+    # on weighted-homogeneous input every new head has a weighted degree at
+    # least the one before.  Taking every generator first adds the head t*x
+    # of degree 2 after the degree-6 head of y^3 - z^2, which the block
+    # order puts below it
+    w = (1, 1, 2, 3)
+    Rb = PolyRing(["t", "x", "y", "z"], F, MonomialOrder.block_elim(1, w))
+    gens = [Rb.parse(s) for s in ("y^3 - z^2", "t*x - y", "x^3 - z",
+                                  "t^2*y - x*z")]
+    heads = []
+    real_reducer = gb_module._Reducer
+
+    class SpyReducer(real_reducer):
+        __slots__ = ()
+
+        def __init__(self, lm_full, *args):
+            super().__init__(lm_full, *args)
+            heads.append(args[-1].decode(lm_full))
+
+    monkeypatch.setattr(gb_module, "_Reducer", SpyReducer)
+    buchberger(gens, Rb)
+    degrees = [sum(map(mul, w, e)) for e in heads]
+    assert len(degrees) > len(gens) and degrees == sorted(degrees)
+
+
 def test_unreduced_tails_respect_the_narrow_cap(monkeypatch):
     # the loop leaves tails unreduced, so a tail term is never popped; under
     # a block order t*y^10 becomes x^60*y^10 of degree 70 below a head of
@@ -234,8 +260,8 @@ def test_unreduced_tails_respect_the_narrow_cap(monkeypatch):
     class SpyReducer(real_reducer):
         __slots__ = ()
 
-        def __init__(self, lm_full, tail, sugar, index, codec):
-            super().__init__(lm_full, tail, sugar, index, codec)
+        def __init__(self, lm_full, tail, index, codec):
+            super().__init__(lm_full, tail, index, codec)
             if not codec.wide:
                 stored.append(codec.deg(lm_full))
                 stored.extend(codec.deg(m) for m, _ in tail)

@@ -44,16 +44,21 @@ def test_hilbert_twisted_cubic():
 
 def test_resolution_reuses_callers_hilbert_data(monkeypatch):
     # cli.cmd_betti and oracle.verify compute hilbert_data(I) first; the
-    # resolution gets it from the cache on I instead of computing it again
+    # resolution reads it off the numerator cached on I's basis instead of
+    # counting the heads of that basis again
     I = twisted_cubic()
     hd = hilbert_data(I)
-    computed = []
-    real = homalg._hilbert_data
-    monkeypatch.setattr(homalg, "_hilbert_data",
-                        lambda J, *a: computed.append(J) or real(J, *a))
+    asked, counted = [], []
+    real_data = homalg.hilbert_data
+    real_count = gb_module.GroebnerBasis._head_words
+    monkeypatch.setattr(homalg, "hilbert_data",
+                        lambda J, **kw: asked.append(J) or real_data(J, **kw))
+    monkeypatch.setattr(gb_module.GroebnerBasis, "_head_words",
+                        lambda self: counted.append(self) or real_count(self))
     minimal_free_resolution(I)
-    assert computed and all(J is not I for J in computed)   # only the cuts
-    assert hilbert_data(I) is hd
+    assert any(J is I for J in asked)
+    assert all(basis is not I.groebner() for basis in counted)
+    assert hilbert_data(I) == hd
 
 
 def test_hilbert_zero_and_unit():
@@ -493,7 +498,7 @@ def test_driven_cut_reduction_gate(monkeypatch):
     def reduce_spy(*args, **kwargs):
         out = real_reduce(*args, **kwargs)
         if counting:
-            cut_runs[-1].append(out[0])
+            cut_runs[-1].append(out)
         return out
 
     def interreduce_spy(*args):

@@ -82,15 +82,22 @@ def _definitions(tree):
                     yield f"{node.name}.{meth.name}", meth
 
 
+def _trees(package: Path, others):
+    """The ``*.py`` files of ``package``, and the parsed trees of those and
+    of the ``*.py`` files in each directory of ``others``."""
+    paths = sorted(package.glob("*.py"))
+    trees = {path: ast.parse(path.read_text())
+             for path in paths + [p for d in others for p in d.glob("*.py")]}
+    return paths, trees
+
+
 def _unreferenced_definitions(package: Path, others) -> list:
     """Module-level functions and classes of ``package``, and the
     non-dunder methods of those classes, that no file in ``package`` or
     ``others`` refers to, other than from inside their own definition (a
     recursive call is not a use).  A method counts as referenced when
     its name is read anywhere, whatever the object."""
-    paths = sorted(package.glob("*.py"))
-    trees = {path: ast.parse(path.read_text())
-             for path in paths + [p for d in others for p in d.glob("*.py")]}
+    paths, trees = _trees(package, others)
     total = sum((_references(tree) for tree in trees.values()), Counter())
     return [f"{path.name}:{label}" for path in paths
             for label, node in _definitions(trees[path])
@@ -117,3 +124,52 @@ def test_check_sees_an_unreferenced_definition(tmp_path):
     (tests / "test_a.py").write_text("import pkg.a\npkg.a.Kept().called()\n")
     assert _unreferenced_definitions(pkg, [tests]) == ["a.py:orphan",
                                                        "a.py:Kept.unused"]
+
+
+def _attribute_reads(node) -> set:
+    """Names read as an attribute, ``obj.name`` in a load, under ``node``."""
+    return {n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_slots(package: Path, others) -> list:
+    """``__slots__`` entries of the classes of ``package`` that no file in
+    ``package`` or ``others`` reads as an attribute: a slot that is only
+    ever stored holds nothing anyone uses."""
+    paths, trees = _trees(package, others)
+    read = set().union(*map(_attribute_reads, trees.values()))
+    out = []
+    for path in paths:
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.Assign)
+                        and any(isinstance(t, ast.Name)
+                                and t.id == "__slots__"
+                                for t in node.targets)):
+                    out += [f"{path.name}:{cls.name}.{slot}"
+                            for slot in ast.literal_eval(node.value)
+                            if slot not in read]
+    return out
+
+
+def test_every_slot_is_read():
+    assert _unread_slots(SRC, [TESTS]) == []
+
+
+def test_check_sees_an_unread_slot(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text("class Packed:\n"
+                              "    __slots__ = ('used', 'stored', 'tested')\n"
+                              "    def __init__(self):\n"
+                              "        self.used = self.stored = 1\n"
+                              "        self.tested = 2\n"
+                              "    def get(self):\n"
+                              "        return self.used\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_a.py").write_text("from pkg.a import Packed\n"
+                                     "assert Packed().tested == 2\n")
+    assert _unread_slots(pkg, [tests]) == ["a.py:Packed.stored"]

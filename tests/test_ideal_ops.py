@@ -189,7 +189,7 @@ def _driven_join_remainders(monkeypatch, spec):
     def reduce_spy(*args, **kwargs):
         out = reduce_full(*args, **kwargs)
         if active:
-            remainders.append(out[0])
+            remainders.append(out)
         return out
 
     def spy(*args, target=None, **kwargs):
@@ -226,6 +226,49 @@ def test_rnc6_k2_join_reduction_gate(monkeypatch):
     remainders = _driven_join_remainders(monkeypatch, spec)
     assert len(remainders) <= 352
     assert sum(1 for r in remainders if not r) <= 164
+
+
+def _head_reduction_remainders(monkeypatch, run):
+    """Remainders of every head reduction of the Buchberger main loop, one
+    per generator or S-pair taken, while ``run()`` runs."""
+    reduce_full = gb_module._reduce_full
+    remainders = []
+
+    def reduce_spy(*args, head_only=False, **kwargs):
+        out = reduce_full(*args, head_only=head_only, **kwargs)
+        if head_only:
+            remainders.append(out)
+        return out
+
+    monkeypatch.setattr(gb_module, "_reduce_full", reduce_spy)
+    run()
+    return remainders
+
+
+def test_genus2_octic_embedding_reduction_gate(monkeypatch):
+    # Deterministic work counter for an untargeted run, graded by the
+    # elimination order's weights: embedding the genus 2 curve by degree 8
+    # head-reduces 106 generators and S-pairs, 79 of them to zero (sugar
+    # pair selection took 113, 85 to zero)
+    R2 = PolyRing(["x", "y"], F)
+    model = CurveModel(2, F, R2.parse("y^2 - x^5 - x - 1"))
+    remainders = _head_reduction_remainders(monkeypatch,
+                                            lambda: embed(model, 8))
+    assert len(remainders) <= 106
+    assert sum(1 for r in remainders if not r) <= 79
+
+
+def test_intersect_reduction_gate(monkeypatch):
+    # Deterministic work counter for an untargeted run: the elimination of
+    # test_intersect_elimination_is_the_parameter_free_part head-reduces
+    # 17 generators and S-pairs, 8 of them to zero (sugar: 16, 8 to zero)
+    R = PolyRing(["x", "y", "z"], F)
+    I = Ideal(R, [R.parse("x^2 - y*z"), R.parse("x*y - z^2")])
+    J = Ideal(R, [R.parse("x + y - z"), R.parse("y^3 - x*z^2")])
+    remainders = _head_reduction_remainders(monkeypatch,
+                                            lambda: intersect(I, J))
+    assert len(remainders) <= 17
+    assert sum(1 for r in remainders if not r) <= 8
 
 
 def _free_of(f, m):
