@@ -6,8 +6,10 @@ Tor_i(S/I, k)_j, computed as linear algebra on the Koszul strands), and the
 derived invariants: regularity, projective dimension, ACM-ness, the N_{d,p}
 syzygy properties, and Koszul cohomology dimensions.
 
-Before any strand is built, I is cut by seeded generic linear forms, one
-chain of cuts down to Krull dimension 0.  Each cut's Groebner basis is
+Before any strand is built, I is cut by linear forms, one chain of cuts
+down to Krull dimension 0: by the last variable, read off the reduced
+grevlex basis at no cost, whenever it divides no head of that basis, and
+otherwise by a seeded generic form.  Each seeded cut's Groebner basis is
 driven by the Hilbert series of the ideal it cuts, a lower bound on its
 own that is exact for a nonzerodivisor.  Hilbert data certify every form:
 the prefix of cuts that leave the Hilbert numerator unchanged are
@@ -293,29 +295,66 @@ def _cut(I: Ideal, h: Polynomial, pair_budget):
     return J, hilbert_data(J, pair_budget=pair_budget)
 
 
+def _free_cut(J: Ideal, hd: HilbertData, pair_budget):
+    """(J + (x))/(x) and its Hilbert data for the last variable x, read off
+    J's reduced grevlex basis when x divides none of its heads; else None,
+    and None for a ring of another order (the cut ring keeps J's order).
+
+    For grevlex, in(J : x) = in(J) : x (Bayer and Stillman, Invent. Math.
+    87, 1987), so x is then a nonzerodivisor on S/J, and every head
+    survives x = 0 while every surviving tail term stays standard: the
+    basis restricted to x = 0 is the reduced basis of the cut, with the
+    same heads and so the same Hilbert numerator, one variable fewer.
+    """
+    ring = J.ring
+    if ring.order != MonomialOrder.grevlex():
+        return None
+    gb = J.groebner(pair_budget=pair_budget)
+    last = ring.nvars - 1
+    if any(f.lm[last] for f in gb):
+        return None
+    cut_ring = PolyRing(ring.variables[:last], ring.field, ring.order)
+    basis = GroebnerBasis([Polynomial(cut_ring, tuple(
+        (m[:last], c) for m, c in f.terms if not m[last])) for f in gb],
+        cut_ring)
+    basis._hilbert = ((1,) * last,
+                      {d: c for d, c in enumerate(hd.numerator) if c})
+    return (_ideal_with_gb(cut_ring, basis.elements, basis),
+            HilbertData(last, hd.numerator, hd.dimension - 1, hd.degree))
+
+
 def regular_cut(I: Ideal, hd: HilbertData, seed: int = 0, pair_budget=None):
     """The cut chain of I: yields (J, hilbert_data(J), certified), first for
-    J = I, then for I cut by seeded generic linear forms h_1, h_2, ... one
-    at a time, until Krull dimension 0 (so at most nvars cuts).  ``hd`` is
-    the Hilbert data of I.
+    J = I, then for I cut by one linear form at a time, until Krull
+    dimension 0 (so at most nvars cuts).  ``hd`` is the Hilbert data of I.
+
+    Each step is a free cut by the last variable when that variable
+    divides no head of the current reduced grevlex basis (``_free_cut``:
+    no Groebner run, no substitution), and otherwise a cut by the next
+    seeded generic linear form h (``_cut``).  A certified ``secant_join``
+    output always starts with a free cut, by the very test that certified
+    its saturation.
 
     ``certified`` holds while every cut so far is a nonzerodivisor: since
     HS(S/(A,h)) = (1-t) HS(S/A) + t HS(0:h), the Hilbert numerator is
-    unchanged exactly when h is one.  The last certified J has the Betti
-    table of I in fewer variables; an ACM S/I is certified all the way
-    down to Krull dimension 0.  (1-t) HS(S/A) is also the lower bound
-    that drives each cut's Groebner basis (``_cut``): a zero-divisor cut
-    gets the same basis, with fewer pairs dropped.
+    unchanged exactly when h is one, as it always is for a free cut.  The
+    last certified J has the Betti table of I in fewer variables; an ACM
+    S/I is certified all the way down to Krull dimension 0.  (1-t) HS(S/A)
+    is also the lower bound that drives each seeded cut's Groebner basis:
+    a zero-divisor cut gets the same basis, with fewer pairs dropped.
     """
     rng = random.Random(seed)
     numerator = _strip(hd.numerator)
     J, certified = I, True
     yield J, hd, certified
     while hd.dimension > 0:
-        ring = J.ring
-        h = ring.from_dict({ring.gen(v).lm: rng.randrange(1, ring.field.p)
-                            for v in range(ring.nvars)})
-        J, hd = _cut(J, h, pair_budget)
+        cut = _free_cut(J, hd, pair_budget)
+        if cut is None:
+            ring = J.ring
+            h = ring.from_dict({ring.gen(v).lm: rng.randrange(1, ring.field.p)
+                                for v in range(ring.nvars)})
+            cut = _cut(J, h, pair_budget)
+        J, hd = cut
         certified = certified and _strip(hd.numerator) == numerator
         yield J, hd, certified
 
@@ -364,12 +403,16 @@ def minimal_free_resolution(I: Ideal, degree_bound=None, pair_budget=None,
     beta_{i,j} = dim Tor_i(S/I, k)_j, computed as the homology rank of the
     degree-j strand of the Koszul complex tensored with S'/J, where J is
     the last certified ideal of the ``regular_cut`` chain (same Betti
-    table, fewer variables).  The strand window is ``_regularity_window``
-    on the rest of the chain; entries outside it are provably zero.  With
-    ``degree_bound`` set, only entries with j <= degree_bound are computed
-    (table marked truncated), no window is needed and the chain stops at
-    its first uncertified cut.  Raises InternalIdentityError if the table
-    breaks an identity that holds by theorem.
+    table, fewer variables).  A step of the chain is a free cut by the
+    last variable, read off the basis at hand, whenever that variable
+    divides none of its heads, and a seeded generic form otherwise; the
+    table does not depend on which cuts were free.  The strand window is
+    ``_regularity_window`` on the rest of the chain; entries outside it
+    are provably zero.  With ``degree_bound`` set, only entries with
+    j <= degree_bound are computed (table marked truncated), no window is
+    needed and the chain stops at its first uncertified cut.  Raises
+    InternalIdentityError if the table breaks an identity that holds by
+    theorem.
     """
     n = I.ring.nvars
     if not I.is_homogeneous():

@@ -1,5 +1,6 @@
 import random
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from secantlab import gb as gb_module
 from secantlab import homalg
 from secantlab.arith import MAX_PRIME, PrimeField
-from secantlab.curves import CurveModel, embed, rational_normal_curve
+from secantlab.curves import (CurveModel, embed, parse_curve_file,
+                              rational_normal_curve)
 from secantlab.gb import Ideal, buchberger
 from secantlab.homalg import (InternalIdentityError, ZeroIdeal,
                               _bayer_stillman, _cut, _koszul_betti,
@@ -18,9 +20,10 @@ from secantlab.homalg import (InternalIdentityError, ZeroIdeal,
                               minimal_free_resolution, projective_dimension,
                               regular_cut, regularity)
 from secantlab.ideal_ops import secant_join
-from secantlab.poly import PolyRing
+from secantlab.poly import MonomialOrder, PolyRing
 
 F = PrimeField(32003)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def twisted_cubic():
@@ -362,16 +365,20 @@ class _OnesRandom:
 
 
 def test_non_regular_chain_falls_back_to_taylor_window(monkeypatch):
-    # every form drawn is x+y+z (then y+z, z), which kills x and y on
-    # S/(x+y+z)(x, y): no cut is certified and Bayer-Stillman fails in
-    # every degree, so the window is the Taylor bound T = deg lcm(x^2, xy)
+    # z lies in the associated prime (y, z) of S/(x+y+z)(y, z) and divides
+    # the head xz, so the first cut is seeded; the form drawn is x+y+z,
+    # which kills y and z, and the zero ideal left is cut freely twice.  No
+    # cut is certified and Bayer-Stillman fails in every degree, so the
+    # window is the Taylor bound T = deg lcm(xy, xz)
     monkeypatch.setattr(homalg, "random", types.SimpleNamespace(
         Random=_OnesRandom))
     R = PolyRing(["x", "y", "z"], F)
-    I = Ideal(R, [R.parse("x^2 + x*y + x*z"), R.parse("x*y + y^2 + y*z")])
+    I = Ideal(R, [R.parse("x*y + y^2 + y*z"), R.parse("x*z + y*z + z^2")])
     hd = hilbert_data(I)
+    seeded = _count_seeded_cuts(monkeypatch)
     chain = list(regular_cut(I, hd))
     assert [ok for _, _, ok in chain] == [True, False, False, False]
+    assert len(seeded) == 1 and chain[1][0].is_zero()
     assert chain[-1][0].ring.nvars == 0
     windows = []
     real_window = homalg._regularity_window
@@ -424,6 +431,21 @@ def _hankel_minors(d):
     return Ideal(R, gens)
 
 
+def _count_seeded_cuts(monkeypatch):
+    """Record the ideal each seeded ``_cut`` of a cut chain cuts."""
+    seeded = []
+    real = homalg._cut
+    monkeypatch.setattr(homalg, "_cut", lambda J, h, budget:
+                        seeded.append(J) or real(J, h, budget))
+    return seeded
+
+
+def _all_seeded(monkeypatch):
+    """Force every step of a cut chain to a seeded ``_cut``: the reference
+    chain without free cuts."""
+    monkeypatch.setattr(homalg, "_free_cut", lambda J, hd, budget: None)
+
+
 def _check_driven_cuts(monkeypatch):
     """Make every cut's driven basis also compute the untargeted basis and
     assert the two equal term for term; returns the list of checked cut
@@ -442,33 +464,120 @@ def _check_driven_cuts(monkeypatch):
     return checked
 
 
-def test_cut_reaches_dimension_zero_on_acm_fixtures(monkeypatch):
-    # Deterministic speed gate: without the full cut the strands are built
-    # over the whole ring, about 50 times slower, with the same tables.
-    # Every cut's driven basis is the untargeted one.
+def _acm_fixtures():
+    """Secant varieties of the RNC d=5, 6, 7 and the elliptic sextic, and
+    the Hankel d=8 minors: all ACM of Krull dimension 4."""
     R2 = PolyRing(["x", "y"], F)
     elliptic = CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1"))
     fixtures = [secant_join(rational_normal_curve(d, F).secant_spec(1))
                 for d in (5, 6, 7)]
     fixtures.append(secant_join(embed(elliptic, 6).secant_spec(1)))
     fixtures.append(_hankel_minors(8))
+    return fixtures
+
+
+def test_cut_reaches_dimension_zero_on_acm_fixtures(monkeypatch):
+    # Deterministic speed gate: without the full cut the strands are built
+    # over the whole ring, about 50 times slower, with the same tables.
+    # Each chain cuts by its last two variables freely, then by two seeded
+    # forms, and every seeded cut's driven basis is the untargeted one.
+    fixtures = _acm_fixtures()
     checked = _check_driven_cuts(monkeypatch)
     for I in fixtures:
         hd = hilbert_data(I)
         _, hd_J, cuts = _certified_cut(I, hd)
         assert cuts == hd.dimension == 4 and hd_J.dimension == 0
-    assert len(checked) == 4 * len(fixtures)
+    assert len(checked) == 2 * len(fixtures)
+
+
+def test_free_cuts_keep_the_acm_betti_tables(monkeypatch):
+    # the Betti table is invariant under a regular-sequence cut, so the
+    # chain with free cuts gives the table of the all-seeded chain
+    fixtures = _acm_fixtures()
+    tables = [minimal_free_resolution(I) for I in fixtures]
+    _all_seeded(monkeypatch)
+    assert tables == [minimal_free_resolution(I) for I in fixtures]
+
+
+def _curve_file_secant(name, k):
+    model, d = parse_curve_file((GOLDEN / name).read_text())
+    return secant_join(embed(model, d).secant_spec(k))
+
+
+@pytest.mark.parametrize("make,free", [
+    (lambda: secant_join(rational_normal_curve(7, F).secant_spec(1)), 2),
+    (lambda: _curve_file_secant("elliptic5.curve", 1), 3),
+    (lambda: _curve_file_secant("genus2_6.curve", 1), 3),
+], ids=["rnc7", "ell5", "g2_6"])
+def test_free_cut_is_the_reduced_basis_of_the_cut(make, free, monkeypatch):
+    # oracle: at every free cut the restricted basis is, term for term,
+    # buchberger's reduced basis of the cut (the generators with the last
+    # variable set to 0), and it carries the parent's Hilbert numerator
+    cuts = []
+    real = homalg._free_cut
+
+    def spy(J, hd, budget):
+        out = real(J, hd, budget)
+        if out is not None:
+            K, hd_K = out
+            last = J.ring.nvars - 1
+            ref = buchberger([K.ring.from_dict(
+                {m[:last]: c for m, c in g.terms if not m[last]})
+                for g in J.generators], K.ring)
+            assert [f.terms for f in K.groebner()] == [f.terms for f in ref]
+            assert hd_K == hilbert_data(Ideal(K.ring, K.generators))
+            cuts.append(K.ring.nvars)
+        return out
+
+    monkeypatch.setattr(homalg, "_free_cut", spy)
+    I = make()
+    chain = list(regular_cut(I, hilbert_data(I)))
+    assert all(ok for _, _, ok in chain)
+    n = I.ring.nvars
+    assert cuts == list(range(n - 1, n - 1 - free, -1))
+
+
+def test_head_on_the_last_variable_falls_through_to_a_seeded_cut(
+        monkeypatch):
+    # z divides the head xz of S/x(x, z), which has depth 1: z is a zero
+    # divisor, so no step is free, and the chain is the all-seeded one
+    R = PolyRing(["x", "y", "z"], F)
+    I = Ideal(R, [R.parse("x^2"), R.parse("x*z")])
+    hd = hilbert_data(I)
+    seeded = _count_seeded_cuts(monkeypatch)
+    chain = list(regular_cut(I, hd))
+    assert [ok for _, _, ok in chain] == [True, True, False]
+    assert seeded == [J for J, _, _ in chain[:-1]]
+    assert any(f.lm[-1] for f in I.groebner())
+    _all_seeded(monkeypatch)
+    old = list(regular_cut(I, hd))
+    assert [ok for _, _, ok in old] == [True, True, False]
+    assert [hd_K for _, hd_K, _ in old] == [hd_K for _, hd_K, _ in chain]
+
+
+def test_only_a_grevlex_basis_is_cut_freely(monkeypatch):
+    # only a grevlex basis is cut freely: z divides no head of the lex
+    # basis of (x^2 - yz), yet the lex ideal takes a seeded cut first; that
+    # cut lands in a grevlex ring, where the next cut is free
+    R = PolyRing(["x", "y", "z"], F, MonomialOrder.lex())
+    I = Ideal(R, [R.parse("x^2 - y*z")])
+    assert not any(f.lm[-1] for f in I.groebner())
+    seeded = _count_seeded_cuts(monkeypatch)
+    chain = list(regular_cut(I, hilbert_data(I)))
+    assert [ok for _, _, ok in chain] == [True, True, True]
+    assert seeded == [I]
 
 
 def test_zero_divisor_cut_keeps_its_exact_basis(monkeypatch):
-    # the rational quartic has depth 1: its second cut is a zero divisor,
-    # so the lower bound stays strictly below the Hilbert function of the
+    # the rational quartic has depth 1: its first cut, by the last
+    # variable d, is free, and its second, seeded, is a zero divisor, so
+    # the lower bound stays strictly below the Hilbert function of the
     # cut, and the driven run must neither raise nor change the basis
     checked = _check_driven_cuts(monkeypatch)
     I = _rational_quartic()
     chain = list(regular_cut(I, hilbert_data(I)))
     assert [ok for _, _, ok in chain] == [True, True, False]
-    assert len(checked) == 2
+    assert len(checked) == 1
     prev, last = chain[1][1], chain[2][1]
     assert any(last.hilbert_function(d) > prev.hilbert_function(d)
                - prev.hilbert_function(d - 1) for d in range(6))
@@ -476,8 +585,9 @@ def test_zero_divisor_cut_keeps_its_exact_basis(monkeypatch):
 
 def test_driven_cut_reduction_gate(monkeypatch):
     # Deterministic work counter: on the secant variety of the rational
-    # normal sextic (the 3x3 minors of the 3 x 5 Hankel matrix) each driven
-    # cut run reduces its 10 generators and nothing else, none to zero;
+    # normal sextic (the 3x3 minors of the 3 x 5 Hankel matrix) the first
+    # two cuts are free and run nothing; each of the two driven cut runs
+    # reduces its 10 generators and nothing else, none to zero;
     # untargeted, each made 25 reductions, 15 of them to zero.  The
     # interreduction and the substitution's normal forms are not counted.
     cut_runs = []       # remainders of each cut run's main-loop reductions
@@ -510,7 +620,7 @@ def test_driven_cut_reduction_gate(monkeypatch):
     monkeypatch.setattr(gb_module, "_interreduce", interreduce_spy)
     I = _hankel_minors(6)
     assert len(list(regular_cut(I, hilbert_data(I)))) == 5
-    assert len(cut_runs) == 4
+    assert len(cut_runs) == 2
     for remainders in cut_runs:
         assert len(remainders) <= 10 and all(remainders)
 
