@@ -70,8 +70,8 @@ class PrimeField:
     def sqrt(self, a: int) -> int | None:
         """A square root of a mod p, or None if a is a non-residue.
 
-        Uses the p = 3 (mod 4) exponentiation shortcut when available and
-        Tonelli-Shanks otherwise.
+        Tonelli-Shanks; for p = 3 (mod 4) its loop is empty and the root is
+        a^((p+1)/4).
         """
         p = self.p
         a %= p
@@ -79,9 +79,6 @@ class PrimeField:
             return 0
         if pow(a, (p - 1) // 2, p) != 1:
             return None
-        if p % 4 == 3:
-            return pow(a, (p + 1) // 4, p)
-        # Tonelli-Shanks
         q = p - 1
         s = 0
         while q % 2 == 0:

@@ -94,11 +94,12 @@ def _secant_ideal(emb, k: int, pair_budget=None) -> Ideal:
 
 
 def parse_ideal_file(text: str) -> Ideal:
-    """Homogeneous ideal file: "field: P", "variables: a, b, c", then one
-    "generator: <polynomial>" line per generator."""
+    """Homogeneous ideal file: one "field: P" and one "variables: a, b, c"
+    line, and one "generator: <polynomial>" line per generator."""
     prime = None
     names = None
     raw_gens = []
+    seen = set()
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -107,6 +108,10 @@ def parse_ideal_file(text: str) -> Ideal:
         if not sep:
             raise InputError(f"line {lineno}: expected 'key: value'")
         key, value = key.strip().lower(), value.strip()
+        if key in seen:
+            raise InputError(f"line {lineno}: repeated key {key!r}")
+        if key != "generator":
+            seen.add(key)
         if key == "field":
             try:
                 prime = int(value)
@@ -273,7 +278,7 @@ def cmd_verify(args) -> int:
     if args.jobs > 1 and len(tasks) > 1:
         from multiprocessing import Pool
 
-        with Pool(args.jobs) as pool:
+        with Pool(min(args.jobs, len(tasks))) as pool:
             reports = pool.map(_verify_instance, tasks)
     else:
         reports = [_verify_instance(t) for t in tasks]

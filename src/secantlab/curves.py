@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .arith import DEFAULT_PRIME, PrimeField, is_prime
 from .gb import Ideal, buchberger
 from .ideal_ops import (ConeParametrization, PointedIdeal, SecantSpec,
-                        _subring_part, _transplant)
+                        _subring_part)
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 
@@ -31,51 +31,17 @@ class DuplicatePoints(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers (coefficient lists, low degree first)
-# ---------------------------------------------------------------------------
-
-def _uni_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _uni_mod(f, g, p):
-    f = list(f)
-    while len(f) >= len(g):
-        c = f[-1] * pow(g[-1], p - 2, p) % p
-        off = len(f) - len(g)
-        for i, gi in enumerate(g):
-            f[off + i] = (f[off + i] - c * gi) % p
-        _uni_trim(f)
-        if not f:
-            break
-    return f
-
-
-def _uni_gcd_degree(f, g, p):
-    f = _uni_trim([c % p for c in f])
-    g = _uni_trim([c % p for c in g])
-    while g:
-        f, g = g, _uni_mod(f, g, p)
-    return len(f) - 1
-
-
-def _uni_eval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # curve models
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CurveModel:
     """Genus 0 (no equation), genus 1 (Weierstrass w(x, y)), or genus 2
-    (y^2 - f(x), deg f = 5 squarefree) over a prime field."""
+    (y^2 - f(x), deg f = 5 squarefree) over a prime field.
+
+    f is squarefree iff f and f' generate the unit ideal of F_p[x], which
+    one Groebner basis of (f, f') decides.
+    """
 
     genus: int
     field: PrimeField
@@ -98,8 +64,8 @@ class CurveModel:
         if eq.ring.field != self.field:
             raise ValueError("equation field does not match the model field")
         coeffs = dict(eq.terms)
-        p = self.field.p
         if g == 1:
+            p = self.field.p
             allowed = {(0, 2), (1, 1), (0, 1), (3, 0), (2, 0), (1, 0), (0, 0)}
             if set(coeffs) - allowed or coeffs.get((0, 2)) != 1 \
                     or coeffs.get((3, 0)) != p - 1:
@@ -112,14 +78,16 @@ class CurveModel:
             if coeffs.get((0, 2)) != 1 or any(j not in (0, 2) or (j == 2 and i)
                                               for i, j in coeffs):
                 raise ValueError("genus 2 needs an equation y^2 - f(x)")
-            f = self._hyperelliptic_poly()
-            deg = len(f) - 1
-            if deg >= 0 and deg % 2 == 0 and deg >= 4:
+            ring = PolyRing(["x"], self.field)
+            f = ring.from_dict({(i,): -c for (i, j), c in coeffs.items()
+                                if j == 0})
+            deg = f.total_degree() if f else -1
+            if deg >= 4 and deg % 2 == 0:
                 raise ValueError("even-degree model rejected")
             if deg != 5:
                 raise ValueError("genus 2 needs deg f = 5")
-            fprime = [(i * c) % p for i, c in enumerate(f)][1:]
-            if _uni_gcd_degree(f, fprime, p) != 0:
+            fprime = ring.from_dict({(i - 1,): i * c for (i,), c in f.terms})
+            if not buchberger([f, fprime], ring).is_unit_ideal():
                 raise ValueError("f must be squarefree (gcd(f, f') = 1)")
 
     def _coeff(self, i, j):
@@ -142,13 +110,6 @@ class CurveModel:
               - a4 * a4) % p
         return (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6
                 + 9 * b2 * b4 * b6) % p
-
-    def _hyperelliptic_poly(self):
-        """f with the model y^2 = f(x), low degree first."""
-        p = self.field.p
-        top = max((i for i, j in dict(self.equation.terms) if j == 0),
-                  default=-1)
-        return _uni_trim([(-self._coeff(i, 0)) % p for i in range(top + 1)])
 
     def contains_affine(self, pt) -> bool:
         return self.genus == 0 or self.equation.evaluate(pt) == 0
@@ -267,8 +228,7 @@ def embed(model: CurveModel, d: int, pair_budget=None) -> CurveEmbedding:
     wy = 3 if model.genus == 1 else 5
     weights = (2, wy, 1) + tuple(1 + pole for _, pole in basis)
     big = PolyRing(names, field, MonomialOrder.block_elim(3, weights))
-    w = _transplant(model.equation, big, [0, 1])
-    gens = [w]
+    gens = [model.equation.compose(big.gens()[:2], big)]
     for i, (exps, _) in enumerate(basis):
         mono = big.monomial((exps[0], exps[1], 1) + (0,) * (r + 1))
         gens.append(big.gen(3 + i) - mono)
@@ -323,11 +283,10 @@ def sample_affine_points(model: CurveModel, count: int, seed: int = 0):
             if len(pts) < count and s != 0:
                 pts.append((x, (-s - b) * inv2 % p))
     else:
-        f = model._hyperelliptic_poly()
         for x in xs:
             if len(pts) == count:
                 break
-            s = model.field.sqrt(_uni_eval(f, x, p))
+            s = model.field.sqrt(-model.equation.evaluate((x, 0)))
             if s is None:
                 continue
             pts.append((x, s))
@@ -364,8 +323,9 @@ def point_on_secant(emb: CurveEmbedding, k: int, params, coeffs,
 
 def parse_curve_file(text: str):
     """Parse "genus:", "field:", "equation:", "degree:" lines into a
-    (CurveModel, degree) pair."""
-    fields = {}
+    (CurveModel, degree) pair.  Each key appears at most once, and
+    "equation:" only for genus >= 1."""
+    fields, linenos = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -373,7 +333,12 @@ def parse_curve_file(text: str):
         if ":" not in line:
             raise ValueError(f"line {lineno}: expected 'key: value'")
         key, _, value = line.partition(":")
-        fields[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key not in ("genus", "field", "equation", "degree"):
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in fields:
+            raise ValueError(f"line {lineno}: repeated key {key!r}")
+        fields[key], linenos[key] = value.strip(), lineno
     for key in ("genus", "field", "degree"):
         if key not in fields:
             raise ValueError(f"missing '{key}:' line")
@@ -387,11 +352,12 @@ def parse_curve_file(text: str):
         raise ValueError(f"{prime} is not prime")
     field = PrimeField(prime)
     equation = None
-    if genus != 0:
-        if "equation" not in fields:
-            raise ValueError("genus >= 1 requires an 'equation:' line")
-        ring = PolyRing(["x", "y"], field)
-        equation = ring.parse(fields["equation"])
+    if "equation" in fields:
+        if genus == 0:
+            raise ValueError(f"line {linenos['equation']}: genus 0 takes no "
+                             "equation")
+        equation = PolyRing(["x", "y"], field).parse(fields["equation"])
+    elif genus != 0:
+        raise ValueError("genus >= 1 requires an 'equation:' line")
     model = CurveModel(genus, field, equation)
     return model, degree
-

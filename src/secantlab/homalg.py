@@ -29,7 +29,7 @@ from itertools import combinations
 from math import comb
 
 from .gb import (GroebnerBasis, HilbertTarget, Ideal, InternalIdentityError,
-                 _ideal_with_gb, buchberger)
+                 _ideal_with_gb, _series_of_denominator, buchberger)
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 
@@ -65,23 +65,10 @@ class HilbertData:
         return len(self.numerator) - 1 - (self.nvars - self.dimension)
 
     def hilbert_function(self, d: int) -> int:
-        """dim_k (S/I)_d, expanded from the series."""
-        if d < 0:
-            return 0
-        n = self.nvars
-        if n == 0:
-            # S = k: the series is the numerator itself
-            return self.numerator[d] if d < len(self.numerator) else 0
-        total = 0
-        for e, c in enumerate(self.numerator):
-            if e > d:
-                break
-            k = d - e
-            b = 1
-            for i in range(n - 1):
-                b = b * (k + 1 + i) // (i + 1)
-            total += c * b
-        return total
+        """dim_k (S/I)_d, expanded from the series (0 for d < 0)."""
+        series = _series_of_denominator((1,) * self.nvars, d + 1)
+        return sum(c * series[d - e]
+                   for e, c in enumerate(self.numerator) if e <= d)
 
 
 def hilbert_data(I: Ideal, pair_budget=None) -> HilbertData:

@@ -30,20 +30,6 @@ def _fresh_names(count: int, taken, stem: str) -> list:
     return [f"{prefix}{i}" for i in range(count)]
 
 
-def _transplant(f: Polynomial, target: PolyRing, position) -> Polynomial:
-    """Re-home f into ``target``, sending source variable i to index
-    position[i].  The map must be injective on variables."""
-    nt = target.nvars
-    coeffs = {}
-    for mon, c in f.terms:
-        e = [0] * nt
-        for i, ei in enumerate(mon):
-            if ei:
-                e[position[i]] = ei
-        coeffs[tuple(e)] = c
-    return target.from_dict(coeffs)
-
-
 def _subring_part(gb: GroebnerBasis, keep_start: int, target: PolyRing):
     """An ``eliminate=keep_start`` basis, supported on variables >=
     keep_start, re-read in ``target``.  By the elimination theorem this is
@@ -70,10 +56,9 @@ def intersect(I: Ideal, J: Ideal, pair_budget=None) -> Ideal:
     t = _fresh_names(1, ring.variables, "t_cap")[0]
     big = PolyRing([t] + list(ring.variables), ring.field,
                    MonomialOrder.block_elim(1))
-    pos = list(range(1, big.nvars))
-    tv = big.gen(0)
-    gens = [tv * _transplant(g, big, pos) for g in I.generators]
-    gens += [(big.constant(1) - tv) * _transplant(g, big, pos)
+    tv, *xs = big.gens()
+    gens = [tv * g.compose(xs, big) for g in I.generators]
+    gens += [(big.constant(1) - tv) * g.compose(xs, big)
              for g in J.generators]
     gb = buchberger(gens, big, pair_budget=pair_budget, eliminate=1)
     kept = _subring_part(gb, 1, ring)
@@ -152,10 +137,10 @@ def _join_with_parametrization(param: ConeParametrization, cur: Ideal,
     weights = tuple(param.weights) + (param.image_weight,) * n
     big = PolyRing(pnames + list(ring.variables), ring.field,
                    MonomialOrder.block_elim(m, weights))
-    pos_p = list(range(m))
-    nu = [_transplant(f, big, pos_p) for f in param.images]
-    imgs = [big.gen(m + i) - nu[i] for i in range(n)]
-    gens = [_transplant(f, big, pos_p) for f in param.constraints]
+    ps = big.gens()[:m]
+    imgs = [big.gen(m + i) - f.compose(ps, big)
+            for i, f in enumerate(param.images)]
+    gens = [f.compose(ps, big) for f in param.constraints]
     gens += [f.compose(imgs, big) for f in cur.generators]
     chart_num = buchberger(param.constraints, param.ring).hilbert_numerator(
         param.weights)
@@ -181,8 +166,8 @@ def _join_literal(spec: SecantSpec, pair_budget):
                    MonomialOrder.block_elim(nb * n))
     gens = []
     for j in range(nb):
-        pos = list(range(j * n, (j + 1) * n))
-        gens += [_transplant(f, big, pos) for f in spec.base_ideal.generators]
+        ys = big.gens()[j * n:(j + 1) * n]
+        gens += [f.compose(ys, big) for f in spec.base_ideal.generators]
     for i in range(n):
         s = big.gen(nb * n + i)
         for j in range(nb):
@@ -218,14 +203,12 @@ def saturate_irrelevant(I: Ideal, pair_budget=None) -> Ideal:
         perm[i], perm[-1] = perm[-1], perm[i]
         R = PolyRing([ring.variables[j] for j in perm], ring.field,
                      MonomialOrder.grevlex())
-        pos = [0] * n
-        for newpos, old in enumerate(perm):
-            pos[old] = newpos
-        gb = buchberger([_transplant(g, R, pos) for g in I.generators], R,
-                        pair_budget=pair_budget)
         # a swap is its own inverse
-        Ji = Ideal(ring, [_transplant(g, ring, pos)
-                          for g in _strip_last(gb, R)])
+        to_R = [R.gen(j) for j in perm]
+        back = [ring.gen(j) for j in perm]
+        gb = buchberger([g.compose(to_R, R) for g in I.generators], R,
+                        pair_budget=pair_budget)
+        Ji = Ideal(ring, [g.compose(back, ring) for g in _strip_last(gb, R)])
         out = Ji if out is None else intersect(out, Ji, pair_budget)
     return out
 
@@ -345,8 +328,8 @@ def tangent_cone_multiplicity(P: PointedIdeal, pair_budget=None):
     # maximal-h slice, which dehomogenizes to the lowest-degree form
     Rd = PolyRing([h_name] + affine_names, ring.field,
                   MonomialOrder.block_elim(1))
-    pos = list(range(1, Rd.nvars)) + [0]
-    gb2 = buchberger([_transplant(g, Rd, pos) for g in sat], Rd,
+    h, *xs = Rd.gens()
+    gb2 = buchberger([g.compose(xs + [h], Rd) for g in sat], Rd,
                      pair_budget=pair_budget)
     cone_gens = []
     for g in gb2:

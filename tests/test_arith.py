@@ -58,3 +58,23 @@ def test_sqrt_nonresidue_returns_none():
     squares = sum(1 for a in range(1, 7) if F7.sqrt(a) is not None)
     assert squares == 3
 
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 19, 23, 31, 43])
+def test_sqrt_is_the_exponentiation_root_when_p_is_3_mod_4(p):
+    # for p = 3 (mod 4), a^((p+1)/4) is a root of every residue a
+    field = PrimeField(p)
+    squares = {a * a % p for a in range(p)}
+    for a in range(p):
+        expected = pow(a, (p + 1) // 4, p) if a in squares else None
+        assert field.sqrt(a) == expected
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29, 101])
+def test_sqrt_finds_a_root_exactly_of_the_residues(p):
+    field = PrimeField(p)
+    squares = {a * a % p for a in range(p)}
+    for a in range(p):
+        s = field.sqrt(a)
+        assert (s is None) == (a not in squares)
+        assert s is None or s * s % p == a

@@ -173,6 +173,34 @@ def test_parallel_verify_matches_serial(curve_file, capsys):
     assert run(capsys, argv + ["--jobs", "2"]) == serial
 
 
+def test_verify_pool_has_at_most_one_worker_per_file(curve_file, capsys,
+                                                     monkeypatch):
+    import multiprocessing
+    sizes = []
+
+    class SerialPool:
+        # records the requested size and maps in this process
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    paths = [curve_file("a.curve", RNC3), curve_file("b.curve", RNC5)]
+    argv = ["verify", "--file", *paths, "--k", "1", "--format", "json"]
+    serial = run(capsys, argv)
+    assert serial[0] == 0 and sizes == []
+    assert run(capsys, argv + ["--jobs", "64"]) == serial
+    assert sizes == [2]
+
+
 def test_betti_requires_source(capsys):
     code, _, err = run(capsys, ["betti", "--format", "json"])
     assert code == 2 and "error" in err
@@ -304,6 +332,31 @@ def test_ideal_file_bad_field_is_input_error(curve_file, capsys):
         path = curve_file("i.ideal", IDEAL.replace("32003", field))
         code, _, err = run(capsys, ["betti", "--ideal-file", path])
         assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("text,key", [
+    (IDEAL + "field: 7\n", "field"),
+    (IDEAL + "variables: x, y, z\n", "variables"),
+], ids=["field", "variables"])
+def test_ideal_file_repeated_key_is_input_error(curve_file, capsys, text,
+                                                key):
+    path = curve_file("r.ideal", text)
+    code, out, err = run(capsys, ["betti", "--ideal-file", path])
+    assert code == 2 and out == ""
+    assert f"line 6: repeated key '{key}'" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    (RNC5 + "degree: 6\n", "line 4: repeated key 'degree'"),
+    (RNC5 + "colour: red\n", "line 4: unknown key 'colour'"),
+    ("genus: 0\nfield: 32003\nequation: y^2 - x^3 - 1\ndegree: 5\n",
+     "line 3: genus 0 takes no equation"),
+], ids=["repeated", "unknown", "equation_on_genus_0"])
+def test_malformed_curve_file_is_input_error(curve_file, capsys, text,
+                                             message):
+    path = curve_file("m.curve", text)
+    code, out, err = run(capsys, ["curve", "--file", path])
+    assert code == 2 and out == "" and message in err
 
 
 def test_ideal_file_bad_variables_is_input_error(curve_file, capsys):

@@ -55,6 +55,24 @@ def test_non_squarefree_hyperelliptic_rejected():
         CurveModel(2, F, R.parse("y^2 - x^5 - 2*x^4 - x^3"))
 
 
+@pytest.mark.parametrize("p,equation,squarefree", [
+    (5, "y^2 - x^5 - 1", False),         # f' = 0: f = (x + 1)^5
+    (5, "y^2 - x^5 - x - 1", True),      # f' = 1
+    (5, "y^2 - x^5 - 4*x", True),        # f' = 4
+    (3, "y^2 - x^5 - x^3", False),       # f' = 2x^4: x^3 divides f
+    (7, "y^2 - x^5 - 1", True),
+])
+def test_squarefree_check_when_the_derivative_loses_degree(p, equation,
+                                                           squarefree):
+    field = PrimeField(p)
+    eq = PolyRing(["x", "y"], field).parse(equation)
+    if squarefree:
+        assert CurveModel(2, field, eq).genus == 2
+    else:
+        with pytest.raises(ValueError, match="squarefree"):
+            CurveModel(2, field, eq)
+
+
 def test_char2_rejected():
     # hyperelliptic models need odd characteristic; the field refuses p=2
     with pytest.raises(ValueError):
@@ -153,6 +171,12 @@ def test_sampled_points_satisfy_ideal():
         for prm in sample_affine_points(emb.model, npts, seed=7):
             v = emb.evaluate(prm)
             assert all(f.evaluate(v) == 0 for f in emb.ideal.generators)
+
+
+def test_genus2_sample_is_pinned():
+    pts = sample_affine_points(genus2(GENUS2_SEXTIC), 6, seed=0)
+    assert pts == [(12236, 10893), (12236, 21110), (10227, 27001),
+                   (10227, 5002), (25230, 27798), (25230, 4205)]
 
 
 def test_sample_too_many_points():

@@ -14,7 +14,7 @@ from secantlab.curves import (CurveModel, embed, parse_curve_file,
 from secantlab.gb import Ideal, buchberger
 from secantlab.homalg import (InternalIdentityError, ZeroIdeal,
                               _bayer_stillman, _cut, _koszul_betti,
-                              _rank_mod, betti_numerator,
+                              _rank_mod, _standard_monomials, betti_numerator,
                               check_ndp, hilbert_data, is_acm, koszul_dim,
                               max_ndp_steps, min_generator_degree,
                               minimal_free_resolution, projective_dimension,
@@ -84,6 +84,21 @@ def test_hilbert_function_without_variables():
         J, hd_J = _cut(J, J.ring.parse(h), None)
     assert J.ring.nvars == 0 and J.is_zero()
     assert [hd_J.hilbert_function(d) for d in range(4)] == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hilbert_function_counts_standard_monomials(n):
+    # HF(d) of S/M for a monomial ideal M is the number of degree-d
+    # monomials outside M
+    R = PolyRing([f"x{i}" for i in range(n)], F)
+    rng = random.Random(n)
+    for _ in range(12):
+        lms = [tuple(rng.randint(0, 3) for _ in range(n))
+               for _ in range(rng.randint(0, 4))]
+        hd = hilbert_data(Ideal(R, [R.monomial(m) for m in lms]))
+        for d in range(9):
+            assert hd.hilbert_function(d) == len(
+                _standard_monomials(lms, d, n)), (lms, d)
 
 
 def test_hilbert_hypersurface():

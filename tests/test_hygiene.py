@@ -1,6 +1,8 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "secantlab"
+TRACED = TESTS.parent / "perfbench" / "traced.py"
 
 
 def _unused_imports(path: Path) -> list:
@@ -173,3 +176,26 @@ def test_check_sees_an_unread_slot(tmp_path):
     (tests / "test_a.py").write_text("from pkg.a import Packed\n"
                                      "assert Packed().tested == 2\n")
     assert _unread_slots(pkg, [tests]) == ["a.py:Packed.stored"]
+
+
+def _traced_hooks():
+    """HOOKS and METHOD_HOOKS of the benchmark's tracer, read from its
+    file; nothing is installed."""
+    spec = importlib.util.spec_from_file_location("_traced", TRACED)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    return traced.HOOKS, traced.METHOD_HOOKS
+
+
+def test_every_traced_binding_site_exists():
+    # a refactor that drops or rebinds a hooked name would otherwise break
+    # only the traced benchmark run
+    hooks, method_hooks = _traced_hooks()
+    for label, sites in hooks.items():
+        found = [getattr(importlib.import_module(f"secantlab.{mod}"), attr,
+                         None) for mod, attr in sites]
+        assert all(callable(fn) for fn in found), (label, sites)
+        assert all(fn is found[0] for fn in found), (label, sites)
+    for label, (mod, cls, attr) in method_hooks.items():
+        owner = getattr(importlib.import_module(f"secantlab.{mod}"), cls)
+        assert callable(getattr(owner, attr, None)), label
