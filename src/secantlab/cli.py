@@ -22,13 +22,13 @@ from .arith import PrimeField
 # rational_normal_curve is not called here (embed dispatches genus 0 to it);
 # it stays bound in this module because perfbench/traced.py hooks it here.
 from .curves import embed, parse_curve_file, rational_normal_curve  # noqa: F401
-from .gb import DegreeTooLarge, Ideal, ResourceLimit
+from .gb import Ideal, ResourceLimit
 from .homalg import (InternalIdentityError, hilbert_data, is_acm,
                      max_ndp_steps, minimal_free_resolution,
                      projective_dimension, regularity)
 from .ideal_ops import secant_join
 from .oracle import verify
-from .poly import MonomialOrder, ParseError, PolyRing
+from .poly import DegreeTooLarge, MonomialOrder, PolyRing
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -65,20 +65,22 @@ def _max_degree(args) -> int | None:
     return args.max_degree
 
 
-def _load_curve(path: str):
+def _load(path: str, parse):
+    """``parse`` applied to the text of an input file; every error names
+    the file."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}")
     try:
-        return parse_curve_file(text)
-    except (ValueError, ParseError) as e:
+        return parse(text)
+    except (ValueError, DegreeTooLarge) as e:
         raise InputError(f"{path}: {e}")
 
 
 def _build_embedding(path: str, pair_budget=None):
-    model, degree = _load_curve(path)
+    model, degree = _load(path, parse_curve_file)
     try:
         return embed(model, degree, pair_budget=pair_budget)
     except ValueError as e:
@@ -137,9 +139,12 @@ def parse_ideal_file(text: str) -> Ideal:
     for lineno, text_ in raw_gens:
         try:
             gens.append(ring.parse(text_))
-        except (ValueError, ParseError) as e:
+        except (ValueError, DegreeTooLarge) as e:
             raise InputError(f"line {lineno}: {e}")
-    return Ideal(ring, gens)
+    I = Ideal(ring, gens)
+    if not I.is_homogeneous():
+        raise InputError("ideal file must be homogeneous")
+    return I
 
 
 def _emit(payload: str, output: str | None):
@@ -206,13 +211,7 @@ def cmd_betti(args) -> int:
     budget = _pair_budget(args)
     max_degree = _max_degree(args)
     if args.ideal_file:
-        try:
-            with open(args.ideal_file) as fh:
-                I = parse_ideal_file(fh.read())
-        except OSError as e:
-            raise InputError(f"cannot read {args.ideal_file}: {e.strerror}")
-        if not I.is_homogeneous():
-            raise InputError("ideal file must be homogeneous")
+        I = _load(args.ideal_file, parse_ideal_file)
     else:
         if not args.file or args.k is None:
             raise InputError("betti needs --file with --k, or --ideal-file")
@@ -225,7 +224,8 @@ def cmd_betti(args) -> int:
         return EXIT_OK
     hd = hilbert_data(I, pair_budget=budget)
     if hd.dimension < 0:
-        raise InputError("the unit ideal has no graded Betti table")
+        raise InputError(f"{args.ideal_file}: the unit ideal has no graded "
+                         "Betti table")
     B = minimal_free_resolution(I, degree_bound=max_degree,
                                 pair_budget=budget, seed=args.seed)
     if args.format == "json":

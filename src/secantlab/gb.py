@@ -26,18 +26,16 @@ minimalizes, tail-reduces and decodes only the elements free of that
 block: the reduced basis of the elimination ideal, at the cost of that
 part alone.
 
-Internally monomials are packed into single integers whose most significant
-fields spell out the monomial-order key, followed by a total-degree field and
-guarded per-variable exponent fields.  Integer comparison then realizes the
-monomial order, multiplication is integer addition (up to a constant), and
-divisibility is a pair of mask operations.  The Gebauer-Moller update and
-the one Hilbert numerator kernel (``_numerator``, behind
-``GroebnerBasis.hilbert_numerator``) work on the exponent fields alone, the
-exponent words, where lcm, colon, coprimality and degree are a few integer
-operations each.  A narrow layout (8-bit exponents) is tried first and
-transparently restarted with a wide layout when any total degree reaches
-the narrow capacity; degree checks at encode and reduction time keep both
-layouts exact.
+Internally monomials are the packed integers of ``poly._Codec``, whose
+integer comparison is the monomial order: the terms of a ``Polynomial``
+are already in packed order, and a reducer's head is its first term.  The
+Gebauer-Moller update and the one Hilbert numerator kernel
+(``_numerator``, behind ``GroebnerBasis.hilbert_numerator``) work on the
+exponent fields alone, the exponent words, where lcm, colon, coprimality
+and degree are a few integer operations each.  A narrow layout (8-bit
+exponents) is tried first and transparently restarted with a wide layout
+when any total degree reaches the narrow capacity; degree checks at encode
+and reduction time keep both layouts exact.
 """
 
 from __future__ import annotations
@@ -47,17 +45,9 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import mul, or_
 
-from .poly import PolyRing, Polynomial, RingMismatch
+from .poly import PolyRing, Polynomial, RingMismatch, _Codec, _NeedWide
 
 DEFAULT_PAIR_BUDGET = 2_000_000
-
-
-class _NeedWide(Exception):
-    """Internal: degrees outgrew the narrow packed layout; retry wide."""
-
-
-class DegreeTooLarge(OverflowError):
-    """A monomial degree exceeds what even the wide packed layout holds."""
 
 
 class InternalIdentityError(RuntimeError):
@@ -75,159 +65,6 @@ class ResourceLimit(RuntimeError):
             f"pair budget exhausted: processed {pairs_processed} of {max_pairs}")
         self.pairs_processed = pairs_processed
         self.max_pairs = max_pairs
-
-
-class _Codec:
-    """Packs exponent tuples into order-embedding integers.
-
-    Layout, low bits to high: guarded exponent fields (one per variable),
-    a total-degree field, then the order-key fields with the dominant
-    comparison block at the top.  For two packed monomials a, b:
-
-      a < b as ints        iff  the monomial of a is smaller under the order
-      a + b - one          is the packed product
-      mask test on fields  decides divisibility
-
-    The narrow layout (8-bit exponent fields, 16-bit key fields) keeps the
-    integers small for the common case; any monomial reaching total degree
-    ``deg_cap`` triggers _NeedWide and the computation restarts on the wide
-    layout.  The cap is chosen so that every transient product of two stored
-    monomials still fits its fields exactly.
-    """
-
-    __slots__ = ("one", "pmask", "guard", "low", "ones", "exp_bits",
-                 "deg_shift", "deg_mask", "deg_cap", "wide", "order_weights",
-                 "_coeff_vec", "_const", "_shifts", "_exp_mask", "_sum_shift")
-
-    def __init__(self, ring: PolyRing, wide: bool = False):
-        exp_bits = 16 if wide else 8
-        key_bits = 32 if wide else 16
-        deg_bits = 24 if wide else 16
-        kcap = 1 << (key_bits - 2)
-        n = ring.nvars
-        self.wide = wide
-        # linear form: packed(e) = const + sum_i coeff[i] * e_i
-        coeff = [0] * n
-        const = 0
-
-        # exponent fields with guard bits
-        for i in range(n):
-            coeff[i] += 1 << (exp_bits * i)
-        self.pmask = (1 << (exp_bits * n)) - 1
-        self.guard = 0
-        for i in range(n):
-            self.guard |= (1 << (exp_bits - 1)) << (exp_bits * i)
-        self._exp_mask = (1 << exp_bits) - 1
-        self.exp_bits = exp_bits
-        self.low = self.pmask & ~self.guard
-        self.ones = sum(1 << (exp_bits * i) for i in range(n))
-        # field n-1 of word * ones holds the sum of all fields
-        self._sum_shift = exp_bits * max(n - 1, 0)
-
-        # total degree field
-        pos = exp_bits * n
-        self.deg_shift = pos
-        self.deg_mask = (1 << deg_bits) - 1
-        for i in range(n):
-            coeff[i] += 1 << pos
-        pos += deg_bits
-
-        # order key fields, least significant block first; order_weights
-        # grades each variable by its block's weight, 1 in an unweighted one
-        blocks = []
-        order_weights = [1] * n
-        for kind, start, stop, weights in ring.order.blocks:
-            stop = n if stop is None else stop
-            blocks.append((kind, start, stop, weights))
-            if weights is not None:
-                order_weights[start:stop] = weights
-        self.order_weights = tuple(order_weights)
-        maxweight = max(order_weights, default=1)
-        for kind, start, stop, weights in reversed(blocks):
-            idx = list(range(start, stop))
-            if kind == "lex":
-                # least significant variable last in the block
-                for i in reversed(idx):
-                    coeff[i] += 1 << pos
-                    pos += key_bits
-            else:
-                # grevlex: reversed negated exponents below, degree above
-                for i in idx:
-                    const += (kcap << pos)
-                    coeff[i] -= 1 << pos
-                    pos += key_bits
-                w = weights if weights is not None else (1,) * len(idx)
-                for wi, i in zip(w, idx):
-                    coeff[i] += wi << pos
-                pos += key_bits
-        self._coeff_vec = coeff
-        self._const = const
-        self.one = const
-        self._shifts = [exp_bits * i for i in range(n)]
-        # stored monomials stay below deg_cap; transient products of two of
-        # them then keep every exponent and key field carry-free
-        self.deg_cap = min(1 << (exp_bits - 2), kcap // (2 * maxweight + 1))
-
-    def too_large(self):
-        """Raise for a monomial of total degree >= deg_cap."""
-        if self.wide:
-            raise DegreeTooLarge("monomial degree too large to pack")
-        raise _NeedWide
-
-    def encode(self, exps) -> int:
-        if sum(exps) >= self.deg_cap:
-            self.too_large()
-        m = self._const
-        for c, e in zip(self._coeff_vec, exps):
-            if e:
-                m += c * e
-        return m
-
-    def decode(self, m: int) -> tuple:
-        p = m & self.pmask
-        return tuple((p >> s) & self._exp_mask for s in self._shifts)
-
-    def divides(self, a: int, b: int) -> bool:
-        g = self.guard
-        t = ((b & self.pmask) | g) - (a & self.pmask)
-        return (t & g) == g
-
-    def deg(self, m: int) -> int:
-        return (m >> self.deg_shift) & self.deg_mask
-
-    # Exponent words: packed monomials masked by pmask, every field below
-    # deg_cap.  (a | guard) - b keeps each field's guard bit exactly where
-    # a_i >= b_i, and no borrow crosses a field.
-
-    def exp_colon(self, a: int, b: int) -> int:
-        """The word of a / gcd(a, b), i.e. max(a_i - b_i, 0) per field."""
-        t = (a | self.guard) - b
-        ge = t & self.guard
-        return t & (ge - (ge >> (self.exp_bits - 1)))
-
-    def exp_lcm(self, a: int, b: int) -> int:
-        """The word of lcm(a, b); a and b are coprime iff it is a + b."""
-        ge = ((a | self.guard) - b) & self.guard
-        fm = ge - (ge >> (self.exp_bits - 1))   # low bits where a_i >= b_i
-        return (a & fm) | (b & (self.low ^ fm))
-
-    def exp_deg(self, a: int) -> int:
-        """Total degree of a word whose field sum is below 2^exp_bits."""
-        return ((a * self.ones) >> self._sum_shift) & self._exp_mask
-
-    def exp_nonzero(self, a: int) -> int:
-        """The guard bits of the nonzero fields of a word."""
-        return ((a | self.guard) - self.ones) & self.guard
-
-    def weigher(self, weights):
-        """Weighted degree of a word, sum_i w_i a_i, as one total degree per
-        distinct weight."""
-        fields: dict = {}
-        for w, s in zip(weights, self._shifts):
-            fields[w] = fields.get(w, 0) | (self._exp_mask << s)
-        deg = self.exp_deg
-        fields = tuple(fields.items())
-        return lambda a: sum(w * deg(a & f) for w, f in fields)
 
 
 class _Reducer:
@@ -530,6 +367,8 @@ def buchberger(generators, ring: PolyRing, pair_budget: int | None = None,
     reached: an exact target must be met, and a lower bound must not be
     undercut, else InternalIdentityError.
     """
+    if any(f.ring != ring for f in generators):
+        raise RingMismatch("generator not over the basis ring")
     if target is not None:
         for f in generators:
             if len({_weighted_degree(target.weights, m)
@@ -565,8 +404,8 @@ def _buchberger(generators, ring, budget, codec: _Codec,
     for f in generators:
         if not f or not f.terms:
             continue
-        items = sorted((codec.encode(m), c) for m, c in f.terms)
-        items.reverse()
+        # f.terms descend under the ring's order, which the packed ints embed
+        items = [(codec.encode(m), c) for m, c in f.terms]
         lc = items[0][1]
         if lc != 1:
             inv = ring.field.inv(lc)
@@ -722,6 +561,8 @@ def _interreduce(basis, ring, codec, eliminate) -> GroebnerBasis:
     ``eliminate`` = m, only the elements with heads free of the variables
     0..m-1 take part."""
     block = (1 << (codec.exp_bits * eliminate)) - 1   # fields 0..m-1
+    # ascending packed heads ascend under the ring's order, as the
+    # returned basis must
     live = sorted((g for g in basis if not g.lm & block),
                   key=lambda g: g.lm_full)
     minimal: list[_Reducer] = []
@@ -738,7 +579,6 @@ def _interreduce(basis, ring, codec, eliminate) -> GroebnerBasis:
         tail = _reduce_full(g.tail, minimal, codec, p)
         terms = ((dec(g.lm_full), 1),) + tuple((dec(m), c) for m, c in tail)
         out.append(Polynomial(ring, terms))
-    out.sort(key=lambda f: ring._key(f.terms[0][0]))
     return GroebnerBasis(out, ring, codec)
 
 

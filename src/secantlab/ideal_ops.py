@@ -22,11 +22,12 @@ class PointNotOnVariety(ValueError):
 
 
 def _fresh_names(count: int, taken, stem: str) -> list:
-    """Fresh variable names avoiding everything in ``taken``."""
+    """Fresh variable names avoiding everything in ``taken``; on a clash
+    the stem grows by a letter, so the names stay valid ring variables."""
     taken = set(taken)
     prefix = stem
     while any(f"{prefix}{i}" in taken for i in range(count)):
-        prefix = "_" + prefix
+        prefix += "x"
     return [f"{prefix}{i}" for i in range(count)]
 
 

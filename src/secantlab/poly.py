@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials over a prime field.
 
-Monomials are plain exponent tuples; a :class:`MonomialOrder` compiles to a
-sort-key function so that all comparisons reduce to Python tuple comparison.
-Polynomials keep their terms sorted strictly descending under the ring's
-active order, with no zero coefficients and no duplicate monomials.
+Monomials are plain exponent tuples; a :class:`MonomialOrder` compiles to
+packed integers (:class:`_Codec`) whose integer comparison is the order.
+Polynomials keep their terms sorted strictly descending by the wide packed
+key, with no zero coefficients and no duplicate monomials; building one
+with a monomial too large to pack (total degree 16384 or more) raises
+:class:`DegreeTooLarge`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ class RingMismatch(ValueError):
 
 class ZeroPolynomial(ValueError):
     """Operation undefined for the zero polynomial."""
+
+
+class _NeedWide(Exception):
+    """Internal: degrees outgrew the narrow packed layout; retry wide."""
+
+
+class DegreeTooLarge(OverflowError):
+    """A monomial degree exceeds what even the wide packed layout holds."""
 
 
 # ---------------------------------------------------------------------------
@@ -81,41 +91,165 @@ class MonomialOrder:
             f"block_elim({s})",
         )
 
-    def key_function(self, nvars: int):
-        """Compile to a function exponent-tuple -> comparable key (larger key
-        means larger monomial)."""
-        parts = []
-        for kind, start, stop, weights in self.blocks:
-            stop_ = nvars if stop is None else stop
-            parts.append((kind, start, stop_, weights))
-
-        if (self.name == "grevlex" and len(parts) == 1):
-            def key(e):
-                return (sum(e), tuple(-x for x in reversed(e)))
-            return key
-        if self.name == "lex":
-            def key(e):
-                return e
-            return key
-
-        def key(e):
-            out = []
-            for kind, start, stop_, weights in parts:
-                seg = e[start:stop_]
-                if kind == "lex":
-                    out.append(seg)
-                else:
-                    if weights is None:
-                        d = sum(seg)
-                    else:
-                        d = sum(w * x for w, x in zip(weights, seg))
-                    out.append(d)
-                    out.append(tuple(-x for x in reversed(seg)))
-            return tuple(out)
-        return key
-
     def __repr__(self):
         return f"MonomialOrder({self.name})"
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+class _Codec:
+    """Packs exponent tuples into order-embedding integers.
+
+    Layout, low bits to high: guarded exponent fields (one per variable),
+    a total-degree field, then the order-key fields with the dominant
+    comparison block at the top.  For two packed monomials a, b:
+
+      a < b as ints        iff  the monomial of a is smaller under the order
+      a + b - one          is the packed product
+      mask test on fields  decides divisibility
+
+    The narrow layout (8-bit exponent fields, 16-bit key fields) keeps the
+    integers small for the common case; any monomial reaching total degree
+    ``deg_cap`` triggers _NeedWide and the computation restarts on the wide
+    layout.  The cap is chosen so that every transient product of two stored
+    monomials still fits its fields exactly.
+    """
+
+    __slots__ = ("one", "pmask", "guard", "low", "ones", "exp_bits",
+                 "deg_shift", "deg_mask", "deg_cap", "wide", "order_weights",
+                 "_coeff_vec", "_const", "_shifts", "_exp_mask", "_sum_shift")
+
+    def __init__(self, ring: PolyRing, wide: bool = False):
+        exp_bits = 16 if wide else 8
+        key_bits = 32 if wide else 16
+        deg_bits = 24 if wide else 16
+        kcap = 1 << (key_bits - 2)
+        n = ring.nvars
+        self.wide = wide
+        # linear form: packed(e) = const + sum_i coeff[i] * e_i
+        coeff = [0] * n
+        const = 0
+
+        # exponent fields with guard bits
+        for i in range(n):
+            coeff[i] += 1 << (exp_bits * i)
+        self.pmask = (1 << (exp_bits * n)) - 1
+        self.guard = 0
+        for i in range(n):
+            self.guard |= (1 << (exp_bits - 1)) << (exp_bits * i)
+        self._exp_mask = (1 << exp_bits) - 1
+        self.exp_bits = exp_bits
+        self.low = self.pmask & ~self.guard
+        self.ones = sum(1 << (exp_bits * i) for i in range(n))
+        # field n-1 of word * ones holds the sum of all fields
+        self._sum_shift = exp_bits * max(n - 1, 0)
+
+        # total degree field
+        pos = exp_bits * n
+        self.deg_shift = pos
+        self.deg_mask = (1 << deg_bits) - 1
+        for i in range(n):
+            coeff[i] += 1 << pos
+        pos += deg_bits
+
+        # order key fields, least significant block first; order_weights
+        # grades each variable by its block's weight, 1 in an unweighted one
+        blocks = []
+        order_weights = [1] * n
+        for kind, start, stop, weights in ring.order.blocks:
+            stop = n if stop is None else stop
+            blocks.append((kind, start, stop, weights))
+            if weights is not None:
+                order_weights[start:stop] = weights
+        self.order_weights = tuple(order_weights)
+        maxweight = max(order_weights, default=1)
+        for kind, start, stop, weights in reversed(blocks):
+            idx = list(range(start, stop))
+            if kind == "lex":
+                # least significant variable last in the block
+                for i in reversed(idx):
+                    coeff[i] += 1 << pos
+                    pos += key_bits
+            else:
+                # grevlex: reversed negated exponents below, degree above
+                for i in idx:
+                    const += (kcap << pos)
+                    coeff[i] -= 1 << pos
+                    pos += key_bits
+                w = weights if weights is not None else (1,) * len(idx)
+                for wi, i in zip(w, idx):
+                    coeff[i] += wi << pos
+                pos += key_bits
+        self._coeff_vec = coeff
+        self._const = const
+        self.one = const
+        self._shifts = [exp_bits * i for i in range(n)]
+        # stored monomials stay below deg_cap; transient products of two of
+        # them then keep every exponent and key field carry-free
+        self.deg_cap = min(1 << (exp_bits - 2), kcap // (2 * maxweight + 1))
+
+    def too_large(self):
+        """Raise for a monomial of total degree >= deg_cap."""
+        if self.wide:
+            raise DegreeTooLarge("monomial degree too large to pack")
+        raise _NeedWide
+
+    def encode(self, exps) -> int:
+        if sum(exps) >= self.deg_cap:
+            self.too_large()
+        m = self._const
+        for c, e in zip(self._coeff_vec, exps):
+            if e:
+                m += c * e
+        return m
+
+    def decode(self, m: int) -> tuple:
+        p = m & self.pmask
+        return tuple((p >> s) & self._exp_mask for s in self._shifts)
+
+    def divides(self, a: int, b: int) -> bool:
+        g = self.guard
+        t = ((b & self.pmask) | g) - (a & self.pmask)
+        return (t & g) == g
+
+    def deg(self, m: int) -> int:
+        return (m >> self.deg_shift) & self.deg_mask
+
+    # Exponent words: packed monomials masked by pmask, every field below
+    # deg_cap.  (a | guard) - b keeps each field's guard bit exactly where
+    # a_i >= b_i, and no borrow crosses a field.
+
+    def exp_colon(self, a: int, b: int) -> int:
+        """The word of a / gcd(a, b), i.e. max(a_i - b_i, 0) per field."""
+        t = (a | self.guard) - b
+        ge = t & self.guard
+        return t & (ge - (ge >> (self.exp_bits - 1)))
+
+    def exp_lcm(self, a: int, b: int) -> int:
+        """The word of lcm(a, b); a and b are coprime iff it is a + b."""
+        ge = ((a | self.guard) - b) & self.guard
+        fm = ge - (ge >> (self.exp_bits - 1))   # low bits where a_i >= b_i
+        return (a & fm) | (b & (self.low ^ fm))
+
+    def exp_deg(self, a: int) -> int:
+        """Total degree of a word whose field sum is below 2^exp_bits."""
+        return ((a * self.ones) >> self._sum_shift) & self._exp_mask
+
+    def exp_nonzero(self, a: int) -> int:
+        """The guard bits of the nonzero fields of a word."""
+        return ((a | self.guard) - self.ones) & self.guard
+
+    def weigher(self, weights):
+        """Weighted degree of a word, sum_i w_i a_i, as one total degree per
+        distinct weight."""
+        fields: dict = {}
+        for w, s in zip(weights, self._shifts):
+            fields[w] = fields.get(w, 0) | (self._exp_mask << s)
+        deg = self.exp_deg
+        fields = tuple(fields.items())
+        return lambda a: sum(w * deg(a & f) for w, f in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +279,7 @@ class PolyRing:
         self.field = field
         self.order = order if order is not None else MonomialOrder.grevlex()
         self._index = {v: i for i, v in enumerate(variables)}
-        self._key = self.order.key_function(len(variables))
+        self._key = _Codec(self, wide=True).encode
         self.zero = Polynomial(self, ())
         one_mon = (0,) * len(variables)
         self.one = Polynomial(self, ((one_mon, 1),))

@@ -290,12 +290,24 @@ def test_unwritable_output_is_input_error(curve_file, capsys, tmp_path):
     assert code == 2 and out == "" and "cannot write" in err
 
 
-def test_bench_prints_stages(curve_file, capsys):
-    code, out, _ = run(capsys, ["bench", "--file",
-                                curve_file("c.curve", RNC3), "--k", "1"])
-    assert code == 0
-    for stage in ("embed", "join", "hilbert", "betti"):
-        assert stage in out
+def test_bench_prints_stages(curve_file, capsys, monkeypatch):
+    # Σ_1 of the twisted cubic fills P^3, so its hilbert and betti stages
+    # have nothing to compute; the quintic's run both
+    stages = ["hilbert_data", "minimal_free_resolution"]
+    called = []
+    for name in stages:
+        def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            called.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    for text, runs in ((RNC3, []), (RNC5, stages)):
+        called.clear()
+        code, out, _ = run(capsys, ["bench", "--file",
+                                    curve_file("c.curve", text), "--k", "1"])
+        assert code == 0
+        for stage in ("embed", "join", "hilbert", "betti"):
+            assert stage in out
+        assert called == runs
 
 
 def _first_rejected_prime():
@@ -324,14 +336,14 @@ def test_first_rejected_prime_is_input_error(curve_file, capsys):
     assert code == 2 and str(MAX_PRIME) in err
     path = curve_file("i.ideal", IDEAL.replace("32003", str(q)))
     code, _, err = run(capsys, ["betti", "--ideal-file", path])
-    assert code == 2 and str(MAX_PRIME) in err
+    assert code == 2 and str(MAX_PRIME) in err and path in err
 
 
 def test_ideal_file_bad_field_is_input_error(curve_file, capsys):
     for field in ("2", "abc"):
         path = curve_file("i.ideal", IDEAL.replace("32003", field))
         code, _, err = run(capsys, ["betti", "--ideal-file", path])
-        assert code == 2 and "error" in err
+        assert code == 2 and "error" in err and path in err
 
 
 @pytest.mark.parametrize("text,key", [
@@ -343,7 +355,7 @@ def test_ideal_file_repeated_key_is_input_error(curve_file, capsys, text,
     path = curve_file("r.ideal", text)
     code, out, err = run(capsys, ["betti", "--ideal-file", path])
     assert code == 2 and out == ""
-    assert f"line 6: repeated key '{key}'" in err
+    assert f"{path}: line 6: repeated key '{key}'" in err
 
 
 @pytest.mark.parametrize("text,message", [
@@ -351,12 +363,23 @@ def test_ideal_file_repeated_key_is_input_error(curve_file, capsys, text,
     (RNC5 + "colour: red\n", "line 4: unknown key 'colour'"),
     ("genus: 0\nfield: 32003\nequation: y^2 - x^3 - 1\ndegree: 5\n",
      "line 3: genus 0 takes no equation"),
-], ids=["repeated", "unknown", "equation_on_genus_0"])
+    ("genus: 0\nfield 32003\ndegree: 5\n", "line 2: expected 'key: value'"),
+    ("genus: one\nfield: 32003\ndegree: 5\n",
+     "genus, field, and degree must be integers"),
+    ("genus: 0\nfield: p\ndegree: 5\n",
+     "genus, field, and degree must be integers"),
+    ("genus: 0\nfield: 32003\ndegree: 5.5\n",
+     "genus, field, and degree must be integers"),
+    ("genus: 1\nfield: 32003\ndegree: 5\n",
+     "genus >= 1 requires an 'equation:' line"),
+], ids=["repeated", "unknown", "equation_on_genus_0", "no_colon",
+        "genus_not_integer", "field_not_integer", "degree_not_integer",
+        "genus_1_without_equation"])
 def test_malformed_curve_file_is_input_error(curve_file, capsys, text,
                                              message):
     path = curve_file("m.curve", text)
     code, out, err = run(capsys, ["curve", "--file", path])
-    assert code == 2 and out == "" and message in err
+    assert code == 2 and out == "" and f"error: {path}: {message}" in err
 
 
 def test_ideal_file_bad_variables_is_input_error(curve_file, capsys):
@@ -364,14 +387,22 @@ def test_ideal_file_bad_variables_is_input_error(curve_file, capsys):
         path = curve_file("v.ideal", "field: 32003\nvariables: " + names +
                           "\ngenerator: x^2\n")
         code, out, err = run(capsys, ["betti", "--ideal-file", path])
-        assert code == 2 and out == "" and "variables" in err
+        assert code == 2 and out == "" and f"{path}: variables" in err
 
 
 def test_degree_too_large_to_pack_is_input_error(curve_file, capsys):
+    # a monomial of degree 16384 or more cannot be packed: parsing the
+    # file fails, naming the file
     path = curve_file("big.ideal", "field: 32003\nvariables: x, y\n"
                                    "generator: x^20000\n")
     code, out, err = run(capsys, ["betti", "--ideal-file", path])
-    assert code == 2 and out == "" and "too large to pack" in err
+    assert code == 2 and out == ""
+    assert f"{path}: line 3: monomial degree too large to pack" in err
+    path = curve_file("big.curve", "genus: 2\nfield: 32003\n"
+                                   "equation: y^2 - x^20000\ndegree: 8\n")
+    code, out, err = run(capsys, ["curve", "--file", path])
+    assert code == 2 and out == ""
+    assert f"{path}: monomial degree too large to pack" in err
 
 
 def test_unit_ideal_file_is_input_error(curve_file, capsys):
@@ -381,7 +412,46 @@ def test_unit_ideal_file_is_input_error(curve_file, capsys):
             f"generator: {g}\n" for g in gens)
         path = curve_file("unit.ideal", text)
         code, out, err = run(capsys, ["betti", "--ideal-file", path])
-        assert code == 2 and out == "" and "unit ideal" in err
+        assert code == 2 and out == "" and f"{path}: the unit ideal" in err
+
+
+MALFORMED_IDEAL_FILES = [
+    ("colon", "field: 32003\nvariables: x, y\ngenerator x^2\n",
+     "line 3: expected 'key: value'"),
+    ("key", "field: 32003\ncolour: red\nvariables: x, y\n",
+     "line 2: unknown key 'colour'"),
+    ("nofield", "variables: x, y\ngenerator: x^2\n",
+     "ideal file needs 'field:' and 'variables:' lines"),
+    ("novars", "field: 32003\ngenerator: x^2\n",
+     "ideal file needs 'field:' and 'variables:' lines"),
+    ("parse", "field: 32003\nvariables: x, y\ngenerator: x*+y\n",
+     "line 3: dangling '*'"),
+    ("inhomog", "field: 32003\nvariables: x, y\ngenerator: x^2 - y\n",
+     "ideal file must be homogeneous"),
+]
+
+
+@pytest.mark.parametrize("name,text,message", MALFORMED_IDEAL_FILES,
+                         ids=[case[0] for case in MALFORMED_IDEAL_FILES])
+def test_malformed_ideal_file_is_input_error(curve_file, capsys, name, text,
+                                             message):
+    path = curve_file(name + ".ideal", text)
+    code, out, err = run(capsys, ["betti", "--ideal-file", path])
+    assert code == 2 and out == "" and f"error: {path}: {message}" in err
+
+
+@pytest.mark.parametrize("flag,env,message", [
+    (["--pair-budget", "0"], None, "pair budget must be positive"),
+    ([], "0", "SECANTLAB_PAIR_BUDGET must be positive"),
+], ids=["flag", "env"])
+def test_nonpositive_pair_budget_is_input_error(curve_file, capsys,
+                                                monkeypatch, flag, env,
+                                                message):
+    if env is not None:
+        monkeypatch.setenv("SECANTLAB_PAIR_BUDGET", env)
+    code, out, err = run(capsys, ["curve", "--file",
+                                  curve_file("c.curve", RNC5), *flag])
+    assert code == 2 and out == "" and f"error: {message}" in err
 
 
 def test_identity_failure_is_internal_error(curve_file, capsys,

@@ -10,7 +10,7 @@ from secantlab import gb as gb_module
 from secantlab.arith import PrimeField
 from secantlab.gb import (HilbertTarget, Ideal, InternalIdentityError,
                           ResourceLimit, _poly_mul, buchberger)
-from secantlab.poly import MonomialOrder, PolyRing
+from secantlab.poly import MonomialOrder, PolyRing, RingMismatch
 
 F = PrimeField(32003)
 R = PolyRing(["x", "y", "z"], F)
@@ -289,6 +289,15 @@ def test_eliminate_must_be_the_first_block():
     assert len(buchberger(gens, Rb, eliminate=1)) == 1
 
 
+def test_generators_must_be_over_the_ring():
+    # a generator's first term is taken as its head, so its terms must be
+    # sorted by the ring's own order: under lex the head of x - y^2 is x
+    Rl = R.with_order(MonomialOrder.lex())
+    with pytest.raises(RingMismatch):
+        buchberger([R.parse("x - y^2")], Rl)
+    assert buchberger([Rl.parse("x - y^2")], Rl).elements[0].lm == (1, 0, 0)
+
+
 def test_hilbert_target_guards():
     w = (1, 1, 1)
     with pytest.raises(ValueError, match="weighted-homogeneous"):
@@ -416,4 +425,16 @@ def test_hilbert_numerator_restarts_wide():
     Ru = PolyRing(["u", "v"], F)
     basis = gb_module.GroebnerBasis([Ru.parse("u^70"), Ru.parse("v^2")], Ru)
     assert basis.hilbert_numerator((1, 1)) == {0: 1, 2: -1, 70: -1, 72: 1}
+    assert basis._codec.wide
+
+
+def test_normal_form_restarts_wide():
+    # the basis is prepared narrow; a monomial of degree 70 is past the
+    # narrow cap of 64, so the reduction restarts on the wide layout
+    Ru = PolyRing(["u", "v"], F)
+    basis = gb_module.GroebnerBasis([Ru.parse("u^2 - v^2")], Ru)
+    assert basis.normal_form(Ru.parse("u^3")) == Ru.parse("u*v^2")
+    assert not basis._codec.wide
+    assert basis.normal_form(Ru.parse("u^70 + u*v")) == Ru.parse(
+        "v^70 + u*v")
     assert basis._codec.wide

@@ -199,3 +199,53 @@ def test_every_traced_binding_site_exists():
     for label, (mod, cls, attr) in method_hooks.items():
         owner = getattr(importlib.import_module(f"secantlab.{mod}"), cls)
         assert callable(getattr(owner, attr, None)), label
+
+
+LAYERS = ("arith", "poly", "gb", "homalg", "ideal_ops", "curves", "oracle",
+          "cli")
+
+
+def _package_imports(node, package: str) -> list:
+    """The modules of ``package`` that an import statement names."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = package if node.level else ""
+        module = ".".join(filter(None, (base, node.module)))
+        names = ([f"{module}.{alias.name}" for alias in node.names]
+                 if module == package else [module])
+    else:
+        return []
+    return [name.split(".")[1] for name in names
+            if name.startswith(package + ".")]
+
+
+def _upward_imports(package: Path, layers) -> list:
+    """Imports of a package module from itself or a module after it in
+    ``layers``; ``__init__`` may import anything."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        rank = layers.index(path.stem)
+        for node in ast.walk(ast.parse(path.read_text())):
+            out += [f"{path.name} imports {target}"
+                    for target in _package_imports(node, package.name)
+                    if target in layers and layers.index(target) >= rank]
+    return out
+
+
+def test_modules_import_only_earlier_layers():
+    assert _upward_imports(SRC, LAYERS) == []
+
+
+def test_check_sees_an_upward_import(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .top import f\n")
+    (pkg / "low.py").write_text("from .top import f\nimport pkg.low\n"
+                                "from pkg import top\n")
+    (pkg / "top.py").write_text("from . import low\nimport os\n"
+                                "from pkg.low import g\n")
+    assert _upward_imports(pkg, ("low", "top")) == [
+        "low.py imports top", "low.py imports low", "low.py imports top"]

@@ -27,6 +27,19 @@ def test_intersect_principal():
     assert basis_terms(K) == basis_terms(Ideal(R, [R.parse("x^2 - y^2")]))
 
 
+def test_intersect_with_a_variable_named_like_its_fresh_one():
+    # the eliminated variable's stem clashes with the ring's own t_cap0
+    def meet(names):
+        R = PolyRing(names, F)
+        x = names[0]
+        I = Ideal(R, [R.parse(f"{x} + y")])
+        J = Ideal(R, [R.parse(f"{x} - y"), R.parse("y^2")])
+        return basis_terms(intersect(I, J))
+
+    assert meet(["t_cap0", "y"]) == meet(["x", "y"])
+    assert len(meet(["x", "y"])) == 2
+
+
 def test_secant_of_twisted_cubic_fills_space():
     S = secant_join(rational_normal_curve(3, F).secant_spec(1))
     assert S.is_zero()
@@ -137,6 +150,20 @@ def test_tangent_cone_multiplicity():
     assert [str(f) for f in cone.groebner()] == ["y^2"]
     _, smooth = tangent_cone_multiplicity(PointedIdeal(I, (1, 1, 1)))
     assert smooth == 1
+
+
+def test_tangent_cone_with_a_variable_named_like_its_fresh_one():
+    # the homogenizing variable's stem clashes with the ring's own h_cone0
+    def cone_at_node(names):
+        R = PolyRing(names, F)
+        x = names[0]
+        I = Ideal(R, [R.parse(f"y^2*z - {x}^3 - {x}^2*z")])
+        cone, mult = tangent_cone_multiplicity(PointedIdeal(I, (0, 0, 1)))
+        return basis_terms(cone), mult
+
+    assert cone_at_node(["h_cone0", "y", "z"]) == cone_at_node(["x", "y",
+                                                                "z"])
+    assert cone_at_node(["x", "y", "z"])[1] == 2
 
 
 def test_invalid_spec_rejected():

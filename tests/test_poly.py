@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secantlab.arith import PrimeField
-from secantlab.poly import (ArityMismatch, MonomialOrder, ParseError,
-                            PolyRing, RingMismatch, UnknownVariable)
+from secantlab.poly import (ArityMismatch, DegreeTooLarge, MonomialOrder,
+                            ParseError, PolyRing, RingMismatch,
+                            UnknownVariable, _Codec)
 
 F = PrimeField(32003)
 R = PolyRing(["x", "y", "z"], F)
@@ -18,7 +19,7 @@ polys = st.dictionaries(monomials, st.integers(1, 32002), min_size=0,
 # -- monomial orders --------------------------------------------------------
 
 def test_grevlex_known_comparisons():
-    key = R.order.key_function(R.nvars)
+    key = R._key
     # same degree: grevlex prefers smaller exponent on the last variable
     assert key((1, 1, 0)) > key((0, 0, 2))
     assert key((2, 0, 0)) > key((1, 1, 0)) > key((0, 2, 0)) > key((1, 0, 1))
@@ -28,17 +29,47 @@ def test_grevlex_known_comparisons():
 
 def test_lex_order():
     Rl = R.with_order(MonomialOrder.lex())
-    key = Rl.order.key_function(Rl.nvars)
+    key = Rl._key
     assert key((1, 0, 0)) > key((0, 5, 5))
     assert key((1, 1, 0)) > key((1, 0, 5))
 
 
 def test_block_order_eliminates_first_block():
     Rb = R.with_order(MonomialOrder.block_elim(1))
-    key = Rb.order.key_function(Rb.nvars)
+    key = Rb._key
     # any monomial involving x beats any monomial free of x
     assert key((1, 0, 0)) > key((0, 9, 9))
     assert key((2, 0, 0)) > key((1, 3, 3))
+
+
+ORDERS = {"grevlex": MonomialOrder.grevlex(), "lex": MonomialOrder.lex(),
+          "weighted_block": MonomialOrder.block_elim(2, (1, 3, 1, 2, 2))}
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=list(ORDERS))
+@given(st.lists(st.tuples(*[st.integers(0, 12)] * 5), min_size=2,
+                max_size=30, unique=True))
+@settings(max_examples=40, deadline=None)
+def test_codecs_order_monomials_as_the_ring(order, mons):
+    # below the narrow cap both layouts sort exactly as the ring's key
+    # does: the engine's reducers take a polynomial's first term as head
+    Ro = PolyRing(["a", "b", "c", "d", "e"], F, order)
+    by_ring = sorted(mons, key=Ro._key)
+    for wide in (False, True):
+        codec = _Codec(Ro, wide=wide)
+        assert max(map(sum, mons)) < codec.deg_cap
+        assert sorted(mons, key=codec.encode) == by_ring
+
+
+def test_degree_too_large_to_pack():
+    # the ring's key is the wide layout's: total degree 16384 is past it
+    assert R.parse("x^16383").lm == (16383, 0, 0)
+    with pytest.raises(DegreeTooLarge):
+        R.parse("x^16384")
+    with pytest.raises(DegreeTooLarge):
+        R.from_dict({(0, 9000, 9000): 1})
+    with pytest.raises(DegreeTooLarge):
+        R.parse("x^9000") * R.parse("y^9000 + z")
 
 
 # -- arithmetic -------------------------------------------------------------
