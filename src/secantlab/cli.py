@@ -211,6 +211,9 @@ def cmd_betti(args) -> int:
     budget = _pair_budget(args)
     max_degree = _max_degree(args)
     if args.ideal_file:
+        if args.file or args.k is not None:
+            raise InputError("betti takes --ideal-file or --file with --k, "
+                             "not both")
         I = _load(args.ideal_file, parse_ideal_file)
     else:
         if not args.file or args.k is None:

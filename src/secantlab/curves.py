@@ -8,12 +8,16 @@ secant_join and carry a weighted-homogeneous cone parametrization for its
 fast path: (s, t) -> s^(d-i) t^i for genus 0, and for genus 1 and 2 the
 images t^(d - pole) m(x, y) of weight d under the weights (2, w_y, 1) of
 (x, y, t), w_y = 3 or 5, cut out by the curve equation homogenised by t.
+:class:`CurveModel` is an immutable record built on ``namedtuple`` whose
+``__new__`` validates the model; :class:`CurveEmbedding` is an immutable
+``NamedTuple`` record.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .arith import DEFAULT_PRIME, PrimeField, is_prime
 from .gb import Ideal, buchberger
@@ -34,8 +38,8 @@ class DuplicatePoints(ValueError):
 # curve models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(namedtuple("CurveModel", "genus field equation",
+                            defaults=(None,))):
     """Genus 0 (no equation), genus 1 (Weierstrass w(x, y)), or genus 2
     (y^2 - f(x), deg f = 5 squarefree) over a prime field.
 
@@ -43,18 +47,18 @@ class CurveModel:
     one Groebner basis of (f, f') decides.
     """
 
-    genus: int
-    field: PrimeField
-    equation: Polynomial | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, genus: int, field: PrimeField,
+                equation: Polynomial | None = None):
+        self = super().__new__(cls, genus, field, equation)
         g = self.genus
         if g not in (0, 1, 2):
             raise ValueError("genus must be 0, 1, or 2")
         if g == 0:
             if self.equation is not None:
                 raise ValueError("genus 0 takes no equation")
-            return
+            return self
         if self.field.p == 2:
             raise ValueError("odd characteristic required for genus >= 1")
         eq = self.equation
@@ -89,6 +93,7 @@ class CurveModel:
             fprime = ring.from_dict({(i - 1,): i * c for (i,), c in f.terms})
             if not buchberger([f, fprime], ring).is_unit_ideal():
                 raise ValueError("f must be squarefree (gcd(f, f') = 1)")
+        return self
 
     def _coeff(self, i, j):
         return dict(self.equation.terms).get((i, j), 0)
@@ -141,8 +146,7 @@ def rr_basis(model: CurveModel, d: int):
     return basis
 
 
-@dataclass(frozen=True)
-class CurveEmbedding:
+class CurveEmbedding(NamedTuple):
     """A curve embedded in P^r by O(d * P_inf), with its homogeneous ideal
     and the cone parametrization used by secant_join."""
 

@@ -10,8 +10,9 @@ together by the weighted degree of their head or lcm, generators first
 within a degree, then pairs by ascending lcm.  The weights are the
 target's when there is one, else the order's (a block's weights, 1 in a
 block without), so on homogeneous input this is the normal strategy.
-A Hilbert target, a weighted Hilbert series that is either exact for S/I
-or a coefficient-wise lower bound on it, for a weighted-homogeneous ideal
+A Hilbert target (:class:`HilbertTarget`, an immutable ``NamedTuple``
+record), a weighted Hilbert series that is either exact for S/I or a
+coefficient-wise lower bound on it, for a weighted-homogeneous ideal
 (Traverso, J. Symbolic Comput. 22, 1996), lets a run drop a generator or
 pair of degree d unreduced once dim (S/in(G))_d equals the target's.  Since
 dim (S/in(G))_d >= dim (S/I)_d >= target(d), in(G) is then complete in
@@ -41,9 +42,9 @@ and reduction time keep both layouts exact.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul, or_
+from typing import NamedTuple
 
 from .poly import PolyRing, Polynomial, RingMismatch, _Codec, _NeedWide
 
@@ -163,6 +164,8 @@ class GroebnerBasis:
 
     def __init__(self, elements, ring: PolyRing, codec: _Codec | None = None):
         self.elements = tuple(elements)
+        if any(f.ring != ring for f in self.elements):
+            raise RingMismatch("element not over the basis ring")
         self.ring = ring
         self.order = ring.order
         self._codec = codec if codec is not None else _Codec(ring)
@@ -241,8 +244,7 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.elements)} elements, {self.order.name})"
 
 
-@dataclass(frozen=True)
-class HilbertTarget:
+class HilbertTarget(NamedTuple):
     """Weighted Hilbert series numerator(t) / prod_v (1 - t^{w_v}) for S
     graded by ``weights`` (one positive weight per variable), with
     ``numerator`` a dict degree -> coefficient.  With ``exact`` it is the
@@ -587,9 +589,8 @@ class Ideal:
     order."""
 
     def __init__(self, ring: PolyRing, generators):
-        for g in generators:
-            if g.ring.variables != ring.variables or g.ring.field != ring.field:
-                raise RingMismatch("generator not over the ideal's ring")
+        if any(g.ring != ring for g in generators):
+            raise RingMismatch("generator not over the ideal's ring")
         self.ring = ring
         self.generators = tuple(g for g in generators if g.terms)
         self._gb = None

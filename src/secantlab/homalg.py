@@ -18,15 +18,16 @@ I (Artinian reduction).  The strand window is the Bayer-Stillman criterion
 read off the Hilbert functions of the rest of the chain, bounded by the
 Taylor resolution of in(J); for an ACM input it is the top degree of the
 h-vector.  No free resolution is ever built, and every table is checked
-against the Hilbert numerator.
+against the Hilbert numerator.  The results, :class:`HilbertData` and
+:class:`BettiTable`, are immutable ``NamedTuple`` records.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .gb import (GroebnerBasis, HilbertTarget, Ideal, InternalIdentityError,
                  _ideal_with_gb, _series_of_denominator, buchberger)
@@ -41,8 +42,7 @@ class ZeroIdeal(ValueError):
 # Hilbert series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(NamedTuple):
     """Hilbert series data of a graded quotient S/I.
 
     ``numerator`` is N(t) with HS = N(t)/(1-t)^nvars; ``dimension`` is the
@@ -137,8 +137,7 @@ def _rank_mod(vectors, p: int) -> int:
 # Betti tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     """Graded Betti numbers beta_{i,j} of S/I; nvars = r + 1 ambient vars.
 
     ``truncated_at`` marks a degree-truncated computation: entries with

@@ -5,11 +5,15 @@ the last-variable criterion on its reduced grevlex basis (with the
 irrelevant-ideal saturation, by intersection, as the fallback), and tangent
 cones with Hilbert-Samuel multiplicities.  Everything here is pure: input
 ideals are never mutated beyond their own write-once Groebner caches.
+The records are immutable: :class:`ConeParametrization` is a
+``NamedTuple``, and :class:`SecantSpec` and :class:`PointedIdeal` are built
+on ``namedtuple`` with a ``__new__`` that validates before it constructs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .gb import (GroebnerBasis, HilbertTarget, Ideal, _ideal_with_gb,
                  _poly_mul, buchberger)
@@ -70,8 +74,7 @@ def intersect(I: Ideal, J: Ideal, pair_budget=None) -> Ideal:
 # secant joins
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConeParametrization:
+class ConeParametrization(NamedTuple):
     """Weighted-homogeneous polynomial chart of the affine cone over the
     base curve.
 
@@ -91,26 +94,25 @@ class ConeParametrization:
     constraints: tuple = ()
 
 
-@dataclass(frozen=True)
-class SecantSpec:
+class SecantSpec(namedtuple("SecantSpec", "k base_ideal parametrization")):
     """Input bundle for secant_join: Σ_k of V(base_ideal) ⊆ P^r, with
     ``base_ideal`` over a grevlex ring in r + 1 variables (the order the
     saturation criterion reads) and ``parametrization`` a cone chart of
     V(base_ideal)."""
 
-    k: int
-    base_ideal: Ideal
-    parametrization: ConeParametrization
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.parametrization, ConeParametrization):
+    def __new__(cls, k: int, base_ideal: Ideal,
+                parametrization: ConeParametrization):
+        if not isinstance(parametrization, ConeParametrization):
             raise TypeError("parametrization must be a ConeParametrization")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("secant index must be nonnegative")
-        if self.base_ideal.ring.order != MonomialOrder.grevlex():
+        if base_ideal.ring.order != MonomialOrder.grevlex():
             raise ValueError("base ideal must be over a grevlex ring")
-        if not self.base_ideal.is_homogeneous():
+        if not base_ideal.is_homogeneous():
             raise ValueError("base ideal must be homogeneous")
+        return super().__new__(cls, k, base_ideal, parametrization)
 
 
 def _join_with_parametrization(param: ConeParametrization, cur: Ideal,
@@ -252,25 +254,22 @@ def secant_join(spec: SecantSpec, pair_budget=None) -> Ideal:
 # tangent cones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointedIdeal:
+class PointedIdeal(namedtuple("PointedIdeal", "ideal point chart",
+                              defaults=(-1,))):
     """A homogeneous ideal together with a projective point on its variety.
 
     The point is normalized so the designated chart coordinate equals 1;
     membership is checked by evaluating every generator.
     """
 
-    ideal: Ideal
-    point: tuple
-    chart: int = -1
+    __slots__ = ()
 
-    def __post_init__(self):
-        ring = self.ideal.ring
+    def __new__(cls, ideal: Ideal, point: tuple, chart: int = -1):
+        ring = ideal.ring
         p = ring.field.p
-        pt = [v % p for v in self.point]
+        pt = [v % p for v in point]
         if len(pt) != ring.nvars:
             raise ValueError("point length does not match the ring")
-        chart = self.chart
         if chart < 0:
             nz = [i for i, v in enumerate(pt) if v]
             if not nz:
@@ -280,12 +279,11 @@ class PointedIdeal:
             raise ValueError("chart coordinate must be nonzero")
         inv = ring.field.inv(pt[chart])
         pt = tuple(v * inv % p for v in pt)
-        object.__setattr__(self, "point", pt)
-        object.__setattr__(self, "chart", chart)
-        for g in self.ideal.generators:
+        for g in ideal.generators:
             if g.evaluate(pt) != 0:
                 raise PointNotOnVariety(
                     f"generator {g} does not vanish at {pt}")
+        return super().__new__(cls, ideal, pt, chart)
 
 
 def tangent_cone_multiplicity(P: PointedIdeal, pair_budget=None):

@@ -4,14 +4,16 @@ pipeline comparing them against computed invariants.
 The predicted quantities for Σ_k of a genus-g curve embedded by a degree
 deg_L line bundle: dimension 2k+1, the binomial degree formula, the
 multiplicity formula on the singular strata, regularity, the N_{k+2,p}
-window, ACM-ness, and the canonical corner Betti number.
+window, ACM-ness, and the canonical corner Betti number.  A
+:class:`PredictionRecord` is an immutable ``NamedTuple`` record; a
+:class:`VerificationReport` is a plain class with ``__slots__``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .gb import ResourceLimit
 from .homalg import (InternalIdentityError, ZeroIdeal, hilbert_data, is_acm,
@@ -80,8 +82,7 @@ def predicted_canonical_h0(g: int, k: int) -> int:
     return binomial(g + k, k + 1)
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     """Every closed-form prediction for (g, deg_L, k)."""
 
     g: int
@@ -125,14 +126,16 @@ def predictions(g: int, deg_L: int, k: int) -> PredictionRecord:
 # verification pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VerificationReport:
     """Per-invariant verdict rows for one (curve, k) instance."""
 
-    instance: dict
-    rows: list
-    seed: int
-    prime: int
+    __slots__ = ("instance", "rows", "seed", "prime")
+
+    def __init__(self, instance: dict, rows: list, seed: int, prime: int):
+        self.instance = instance
+        self.rows = rows
+        self.seed = seed
+        self.prime = prime
 
     def to_json_dict(self) -> dict:
         return {"instance": self.instance, "rows": self.rows,

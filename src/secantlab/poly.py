@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials over a prime field.
 
-Monomials are plain exponent tuples; a :class:`MonomialOrder` compiles to
+Monomials are plain exponent tuples; a :class:`MonomialOrder`, an
+immutable ``NamedTuple`` record equal and hashed by value, compiles to
 packed integers (:class:`_Codec`) whose integer comparison is the order.
 Polynomials keep their terms sorted strictly descending by the wide packed
 key, with no zero coefficients and no duplicate monomials; building one
@@ -11,8 +12,8 @@ with a monomial too large to pack (total degree 16384 or more) raises
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 from .arith import PrimeField
 
@@ -53,8 +54,7 @@ class DegreeTooLarge(OverflowError):
 # monomial orders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(NamedTuple):
     """A total order on monomials, described by comparison blocks.
 
     Each block is ``(kind, start, stop, weights)`` with kind ``"grevlex"`` or

@@ -206,6 +206,20 @@ def test_betti_requires_source(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("flags", [["--file"], ["--k"], ["--file", "--k"]],
+                         ids=["file", "k", "file_and_k"])
+def test_betti_ideal_file_with_curve_flags_is_input_error(curve_file, capsys,
+                                                          flags):
+    # the ideal file would otherwise win silently over the curve
+    values = {"--file": curve_file("c.curve", RNC5), "--k": "1"}
+    argv = ["betti", "--ideal-file", curve_file("tc.ideal", IDEAL)]
+    for flag in flags:
+        argv += [flag, values[flag]]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "--ideal-file" in err and "--file" in err and "--k" in err
+
+
 def test_verify_match_exit_zero(curve_file, capsys):
     code, out, _ = run(capsys, ["verify", "--file",
                                 curve_file("c.curve", RNC5), "--k", "1"])

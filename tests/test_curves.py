@@ -39,8 +39,16 @@ def test_genus0_needs_no_equation():
 
 def test_singular_weierstrass_rejected():
     R = PolyRing(["x", "y"], F101)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="discriminant 0"):
         CurveModel(1, F101, R.parse("y^2 - x^3"))
+    with pytest.raises(ValueError, match="discriminant 0"):
+        CurveModel(genus=1, field=F101, equation=R.parse("y^2 - x^3"))
+    with pytest.raises(ValueError, match="genus must be 0, 1, or 2"):
+        CurveModel(genus=3, field=F101)
+    m = CurveModel(field=F101, genus=0)
+    assert m == CurveModel(0, F101) and m.equation is None
+    with pytest.raises(AttributeError):
+        m.genus = 1
 
 
 def test_even_degree_hyperelliptic_rejected():

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from secantlab import gb as gb_module
 from secantlab.arith import PrimeField
-from secantlab.gb import (HilbertTarget, Ideal, InternalIdentityError,
-                          ResourceLimit, _poly_mul, buchberger)
+from secantlab.gb import (GroebnerBasis, HilbertTarget, Ideal,
+                          InternalIdentityError, ResourceLimit,
+                          _ideal_with_gb, _poly_mul, buchberger)
 from secantlab.poly import MonomialOrder, PolyRing, RingMismatch
 
 F = PrimeField(32003)
@@ -296,6 +297,16 @@ def test_generators_must_be_over_the_ring():
     with pytest.raises(RingMismatch):
         buchberger([R.parse("x - y^2")], Rl)
     assert buchberger([Rl.parse("x - y^2")], Rl).elements[0].lm == (1, 0, 0)
+    # same variables and field, another order: a basis or ideal built
+    # from such elements would reduce x by the grevlex head y^2
+    with pytest.raises(RingMismatch):
+        GroebnerBasis([R.parse("x - y^2")], Rl)
+    with pytest.raises(RingMismatch):
+        _ideal_with_gb(Rl, [R.parse("x - y^2")])
+    with pytest.raises(RingMismatch):
+        Ideal(Rl, [R.parse("x - y^2")])
+    basis = GroebnerBasis([Rl.parse("x - y^2")], Rl)
+    assert basis.normal_form(Rl.parse("x")) == Rl.parse("y^2")
 
 
 def test_hilbert_target_guards():

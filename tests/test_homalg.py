@@ -40,6 +40,8 @@ def test_hilbert_twisted_cubic():
     assert hd.numerator == (1, 0, -3, 2)
     assert hd.dimension == 2 and hd.degree == 3
     assert hd.projective_dimension_of_variety == 1
+    with pytest.raises(AttributeError):
+        hd.degree = 4
     # h(d) = 3d + 1 for the twisted cubic
     for d in range(6):
         assert hd.hilbert_function(d) == 3 * d + 1

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -249,3 +252,15 @@ def test_check_sees_an_upward_import(tmp_path):
                                 "from pkg.low import g\n")
     assert _upward_imports(pkg, ("low", "top")) == [
         "low.py imports top", "low.py imports low", "low.py imports top"]
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every CLI call is a fresh process that imports the whole package, and
+    # dataclasses (with inspect, ast, dis and tokenize) would be the
+    # largest part of that import; -S keeps site from importing anything
+    probe = ("import sys, secantlab.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-S", "-c", probe],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert res.stdout.strip() == "[]"

@@ -138,8 +138,23 @@ def test_pointed_ideal_validates_point():
     I = Ideal(R, [R.parse("y^2*z - x^3")])
     with pytest.raises(PointNotOnVariety):
         PointedIdeal(I, (1, 1, 2))
+    with pytest.raises(PointNotOnVariety):
+        PointedIdeal(ideal=I, point=(1, 1, 2))
+    for chart in (0, 1):
+        with pytest.raises(ValueError, match="chart coordinate"):
+            PointedIdeal(I, (0, 0, 5), chart)
+        with pytest.raises(ValueError, match="chart coordinate"):
+            PointedIdeal(I, point=(0, 0, 5), chart=chart)
+    with pytest.raises(ValueError, match="cannot be zero"):
+        PointedIdeal(I, (0, 0, 0))
+    with pytest.raises(ValueError, match="point length"):
+        PointedIdeal(ideal=I, point=(0, 1))
     P = PointedIdeal(I, (0, 0, 5))
-    assert P.point == (0, 0, 1)  # normalized
+    assert P.point == (0, 0, 1) and P.chart == 2  # normalized, chart chosen
+    Q = PointedIdeal(I, (2, 2, 2), chart=1)
+    assert Q.point == (1, 1, 1) and Q.chart == 1
+    with pytest.raises(AttributeError):
+        P.point = (0, 0, 5)
 
 
 def test_tangent_cone_multiplicity():
@@ -169,13 +184,21 @@ def test_tangent_cone_with_a_variable_named_like_its_fresh_one():
 def test_invalid_spec_rejected():
     E = rational_normal_curve(4, F)
     C, chart = E.ideal, E.parametrization
-    with pytest.raises(ValueError):
-        SecantSpec(k=-1, base_ideal=C, parametrization=chart)
+    for args, kwargs in (((-1, C, chart), {}),
+                         ((), dict(k=-1, base_ideal=C, parametrization=chart))):
+        with pytest.raises(ValueError, match="secant index"):
+            SecantSpec(*args, **kwargs)
     # the saturation criterion reads a grevlex basis
     Rl = C.ring.with_order(MonomialOrder.lex())
     Cl = Ideal(Rl, [Rl.from_dict(dict(f.terms)) for f in C.generators])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grevlex"):
         SecantSpec(k=1, base_ideal=Cl, parametrization=chart)
+    with pytest.raises(ValueError, match="grevlex"):
+        SecantSpec(1, Cl, chart)
+    spec = SecantSpec(1, C, chart)
+    assert spec == E.secant_spec(1)
+    with pytest.raises(AttributeError):
+        spec.k = 2
 
 
 def test_spec_requires_a_cone_chart():
@@ -183,8 +206,10 @@ def test_spec_requires_a_cone_chart():
     C = rational_normal_curve(4, F).ideal
     with pytest.raises(TypeError):
         SecantSpec(k=1, base_ideal=C)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="ConeParametrization"):
         SecantSpec(k=1, base_ideal=C, parametrization=None)
+    with pytest.raises(TypeError, match="ConeParametrization"):
+        SecantSpec(1, C, None)
 
 
 def test_elliptic_sextic_join_basis_gate(monkeypatch):

@@ -27,6 +27,19 @@ def test_grevlex_known_comparisons():
     assert key((0, 0, 3)) > key((2, 0, 0))
 
 
+def test_rings_from_equal_orders_are_equal():
+    # orders are immutable values: rings built from two equal orders are
+    # equal and hash equal, and another order gives another ring
+    a = MonomialOrder.block_elim(1, (1, 2, 3))
+    b = MonomialOrder.block_elim(1, (1, 2, 3))
+    assert a is not b and a == b and hash(a) == hash(b)
+    Ra, Rb = R.with_order(a), R.with_order(b)
+    assert Ra == Rb and hash(Ra) == hash(Rb)
+    assert Ra != R.with_order(MonomialOrder.block_elim(1))
+    with pytest.raises(AttributeError):
+        a.name = "grevlex"
+
+
 def test_lex_order():
     Rl = R.with_order(MonomialOrder.lex())
     key = Rl._key
