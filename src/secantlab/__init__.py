@@ -7,7 +7,8 @@ closed-form predictions.
 
 from .arith import DEFAULT_PRIME, PrimeField
 from .poly import MonomialOrder, PolyRing, Polynomial, parse_polynomial
-from .gb import GroebnerBasis, Ideal, ResourceLimit, buchberger
+from .gb import (GroebnerBasis, Ideal, ResourceLimit, buchberger,
+                 pair_budget)
 from .ideal_ops import (ConeParametrization, PointNotOnVariety, PointedIdeal,
                         SecantSpec, intersect, saturate_irrelevant,
                         secant_join, tangent_cone_multiplicity)
@@ -27,7 +28,7 @@ from .oracle import (HypothesisViolated, PredictionRecord,
 __all__ = [
     "DEFAULT_PRIME", "PrimeField",
     "MonomialOrder", "PolyRing", "Polynomial", "parse_polynomial",
-    "GroebnerBasis", "Ideal", "ResourceLimit", "buchberger",
+    "GroebnerBasis", "Ideal", "ResourceLimit", "buchberger", "pair_budget",
     "ConeParametrization", "PointNotOnVariety", "PointedIdeal", "SecantSpec",
     "intersect", "saturate_irrelevant", "secant_join",
     "tangent_cone_multiplicity",

@@ -4,10 +4,13 @@ verification reports.
 Subcommands: curve, secant, betti, verify, bench.  Exit codes form the CI
 contract: 0 success / all rows match, 1 mismatch, 2 input error (a monomial
 degree too large to pack included), 3 resource limit, 4 internal error (a
-Betti table broke a run-time identity).  The environment variable
-SECANTLAB_PAIR_BUDGET overrides the default S-pair budget.  JSON output is
-deterministic for a fixed (config, seed, prime) and carries no timings;
-only ``bench`` reports wall-clock times.
+Betti table broke a run-time identity).  Each subcommand runs under one
+S-pair budget, set once by ``main``: --pair-budget, else the environment
+variable SECANTLAB_PAIR_BUDGET, else ``gb.DEFAULT_PAIR_BUDGET``.  Input
+validation is not budgeted, so an invalid file is an input error under any
+budget; ``verify --jobs N`` passes the budget to each worker with its
+task.  JSON output is deterministic for a fixed (config, seed, prime) and
+carries no timings; only ``bench`` reports wall-clock times.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .arith import PrimeField
 # rational_normal_curve is not called here (embed dispatches genus 0 to it);
 # it stays bound in this module because perfbench/traced.py hooks it here.
 from .curves import embed, parse_curve_file, rational_normal_curve  # noqa: F401
-from .gb import Ideal, ResourceLimit
+from .gb import DEFAULT_PAIR_BUDGET, Ideal, ResourceLimit, pair_budget
 from .homalg import (InternalIdentityError, hilbert_data, is_acm,
                      max_ndp_steps, minimal_free_resolution,
                      projective_dimension, regularity)
@@ -41,7 +44,7 @@ class InputError(ValueError):
     pass
 
 
-def _pair_budget(args) -> int | None:
+def _pair_budget(args) -> int:
     if getattr(args, "pair_budget", None) is not None:
         if args.pair_budget <= 0:
             raise InputError("pair budget must be positive")
@@ -56,7 +59,7 @@ def _pair_budget(args) -> int | None:
         if budget <= 0:
             raise InputError("SECANTLAB_PAIR_BUDGET must be positive")
         return budget
-    return None
+    return DEFAULT_PAIR_BUDGET
 
 
 def _max_degree(args) -> int | None:
@@ -79,20 +82,20 @@ def _load(path: str, parse):
         raise InputError(f"{path}: {e}")
 
 
-def _build_embedding(path: str, pair_budget=None):
+def _build_embedding(path: str):
     model, degree = _load(path, parse_curve_file)
     try:
-        return embed(model, degree, pair_budget=pair_budget)
+        return embed(model, degree)
     except ValueError as e:
         raise InputError(f"{path}: {e}")
 
 
-def _secant_ideal(emb, k: int, pair_budget=None) -> Ideal:
+def _secant_ideal(emb, k: int) -> Ideal:
     """The ideal of Σ_k: at once the zero ideal when Σ_k fills P^r, else
     the secant join."""
     if emb.secant_fills(k):
         return Ideal(emb.ideal.ring, [])
-    return secant_join(emb.secant_spec(k), pair_budget=pair_budget)
+    return secant_join(emb.secant_spec(k))
 
 
 def parse_ideal_file(text: str) -> Ideal:
@@ -167,7 +170,7 @@ def _json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_curve(args) -> int:
-    emb = _build_embedding(args.file, _pair_budget(args))
+    emb = _build_embedding(args.file)
     gens = [str(f) for f in emb.ideal.generators]
     if args.format == "json":
         payload = _json({
@@ -188,9 +191,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_secant(args) -> int:
-    budget = _pair_budget(args)
-    emb = _build_embedding(args.file, budget)
-    S = _secant_ideal(emb, args.k, budget)
+    emb = _build_embedding(args.file)
+    S = _secant_ideal(emb, args.k)
     gens = [str(f) for f in S.generators]
     if args.format == "json":
         payload = _json({
@@ -208,7 +210,6 @@ def cmd_secant(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    budget = _pair_budget(args)
     max_degree = _max_degree(args)
     if args.ideal_file:
         if args.file or args.k is not None:
@@ -218,19 +219,18 @@ def cmd_betti(args) -> int:
     else:
         if not args.file or args.k is None:
             raise InputError("betti needs --file with --k, or --ideal-file")
-        emb = _build_embedding(args.file, budget)
-        I = _secant_ideal(emb, args.k, budget)
+        emb = _build_embedding(args.file)
+        I = _secant_ideal(emb, args.k)
     if I.is_zero():
         _emit("(zero ideal)\n" if args.format == "text"
               else _json({"r": I.ring.nvars - 1, "entries": [[0, 0, 1]]}),
               args.output)
         return EXIT_OK
-    hd = hilbert_data(I, pair_budget=budget)
+    hd = hilbert_data(I)
     if hd.dimension < 0:
         raise InputError(f"{args.ideal_file}: the unit ideal has no graded "
                          "Betti table")
-    B = minimal_free_resolution(I, degree_bound=max_degree,
-                                pair_budget=budget, seed=args.seed)
+    B = minimal_free_resolution(I, degree_bound=max_degree, seed=args.seed)
     if args.format == "json":
         out = B.to_json_dict()
         out["degree"] = hd.degree
@@ -263,19 +263,21 @@ def cmd_betti(args) -> int:
 
 def _verify_instance(task):
     path, k, seed, budget, max_degree = task
-    emb = _build_embedding(path, budget)
-    rep = verify(emb, k, seed=seed, pair_budget=budget,
-                 degree_bound=max_degree)
+    # a context value does not cross into a worker started by spawn or
+    # forkserver, so the worker sets the budget it is given
+    with pair_budget(budget):
+        emb = _build_embedding(path)
+        rep = verify(emb, k, seed=seed, degree_bound=max_degree)
     out = rep.to_json_dict()
     out["instance"]["curve_file"] = os.path.basename(path)
     return out
 
 
 def cmd_verify(args) -> int:
-    budget = _pair_budget(args)
     max_degree = _max_degree(args)
     if args.jobs < 1:
         raise InputError("jobs must be positive")
+    budget = _pair_budget(args)
     tasks = [(path, args.k, args.seed, budget, max_degree)
              for path in args.file]
     if args.jobs > 1 and len(tasks) > 1:
@@ -315,20 +317,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    budget = _pair_budget(args)
     t0 = time.monotonic()
-    emb = _build_embedding(args.file, budget)
+    emb = _build_embedding(args.file)
     t_embed = time.monotonic() - t0
     t0 = time.monotonic()
-    S = _secant_ideal(emb, args.k, budget)
+    S = _secant_ideal(emb, args.k)
     t_join = time.monotonic() - t0
     t0 = time.monotonic()
     if not S.is_zero():
-        hilbert_data(S, pair_budget=budget)
+        hilbert_data(S)
     t_hilb = time.monotonic() - t0
     t0 = time.monotonic()
     if not S.is_zero():
-        minimal_free_resolution(S, pair_budget=budget, seed=args.seed)
+        minimal_free_resolution(S, seed=args.seed)
     t_betti = time.monotonic() - t0
     print(f"embed  {t_embed * 1000:9.1f} ms")
     print(f"join   {t_join * 1000:9.1f} ms")
@@ -395,7 +396,8 @@ def main(argv=None) -> int:
         print("error: k must be nonnegative", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args)
+        with pair_budget(_pair_budget(args)):
+            return args.func(args)
     except (InputError, DegreeTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from contextvars import Context
 from typing import NamedTuple
 
 from .arith import DEFAULT_PRIME, PrimeField, is_prime
@@ -44,7 +45,7 @@ class CurveModel(namedtuple("CurveModel", "genus field equation",
     (y^2 - f(x), deg f = 5 squarefree) over a prime field.
 
     f is squarefree iff f and f' generate the unit ideal of F_p[x], which
-    one Groebner basis of (f, f') decides.
+    one Groebner basis of (f, f') decides, outside any caller's pair budget.
     """
 
     __slots__ = ()
@@ -91,7 +92,10 @@ class CurveModel(namedtuple("CurveModel", "genus field equation",
             if deg != 5:
                 raise ValueError("genus 2 needs deg f = 5")
             fprime = ring.from_dict({(i - 1,): i * c for (i,), c in f.terms})
-            if not buchberger([f, fprime], ring).is_unit_ideal():
+            # a fresh context runs the check at the default budget, so an
+            # invalid equation is a ValueError under any caller's budget
+            if not Context().run(buchberger, [f, fprime],
+                                 ring).is_unit_ideal():
                 raise ValueError("f must be squarefree (gcd(f, f') = 1)")
         return self
 
@@ -207,7 +211,7 @@ def rational_normal_curve(d: int, field: PrimeField | None = None
     return CurveEmbedding(model, d, basis, d, Ideal(ring, gens), param)
 
 
-def embed(model: CurveModel, d: int, pair_budget=None) -> CurveEmbedding:
+def embed(model: CurveModel, d: int) -> CurveEmbedding:
     """Embed the curve in P^{d-g} by the degree-d one-point linear system.
 
     Builds the graph ideal z_i - t*m_i(x, y) alongside the curve equation
@@ -236,7 +240,7 @@ def embed(model: CurveModel, d: int, pair_budget=None) -> CurveEmbedding:
     for i, (exps, _) in enumerate(basis):
         mono = big.monomial((exps[0], exps[1], 1) + (0,) * (r + 1))
         gens.append(big.gen(3 + i) - mono)
-    gb = buchberger(gens, big, pair_budget=pair_budget, eliminate=3)
+    gb = buchberger(gens, big, eliminate=3)
     target = PolyRing(znames, field, MonomialOrder.grevlex())
     ideal = Ideal(target, _subring_part(gb, 3, target))
     pring = PolyRing(["x", "y", "t"], field)

@@ -37,11 +37,19 @@ and degree are a few integer operations each.  A narrow layout (8-bit
 exponents) is tried first and transparently restarted with a wide layout
 when any total degree reaches the narrow capacity; degree checks at encode
 and reduction time keep both layouts exact.
+
+Every run is capped by one S-pair budget, a context value: the pairs it
+reduces may not exceed it, else it raises :class:`ResourceLimit`.  It is
+``DEFAULT_PAIR_BUDGET`` unless a caller sets it for a block of work with
+``with pair_budget(n):``, which covers every Groebner basis computed in the
+block, each run counted on its own.
 """
 
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import reduce
 from operator import mul, or_
 from typing import NamedTuple
@@ -49,6 +57,20 @@ from typing import NamedTuple
 from .poly import PolyRing, Polynomial, RingMismatch, _Codec, _NeedWide
 
 DEFAULT_PAIR_BUDGET = 2_000_000
+_PAIR_BUDGET = ContextVar("pair_budget", default=DEFAULT_PAIR_BUDGET)
+
+
+@contextmanager
+def pair_budget(n: int):
+    """Cap each Groebner basis run inside the block at ``n`` S-pairs.  The
+    budget is a context value: it is restored when the block ends, and a
+    new thread, or a process started by spawn or forkserver, does not
+    inherit it."""
+    token = _PAIR_BUDGET.set(n)
+    try:
+        yield
+    finally:
+        _PAIR_BUDGET.reset(token)
 
 
 class InternalIdentityError(RuntimeError):
@@ -66,6 +88,11 @@ class ResourceLimit(RuntimeError):
             f"pair budget exhausted: processed {pairs_processed} of {max_pairs}")
         self.pairs_processed = pairs_processed
         self.max_pairs = max_pairs
+
+    def __reduce__(self):
+        # args holds the message alone: rebuild from the counts instead, so
+        # the exception survives a pickle round trip (a Pool worker's result)
+        return type(self), (self.pairs_processed, self.max_pairs)
 
 
 class _Reducer:
@@ -345,12 +372,14 @@ def _series_of_denominator(weights, length: int) -> list:
     return c
 
 
-def buchberger(generators, ring: PolyRing, pair_budget: int | None = None,
+def buchberger(generators, ring: PolyRing,
                target: HilbertTarget | None = None,
                eliminate: int = 0) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``, for
     the ring's order.  New elements are only head-reduced while the loop
-    runs; the tails of the returned elements are reduced at the end.
+    runs; the tails of the returned elements are reduced at the end.  A
+    run that would reduce more S-pairs than the current ``pair_budget``
+    raises ResourceLimit.
 
     With ``eliminate`` = m > 0, which must be the size of the first block
     of the ring's order (else ValueError), only the elements free of the
@@ -384,18 +413,17 @@ def buchberger(generators, ring: PolyRing, pair_budget: int | None = None,
             raise ValueError(
                 f"eliminate={eliminate} is not the first block of the "
                 f"order {ring.order.name}")
-    budget = pair_budget if pair_budget is not None else DEFAULT_PAIR_BUDGET
     try:
-        return _buchberger(generators, ring, budget, _Codec(ring), target,
-                           eliminate)
+        return _buchberger(generators, ring, _Codec(ring), target, eliminate)
     except _NeedWide:
-        return _buchberger(generators, ring, budget, _Codec(ring, wide=True),
-                           target, eliminate)
+        return _buchberger(generators, ring, _Codec(ring, wide=True), target,
+                           eliminate)
 
 
-def _buchberger(generators, ring, budget, codec: _Codec,
+def _buchberger(generators, ring, codec: _Codec,
                 target: HilbertTarget | None,
                 eliminate: int) -> GroebnerBasis:
+    budget = _PAIR_BUDGET.get()
     one = codec.one
     pmask = codec.pmask
     guard = codec.guard
@@ -595,10 +623,9 @@ class Ideal:
         self.generators = tuple(g for g in generators if g.terms)
         self._gb = None
 
-    def groebner(self, pair_budget: int | None = None) -> GroebnerBasis:
+    def groebner(self) -> GroebnerBasis:
         if self._gb is None:
-            self._gb = buchberger(self.generators, self.ring,
-                                  pair_budget=pair_budget)
+            self._gb = buchberger(self.generators, self.ring)
         return self._gb
 
     def contains(self, f: Polynomial) -> bool:

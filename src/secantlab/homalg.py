@@ -71,7 +71,7 @@ class HilbertData(NamedTuple):
                    for e, c in enumerate(self.numerator) if e <= d)
 
 
-def hilbert_data(I: Ideal, pair_budget=None) -> HilbertData:
+def hilbert_data(I: Ideal) -> HilbertData:
     """Hilbert series, Krull dimension, and degree of S/I.
 
     Works from the initial ideal of I's cached Groebner basis, whose
@@ -81,7 +81,7 @@ def hilbert_data(I: Ideal, pair_budget=None) -> HilbertData:
     n = I.ring.nvars
     if I.is_zero():
         return HilbertData(n, (1,), n, 1)
-    num = I.groebner(pair_budget=pair_budget).hilbert_numerator((1,) * n)
+    num = I.groebner().hilbert_numerator((1,) * n)
     if not num:
         # unit ideal: S/I = 0
         return HilbertData(n, (0,), -1, 0)
@@ -253,7 +253,7 @@ def _strip(coeffs) -> tuple:
     return tuple(coeffs)
 
 
-def _cut(I: Ideal, h: Polynomial, pair_budget):
+def _cut(I: Ideal, h: Polynomial):
     """(I + (h))/(h) and its Hilbert data, as an ideal of the grevlex ring
     without the leading variable of the linear form h.
 
@@ -272,16 +272,16 @@ def _cut(I: Ideal, h: Polynomial, pair_budget):
     gens = [cut_ring.from_dict({m[:v] + m[v + 1:]: c
                                 for m, c in reduce_h(f).terms})
             for f in I.generators]
-    numerator = hilbert_data(I, pair_budget=pair_budget).numerator
+    numerator = hilbert_data(I).numerator
     bound = HilbertTarget((1,) * cut_ring.nvars,
                           {d: c for d, c in enumerate(numerator) if c},
                           exact=False)
-    J = _ideal_with_gb(cut_ring, gens, buchberger(
-        gens, cut_ring, pair_budget=pair_budget, target=bound))
-    return J, hilbert_data(J, pair_budget=pair_budget)
+    J = _ideal_with_gb(cut_ring, gens,
+                       buchberger(gens, cut_ring, target=bound))
+    return J, hilbert_data(J)
 
 
-def _free_cut(J: Ideal, hd: HilbertData, pair_budget):
+def _free_cut(J: Ideal, hd: HilbertData):
     """(J + (x))/(x) and its Hilbert data for the last variable x, read off
     J's reduced grevlex basis when x divides none of its heads; else None,
     and None for a ring of another order (the cut ring keeps J's order).
@@ -295,7 +295,7 @@ def _free_cut(J: Ideal, hd: HilbertData, pair_budget):
     ring = J.ring
     if ring.order != MonomialOrder.grevlex():
         return None
-    gb = J.groebner(pair_budget=pair_budget)
+    gb = J.groebner()
     last = ring.nvars - 1
     if any(f.lm[last] for f in gb):
         return None
@@ -309,7 +309,7 @@ def _free_cut(J: Ideal, hd: HilbertData, pair_budget):
             HilbertData(last, hd.numerator, hd.dimension - 1, hd.degree))
 
 
-def regular_cut(I: Ideal, hd: HilbertData, seed: int = 0, pair_budget=None):
+def regular_cut(I: Ideal, hd: HilbertData, seed: int = 0):
     """The cut chain of I: yields (J, hilbert_data(J), certified), first for
     J = I, then for I cut by one linear form at a time, until Krull
     dimension 0 (so at most nvars cuts).  ``hd`` is the Hilbert data of I.
@@ -334,12 +334,12 @@ def regular_cut(I: Ideal, hd: HilbertData, seed: int = 0, pair_budget=None):
     J, certified = I, True
     yield J, hd, certified
     while hd.dimension > 0:
-        cut = _free_cut(J, hd, pair_budget)
+        cut = _free_cut(J, hd)
         if cut is None:
             ring = J.ring
             h = ring.from_dict({ring.gen(v).lm: rng.randrange(1, ring.field.p)
                                 for v in range(ring.nvars)})
-            cut = _cut(J, h, pair_budget)
+            cut = _cut(J, h)
         J, hd = cut
         certified = certified and _strip(hd.numerator) == numerator
         yield J, hd, certified
@@ -382,7 +382,7 @@ def _regularity_window(gb: GroebnerBasis, chain) -> int:
 # minimal Betti numbers via Koszul homology
 # ---------------------------------------------------------------------------
 
-def minimal_free_resolution(I: Ideal, degree_bound=None, pair_budget=None,
+def minimal_free_resolution(I: Ideal, degree_bound=None,
                             seed: int = 0) -> BettiTable:
     """Graded Betti table of S/I for a homogeneous ideal I.
 
@@ -405,18 +405,18 @@ def minimal_free_resolution(I: Ideal, degree_bound=None, pair_budget=None,
         raise ValueError("Betti tables require a homogeneous ideal")
     if I.is_zero():
         return BettiTable(n, (((0, 0), 1),))
-    hd = hilbert_data(I, pair_budget=pair_budget)
+    hd = hilbert_data(I)
     if hd.dimension < 0:
         raise ValueError("unit ideal has no graded Betti table")
 
-    for K, hd_K, certified in regular_cut(I, hd, seed, pair_budget):
+    for K, hd_K, certified in regular_cut(I, hd, seed):
         if certified:
             J, chain = K, [hd_K]
         elif degree_bound is None:
             chain.append(hd_K)
         else:
             break
-    gb = J.groebner(pair_budget=pair_budget)
+    gb = J.groebner()
     if degree_bound is not None:
         qmax_for = lambda i: degree_bound - i
     else:

@@ -55,7 +55,7 @@ def _subring_part(gb: GroebnerBasis, keep_start: int, target: PolyRing):
     return kept
 
 
-def intersect(I: Ideal, J: Ideal, pair_budget=None) -> Ideal:
+def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J via t·I + (1−t)·J and elimination of t."""
     ring = I.ring
     t = _fresh_names(1, ring.variables, "t_cap")[0]
@@ -65,7 +65,7 @@ def intersect(I: Ideal, J: Ideal, pair_budget=None) -> Ideal:
     gens = [tv * g.compose(xs, big) for g in I.generators]
     gens += [(big.constant(1) - tv) * g.compose(xs, big)
              for g in J.generators]
-    gb = buchberger(gens, big, pair_budget=pair_budget, eliminate=1)
+    gb = buchberger(gens, big, eliminate=1)
     kept = _subring_part(gb, 1, ring)
     return Ideal(ring, kept)
 
@@ -115,8 +115,7 @@ class SecantSpec(namedtuple("SecantSpec", "k base_ideal parametrization")):
         return super().__new__(cls, k, base_ideal, parametrization)
 
 
-def _join_with_parametrization(param: ConeParametrization, cur: Ideal,
-                               pair_budget):
+def _join_with_parametrization(param: ConeParametrization, cur: Ideal):
     """One join step C * V(cur) using a cone chart of the base curve.
 
     Imposes cur(x − ν(params)) plus the chart constraints and eliminates the
@@ -148,14 +147,13 @@ def _join_with_parametrization(param: ConeParametrization, cur: Ideal,
     chart_num = buchberger(param.constraints, param.ring).hilbert_numerator(
         param.weights)
     cur_num = {param.image_weight * d: c for d, c in enumerate(
-        hilbert_data(cur, pair_budget=pair_budget).numerator) if c}
+        hilbert_data(cur).numerator) if c}
     target = HilbertTarget(weights, _poly_mul(chart_num, cur_num))
-    gb = buchberger(gens, big, pair_budget=pair_budget, target=target,
-                    eliminate=m)
+    gb = buchberger(gens, big, target=target, eliminate=m)
     return _subring_part(gb, m, ring)
 
 
-def _join_literal(spec: SecantSpec, pair_budget):
+def _join_literal(spec: SecantSpec):
     """The (k+1)-block textbook construction: blocks y(1)..y(k+1) and x,
     relations base(y(j)) and x_i − Σ_j y_i(j), eliminate every y block."""
     ring = spec.base_ideal.ring
@@ -176,7 +174,7 @@ def _join_literal(spec: SecantSpec, pair_budget):
         for j in range(nb):
             s = s - big.gen(j * n + i)
         gens.append(s)
-    gb = buchberger(gens, big, pair_budget=pair_budget, eliminate=nb * n)
+    gb = buchberger(gens, big, eliminate=nb * n)
     return _subring_part(gb, nb * n, ring)
 
 
@@ -193,7 +191,7 @@ def _strip_last(gb, ring: PolyRing) -> list:
     return out
 
 
-def saturate_irrelevant(I: Ideal, pair_budget=None) -> Ideal:
+def saturate_irrelevant(I: Ideal) -> Ideal:
     """Full saturation with respect to the irrelevant ideal: intersect the
     saturations by every single variable.  Slow: it is the fallback of
     ``secant_join``'s certificate and a test oracle."""
@@ -209,14 +207,13 @@ def saturate_irrelevant(I: Ideal, pair_budget=None) -> Ideal:
         # a swap is its own inverse
         to_R = [R.gen(j) for j in perm]
         back = [ring.gen(j) for j in perm]
-        gb = buchberger([g.compose(to_R, R) for g in I.generators], R,
-                        pair_budget=pair_budget)
+        gb = buchberger([g.compose(to_R, R) for g in I.generators], R)
         Ji = Ideal(ring, [g.compose(back, ring) for g in _strip_last(gb, R)])
-        out = Ji if out is None else intersect(out, Ji, pair_budget)
+        out = Ji if out is None else intersect(out, Ji)
     return out
 
 
-def secant_join(spec: SecantSpec, pair_budget=None) -> Ideal:
+def secant_join(spec: SecantSpec) -> Ideal:
     """Homogeneous ideal of the k-th secant variety Σ_k of V(base_ideal).
 
     Joins the curve onto the running secant k times, each step through
@@ -239,14 +236,13 @@ def secant_join(spec: SecantSpec, pair_budget=None) -> Ideal:
 
     raw = spec.base_ideal
     for _ in range(spec.k):
-        gens = _join_with_parametrization(
-            spec.parametrization, raw, pair_budget)
+        gens = _join_with_parametrization(spec.parametrization, raw)
         if not gens:
             return Ideal(ring, [])
         # the join output is already a reduced grevlex basis
         raw = _ideal_with_gb(ring, gens)
     if any(f.lm[-1] for f in raw.groebner()):
-        return saturate_irrelevant(raw, pair_budget)
+        return saturate_irrelevant(raw)
     return raw
 
 
@@ -286,7 +282,7 @@ class PointedIdeal(namedtuple("PointedIdeal", "ideal point chart",
         return super().__new__(cls, ideal, pt, chart)
 
 
-def tangent_cone_multiplicity(P: PointedIdeal, pair_budget=None):
+def tangent_cone_multiplicity(P: PointedIdeal):
     """Tangent cone at the point and its Hilbert-Samuel multiplicity.
 
     Moves the point to the origin of its affine chart, homogenizes with a
@@ -321,20 +317,19 @@ def tangent_cone_multiplicity(P: PointedIdeal, pair_budget=None):
         d = g.total_degree()
         homog.append(Rh.from_dict({
             mon + (d - sum(mon),): c for mon, c in g.terms}))
-    sat = _strip_last(buchberger(homog, Rh, pair_budget=pair_budget), Rh)
+    sat = _strip_last(buchberger(homog, Rh), Rh)
 
     # h-dominant order: the leading term of each basis element sits in the
     # maximal-h slice, which dehomogenizes to the lowest-degree form
     Rd = PolyRing([h_name] + affine_names, ring.field,
                   MonomialOrder.block_elim(1))
     h, *xs = Rd.gens()
-    gb2 = buchberger([g.compose(xs + [h], Rd) for g in sat], Rd,
-                     pair_budget=pair_budget)
+    gb2 = buchberger([g.compose(xs + [h], Rd) for g in sat], Rd)
     cone_gens = []
     for g in gb2:
         a = max(mon[0] for mon, _ in g.terms)
         low = {mon[1:]: c for mon, c in g.terms if mon[0] == a}
         cone_gens.append(aff.from_dict(low))
     cone = Ideal(aff, cone_gens)
-    mult = hilbert_data(cone, pair_budget=pair_budget).degree
+    mult = hilbert_data(cone).degree
     return cone, mult

@@ -157,7 +157,7 @@ def _row(name, predicted, computed, verdict):
             "verdict": verdict}
 
 
-def verify(emb, k: int, seed: int = 0, pair_budget=None,
+def verify(emb, k: int, seed: int = 0,
            degree_bound=None) -> VerificationReport:
     """Run secant_join -> hilbert_data -> minimal_free_resolution on the
     embedding and compare every prediction; failures downgrade rows to
@@ -193,13 +193,12 @@ def verify(emb, k: int, seed: int = 0, pair_budget=None,
         return all_rows("skipped(fills ambient)")
     stage = "secant_join"
     try:
-        S = secant_join(emb.secant_spec(k), pair_budget=pair_budget)
+        S = secant_join(emb.secant_spec(k))
         if S.is_zero():
             return all_rows("skipped(fills ambient)")
         stage = "resolution"
-        hd = hilbert_data(S, pair_budget=pair_budget)
-        B = minimal_free_resolution(S, degree_bound=degree_bound,
-                                    pair_budget=pair_budget, seed=seed)
+        hd = hilbert_data(S)
+        B = minimal_free_resolution(S, degree_bound=degree_bound, seed=seed)
     except ResourceLimit:
         return all_rows(f"skipped(resource limit in {stage})")
     except InternalIdentityError as e:

@@ -1,3 +1,4 @@
+import contextvars
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import secantlab
 from secantlab import cli, homalg, ideal_ops, oracle
 from secantlab.arith import MAX_PRIME, is_prime
 from secantlab.cli import main
-from secantlab.gb import HilbertTarget
+from secantlab.gb import HilbertTarget, ResourceLimit
 
 RNC5 = "genus: 0\nfield: 32003\ndegree: 5\n"
 RNC3 = "genus: 0\nfield: 32003\ndegree: 3\n"
@@ -18,6 +19,7 @@ E5 = "genus: 1\nfield: 32003\nequation: y^2 - x^3 - 4*x - 1\ndegree: 5\n"
 IDEAL = ("field: 32003\nvariables: x, y, z, w\n"
          "generator: x*z - y^2\ngenerator: y*w - z^2\n"
          "generator: x*w - y*z\n")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -269,10 +271,48 @@ def test_negative_k_rejected(curve_file, capsys):
 
 
 def test_pair_budget_exhaustion_exit_three(curve_file, capsys):
-    code, _, err = run(capsys, ["secant", "--file",
-                                curve_file("c.curve", RNC5), "--k", "1",
-                                "--pair-budget", "1"])
+    argv = ["secant", "--file", curve_file("c.curve", RNC5), "--k", "1"]
+    code, _, err = run(capsys, argv + ["--pair-budget", "1"])
     assert code == 3 and "resource" in err
+    # the budget ends with the call that set it
+    code, _, err = run(capsys, argv)
+    assert code == 0 and err == ""
+
+
+def test_invalid_curve_is_input_error_under_any_budget(curve_file, capsys):
+    # validation is not budgeted: a non-squarefree f stays an input error
+    path = curve_file("g2.curve", "genus: 2\nfield: 32003\n"
+                      "equation: y^2 - x^5 - x^3\ndegree: 6\n")
+    code, out, err = run(capsys, ["curve", "--file", path,
+                                  "--pair-budget", "1"])
+    assert code == 2 and out == "" and "f must be squarefree" in err
+
+
+def test_verify_worker_sets_its_own_budget():
+    # a worker started by spawn inherits no context value: the task's
+    # budget must hold in a fresh context
+    task = (str(GOLDEN / "elliptic5.curve"), 1, 0, 1, None)
+    with pytest.raises(ResourceLimit):
+        contextvars.Context().run(cli._verify_instance, task)
+
+
+def test_parallel_verify_budget_exhaustion_exits_three():
+    # a worker's ResourceLimit must reach the parent: run in a subprocess
+    # with a timeout, so that a hang fails instead of stalling the suite
+    src = Path(secantlab.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items()
+           if k != "SECANTLAB_PAIR_BUDGET"}
+    env["PYTHONPATH"] = str(src)
+    argv = [sys.executable, "-m", "secantlab.cli", "verify", "--file",
+            str(GOLDEN / "elliptic5.curve"), str(GOLDEN / "elliptic6.curve"),
+            "--k", "1", "--pair-budget", "1", "--jobs"]
+    serial, parallel = (subprocess.run(argv + [jobs], capture_output=True,
+                                       text=True, env=env, timeout=120)
+                        for jobs in ("1", "2"))
+    assert serial.returncode == 3
+    assert "resource limit: pair budget exhausted" in serial.stderr
+    assert (parallel.returncode, parallel.stdout, parallel.stderr) == \
+        (serial.returncode, serial.stdout, serial.stderr)
 
 
 def test_pair_budget_env(curve_file, capsys, monkeypatch):

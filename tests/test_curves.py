@@ -5,7 +5,7 @@ from secantlab.curves import (CurveModel, DegreeTooSmall, DuplicatePoints,
                               embed, parse_curve_file, point_on_secant,
                               rational_normal_curve, rr_basis,
                               sample_affine_points)
-from secantlab.gb import buchberger
+from secantlab.gb import buchberger, pair_budget
 from secantlab.homalg import hilbert_data
 from secantlab.ideal_ops import secant_join
 from secantlab.oracle import predicted_degree
@@ -61,6 +61,9 @@ def test_non_squarefree_hyperelliptic_rejected():
     R = PolyRing(["x", "y"], F)
     with pytest.raises(ValueError, match="squarefree"):
         CurveModel(2, F, R.parse("y^2 - x^5 - 2*x^4 - x^3"))
+    # validation is not budgeted: an invalid equation stays a ValueError
+    with pair_budget(1), pytest.raises(ValueError, match="squarefree"):
+        CurveModel(2, F, R.parse("y^2 - x^5 - x^3"))
 
 
 @pytest.mark.parametrize("p,equation,squarefree", [

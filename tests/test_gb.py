@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import product
 from operator import mul
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 from secantlab import gb as gb_module
 from secantlab.arith import PrimeField
+from secantlab.curves import CurveModel, embed, rational_normal_curve
 from secantlab.gb import (GroebnerBasis, HilbertTarget, Ideal,
                           InternalIdentityError, ResourceLimit,
-                          _ideal_with_gb, _poly_mul, buchberger)
+                          _ideal_with_gb, _poly_mul, buchberger, pair_budget)
+from secantlab.homalg import minimal_free_resolution
+from secantlab.ideal_ops import secant_join
 from secantlab.poly import MonomialOrder, PolyRing, RingMismatch
 
 F = PrimeField(32003)
@@ -81,10 +85,35 @@ def test_normal_form_is_linear():
 
 
 def test_pair_budget_enforced():
+    # the one budget stops a bare basis, the secant join, a genus-1
+    # embedding, and a Betti table of an ideal with no cached basis
     gens = [R.parse("x^4*y - z^2"), R.parse("y^4*z - x^2"),
             R.parse("z^4*x - y^2")]
-    with pytest.raises(ResourceLimit):
-        buchberger(gens, R, pair_budget=1)
+    spec = rational_normal_curve(5, F).secant_spec(1)
+    elliptic = CurveModel(1, F, PolyRing(["x", "y"], F).parse(
+        "y^2 - x^3 - 4*x - 1"))
+    cubic = rational_normal_curve(3, F).ideal
+    runs = [lambda: buchberger(gens, R),
+            lambda: secant_join(spec),
+            lambda: embed(elliptic, 5),
+            lambda: minimal_free_resolution(Ideal(cubic.ring,
+                                                  cubic.generators))]
+    for run in runs:
+        with pytest.raises(ResourceLimit) as info:
+            with pair_budget(1):
+                run()
+        assert info.value.max_pairs == 1
+        # the block restores the default budget, even when it raises
+        run()
+
+
+def test_resource_limit_survives_pickle():
+    # a verify --jobs worker returns its exception to the parent by pickle
+    e = pickle.loads(pickle.dumps(ResourceLimit(2, 1)))
+    assert type(e) is ResourceLimit
+    assert (e.pairs_processed, e.max_pairs) == (2, 1)
+    assert str(e) == "pair budget exhausted: processed 2 of 1"
+    assert e.args == ResourceLimit(2, 1).args
 
 
 def test_wide_exponent_fallback():
@@ -115,7 +144,8 @@ def test_homogeneous_flag():
     min_size=1, max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_generators_always_reduce_to_zero(gens):
-    gb = buchberger(gens, R, pair_budget=200000)
+    with pair_budget(200000):
+        gb = buchberger(gens, R)
     for g in gens:
         assert gb.normal_form(g).is_zero()
 
@@ -157,19 +187,19 @@ def test_driven_basis_equals_untargeted(ideal, eliminate, loss):
              else MonomialOrder.grevlex())
     Rw = PolyRing(["x", "y", "z"], F, order)
     gens = [Rw.from_dict(t) for t in terms]
-    ref = buchberger(gens, Rw, pair_budget=200000)
-    target = _exact_target(ref, weights)
-    if loss:
-        target = HilbertTarget(
-            weights, _poly_mul(target.numerator, {0: 1, loss: -1}),
-            exact=False)
-    driven = buchberger(gens, Rw, pair_budget=200000, target=target)
-    assert [f.terms for f in driven] == [f.terms for f in ref]
-    if eliminate:
-        kept = buchberger(gens, Rw, pair_budget=200000, target=target,
-                          eliminate=1)
-        assert [f.terms for f in kept] == [f.terms for f in ref
-                                           if _free_of(f, 1)]
+    with pair_budget(200000):
+        ref = buchberger(gens, Rw)
+        target = _exact_target(ref, weights)
+        if loss:
+            target = HilbertTarget(
+                weights, _poly_mul(target.numerator, {0: 1, loss: -1}),
+                exact=False)
+        driven = buchberger(gens, Rw, target=target)
+        assert [f.terms for f in driven] == [f.terms for f in ref]
+        if eliminate:
+            kept = buchberger(gens, Rw, target=target, eliminate=1)
+            assert [f.terms for f in kept] == [f.terms for f in ref
+                                               if _free_of(f, 1)]
 
 
 def test_elimination_on_the_wide_layout():
@@ -204,8 +234,9 @@ def test_result_is_a_reduced_basis(ideal, block, wide):
              else MonomialOrder.grevlex())
     Rw = PolyRing(["x", "y", "z"], F, order)
     gens = [Rw.from_dict(t) for t in terms]
-    basis = gb_module._buchberger(gens, Rw, 200000,
-                                  gb_module._Codec(Rw, wide=wide), None, 0)
+    with pair_budget(200000):
+        basis = gb_module._buchberger(gens, Rw,
+                                      gb_module._Codec(Rw, wide=wide), None, 0)
     assert basis._codec.wide == wide
     for f in basis:
         assert f.lc == 1
@@ -272,8 +303,9 @@ def test_unreduced_tails_respect_the_narrow_cap(monkeypatch):
     cap = gb_module._Codec(Rb).deg_cap
     assert stored and max(stored) < cap
     monkeypatch.setattr(gb_module, "_Reducer", real_reducer)
-    wide = gb_module._buchberger(gens, Rb, 200000,
-                                 gb_module._Codec(Rb, wide=True), None, 2)
+    with pair_budget(200000):
+        wide = gb_module._buchberger(gens, Rb,
+                                     gb_module._Codec(Rb, wide=True), None, 2)
     assert kept._codec.wide
     assert [f.terms for f in kept] == [f.terms for f in wide]
 

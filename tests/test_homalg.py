@@ -83,7 +83,7 @@ def test_hilbert_function_without_variables():
     I = Ideal(R, [R.parse("x^2 + x*y + x*z"), R.parse("x*y + y^2 + y*z")])
     J = I
     for h in ("x + y + z", "y + z", "z"):
-        J, hd_J = _cut(J, J.ring.parse(h), None)
+        J, hd_J = _cut(J, J.ring.parse(h))
     assert J.ring.nvars == 0 and J.is_zero()
     assert [hd_J.hilbert_function(d) for d in range(4)] == [1, 0, 0, 0]
 
@@ -285,9 +285,9 @@ def test_cut_certificate_rejects_zero_divisor():
     R = PolyRing(["x", "y", "z"], F)
     I = Ideal(R, [R.parse("x*y")])
     hd = hilbert_data(I)
-    _, hd_x = _cut(I, R.var("x"), None)
+    _, hd_x = _cut(I, R.var("x"))
     assert hd_x.numerator != hd.numerator
-    J, hd_J = _cut(I, R.var("z"), None)
+    J, hd_J = _cut(I, R.var("z"))
     assert J.ring.variables == ("x", "y")
     assert hd_J.numerator == hd.numerator and hd_J.dimension == 1
 
@@ -362,7 +362,7 @@ def test_bayer_stillman_needs_injectivity():
     chain = [hilbert_data(I)]
     J = I
     for h in ("x", "y", "z"):
-        J, hd_J = _cut(J, J.ring.parse(h), None)
+        J, hd_J = _cut(J, J.ring.parse(h))
         chain.append(hd_J)
     assert chain[-1].hilbert_function(1) == 0
     assert not any(_bayer_stillman(chain, m) for m in range(1, 6))
@@ -452,15 +452,15 @@ def _count_seeded_cuts(monkeypatch):
     """Record the ideal each seeded ``_cut`` of a cut chain cuts."""
     seeded = []
     real = homalg._cut
-    monkeypatch.setattr(homalg, "_cut", lambda J, h, budget:
-                        seeded.append(J) or real(J, h, budget))
+    monkeypatch.setattr(homalg, "_cut",
+                        lambda J, h: seeded.append(J) or real(J, h))
     return seeded
 
 
 def _all_seeded(monkeypatch):
     """Force every step of a cut chain to a seeded ``_cut``: the reference
     chain without free cuts."""
-    monkeypatch.setattr(homalg, "_free_cut", lambda J, hd, budget: None)
+    monkeypatch.setattr(homalg, "_free_cut", lambda J, hd: None)
 
 
 def _check_driven_cuts(monkeypatch):
@@ -533,8 +533,8 @@ def test_free_cut_is_the_reduced_basis_of_the_cut(make, free, monkeypatch):
     cuts = []
     real = homalg._free_cut
 
-    def spy(J, hd, budget):
-        out = real(J, hd, budget)
+    def spy(J, hd):
+        out = real(J, hd)
         if out is not None:
             K, hd_K = out
             last = J.ring.nvars - 1

@@ -64,7 +64,7 @@ def test_construction_strategies_agree():
     spec = rational_normal_curve(5, F).secant_spec(1)
     A = secant_join(spec)
     B = saturate_irrelevant(Ideal(spec.base_ideal.ring,
-                                  _join_literal(spec, None)))
+                                  _join_literal(spec)))
     assert basis_terms(A) == basis_terms(B)
 
 
@@ -74,7 +74,7 @@ def test_saturation_strategies_agree():
     E = rational_normal_curve(5, F)
     C = E.ideal
     A = secant_join(E.secant_spec(1))
-    raw = Ideal(C.ring, _join_with_parametrization(E.parametrization, C, None))
+    raw = Ideal(C.ring, _join_with_parametrization(E.parametrization, C))
     B = saturate_irrelevant(raw)
     assert basis_terms(A) == basis_terms(B)
 
@@ -379,7 +379,7 @@ def test_intersect_elimination_is_the_parameter_free_part(monkeypatch):
 def test_literal_join_elimination_is_the_parameter_free_part(monkeypatch):
     spec = rational_normal_curve(4, F).secant_spec(1)
     runs = _elimination_runs(monkeypatch, ideal_ops,
-                             lambda: _join_literal(spec, None))
+                             lambda: _join_literal(spec))
     assert [m for _, _, m in runs] == [10]
     _assert_parameter_free_part(runs)
 
@@ -425,7 +425,7 @@ def test_driven_join_equals_untargeted(genus, equation, d, k, monkeypatch):
     cur = E.ideal
     for _ in range(k):
         cur = _ideal_with_gb(cur.ring, _join_with_parametrization(
-            E.parametrization, cur, None))
+            E.parametrization, cur))
     assert len(steps) == k
 
 
