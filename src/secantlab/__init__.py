@@ -10,8 +10,7 @@ from .poly import MonomialOrder, PolyRing, Polynomial, parse_polynomial
 from .gb import (GroebnerBasis, Ideal, ResourceLimit, buchberger,
                  pair_budget)
 from .ideal_ops import (ConeParametrization, PointNotOnVariety, PointedIdeal,
-                        SecantSpec, intersect, saturate_irrelevant,
-                        secant_join, tangent_cone_multiplicity)
+                        SecantSpec, secant_join, tangent_cone_multiplicity)
 from .homalg import (BettiTable, HilbertData, ZeroIdeal, check_ndp,
                      hilbert_data, is_acm, koszul_dim, max_ndp_steps,
                      min_generator_degree, minimal_free_resolution,
@@ -30,8 +29,7 @@ __all__ = [
     "MonomialOrder", "PolyRing", "Polynomial", "parse_polynomial",
     "GroebnerBasis", "Ideal", "ResourceLimit", "buchberger", "pair_budget",
     "ConeParametrization", "PointNotOnVariety", "PointedIdeal", "SecantSpec",
-    "intersect", "saturate_irrelevant", "secant_join",
-    "tangent_cone_multiplicity",
+    "secant_join", "tangent_cone_multiplicity",
     "BettiTable", "HilbertData", "ZeroIdeal", "check_ndp", "hilbert_data",
     "is_acm", "koszul_dim", "max_ndp_steps", "min_generator_degree",
     "minimal_free_resolution", "projective_dimension", "regularity",

@@ -4,13 +4,15 @@ verification reports.
 Subcommands: curve, secant, betti, verify, bench.  Exit codes form the CI
 contract: 0 success / all rows match, 1 mismatch, 2 input error (a monomial
 degree too large to pack included), 3 resource limit, 4 internal error (a
-Betti table broke a run-time identity).  Each subcommand runs under one
-S-pair budget, set once by ``main``: --pair-budget, else the environment
-variable SECANTLAB_PAIR_BUDGET, else ``gb.DEFAULT_PAIR_BUDGET``.  Input
-validation is not budgeted, so an invalid file is an input error under any
-budget; ``verify --jobs N`` passes the budget to each worker with its
-task.  JSON output is deterministic for a fixed (config, seed, prime) and
-carries no timings; only ``bench`` reports wall-clock times.
+Betti table broke a run-time identity, or a secant join failed its
+saturation criterion, so that no result is certified).  Each subcommand
+runs under one S-pair budget, set once by ``main``: --pair-budget, else
+the environment variable SECANTLAB_PAIR_BUDGET, else
+``gb.DEFAULT_PAIR_BUDGET``.  Input validation is not budgeted, so an
+invalid file is an input error under any budget; ``verify --jobs N``
+passes the budget to each worker with its task.  JSON output is
+deterministic for a fixed (config, seed, prime) and carries no timings;
+only ``bench`` reports wall-clock times.
 """
 
 from __future__ import annotations
@@ -124,6 +126,9 @@ def parse_ideal_file(text: str) -> Ideal:
                 raise InputError(f"line {lineno}: field must be an integer")
         elif key == "variables":
             names = [v.strip() for v in value.split(",") if v.strip()]
+            if not names:
+                raise InputError(f"line {lineno}: 'variables:' names no "
+                                 "variable")
         elif key == "generator":
             raw_gens.append((lineno, value))
         else:
@@ -252,8 +257,11 @@ def cmd_betti(args) -> int:
                          f"{projective_dimension(B)}, "
                          f"ACM {is_acm(B, hd)}")
             d0 = min(j for (i, j), _ in B.entries if i == 1)
-            lines.append(f"N_({d0},p) holds up to p = "
-                         f"{max_ndp_steps(B, d0)}")
+            # N_(d,p) is defined for d >= 2 only: no line for a linear
+            # generator
+            if d0 >= 2:
+                lines.append(f"N_({d0},p) holds up to p = "
+                             f"{max_ndp_steps(B, d0)}")
         lines.append(f"degree {hd.degree}, dimension "
                      f"{hd.projective_dimension_of_variety}")
         payload = "\n".join(lines) + "\n"

@@ -76,8 +76,9 @@ def pair_budget(n: int):
 class InternalIdentityError(RuntimeError):
     """A computed result broke an identity that holds by theorem
     (beta_{i,j} >= 0, Betti numerator = Hilbert numerator, a driven basis
-    meets its exact Hilbert target and never undercuts a lower bound): the
-    result is wrong, not the prediction."""
+    meets its exact Hilbert target and never undercuts a lower bound, a
+    secant join is prime and so passes the last-variable saturation
+    criterion): the result is wrong, not the prediction."""
 
 
 class ResourceLimit(RuntimeError):

@@ -1,9 +1,10 @@
 """Ideal-theoretic constructions on top of the Groebner engine.
 
 The secant join through a cone chart of the curve, certified saturated by
-the last-variable criterion on its reduced grevlex basis (with the
-irrelevant-ideal saturation, by intersection, as the fallback), and tangent
-cones with Hilbert-Samuel multiplicities.  Everything here is pure: input
+the last-variable criterion on its reduced grevlex basis, and tangent
+cones with Hilbert-Samuel multiplicities.  The raw join is prime, so the
+criterion always holds: a join that fails it is wrong, and raises
+``InternalIdentityError``.  Everything here is pure: input
 ideals are never mutated beyond their own write-once Groebner caches.
 The records are immutable: :class:`ConeParametrization` is a
 ``NamedTuple``, and :class:`SecantSpec` and :class:`PointedIdeal` are built
@@ -15,8 +16,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .gb import (GroebnerBasis, HilbertTarget, Ideal, _ideal_with_gb,
-                 _poly_mul, buchberger)
+from .gb import (GroebnerBasis, HilbertTarget, Ideal, InternalIdentityError,
+                 _ideal_with_gb, _poly_mul, buchberger)
 from .homalg import hilbert_data
 from .poly import MonomialOrder, PolyRing, Polynomial
 
@@ -53,21 +54,6 @@ def _subring_part(gb: GroebnerBasis, keep_start: int, target: PolyRing):
         else:
             kept.append(target.from_dict(dict(terms)))
     return kept
-
-
-def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via t·I + (1−t)·J and elimination of t."""
-    ring = I.ring
-    t = _fresh_names(1, ring.variables, "t_cap")[0]
-    big = PolyRing([t] + list(ring.variables), ring.field,
-                   MonomialOrder.block_elim(1))
-    tv, *xs = big.gens()
-    gens = [tv * g.compose(xs, big) for g in I.generators]
-    gens += [(big.constant(1) - tv) * g.compose(xs, big)
-             for g in J.generators]
-    gb = buchberger(gens, big, eliminate=1)
-    kept = _subring_part(gb, 1, ring)
-    return Ideal(ring, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +107,8 @@ def _join_with_parametrization(param: ConeParametrization, cur: Ideal):
     Imposes cur(x − ν(params)) plus the chart constraints and eliminates the
     parameters under a block order graded by the chart weights, for which
     these generators are weighted-homogeneous; far fewer variables than
-    ``_join_literal``.
+    the textbook join, which eliminates k + 1 copies of the ambient
+    coordinates.
 
     The elimination is driven by the exact Hilbert series of its ideal J,
     which needs no extra Groebner basis.  J = φ(I₀) for I₀ = (constraints(p))
@@ -153,82 +140,34 @@ def _join_with_parametrization(param: ConeParametrization, cur: Ideal):
     return _subring_part(gb, m, ring)
 
 
-def _join_literal(spec: SecantSpec):
-    """The (k+1)-block textbook construction: blocks y(1)..y(k+1) and x,
-    relations base(y(j)) and x_i − Σ_j y_i(j), eliminate every y block."""
-    ring = spec.base_ideal.ring
-    n = ring.nvars
-    k = spec.k
-    nb = k + 1
-    ynames = []
-    for j in range(nb):
-        ynames += _fresh_names(n, list(ring.variables) + ynames, f"y{j}_")
-    big = PolyRing(ynames + list(ring.variables), ring.field,
-                   MonomialOrder.block_elim(nb * n))
-    gens = []
-    for j in range(nb):
-        ys = big.gens()[j * n:(j + 1) * n]
-        gens += [f.compose(ys, big) for f in spec.base_ideal.generators]
-    for i in range(n):
-        s = big.gen(nb * n + i)
-        for j in range(nb):
-            s = s - big.gen(j * n + i)
-        gens.append(s)
-    gb = buchberger(gens, big, eliminate=nb * n)
-    return _subring_part(gb, nb * n, ring)
-
-
-def _strip_last(gb, ring: PolyRing) -> list:
-    """Each element of a grevlex basis divided by the highest power of the
-    last variable dividing it: a basis of (I : x_last^∞)."""
-    last = ring.nvars - 1
-    out = []
-    for g in gb:
-        a = min(mon[last] for mon, _ in g.terms)
-        out.append(Polynomial(ring, tuple(
-            (mon[:last] + (mon[last] - a,), c) for mon, c in g.terms))
-            if a else g)
-    return out
-
-
-def saturate_irrelevant(I: Ideal) -> Ideal:
-    """Full saturation with respect to the irrelevant ideal: intersect the
-    saturations by every single variable.  Slow: it is the fallback of
-    ``secant_join``'s certificate and a test oracle."""
-    ring = I.ring
-    n = ring.nvars
-    out = None
-    for i in range(n):
-        # move variable i into the grevlex-cheapest slot and saturate by it
-        perm = list(range(n))
-        perm[i], perm[-1] = perm[-1], perm[i]
-        R = PolyRing([ring.variables[j] for j in perm], ring.field,
-                     MonomialOrder.grevlex())
-        # a swap is its own inverse
-        to_R = [R.gen(j) for j in perm]
-        back = [ring.gen(j) for j in perm]
-        gb = buchberger([g.compose(to_R, R) for g in I.generators], R)
-        Ji = Ideal(ring, [g.compose(back, ring) for g in _strip_last(gb, R)])
-        out = Ji if out is None else intersect(out, Ji)
-    return out
-
-
 def secant_join(spec: SecantSpec) -> Ideal:
     """Homogeneous ideal of the k-th secant variety Σ_k of V(base_ideal).
 
+    Precondition: ``base_ideal`` is I(C) for the curve C of the cone chart
+    ``spec.parametrization``, as ``CurveEmbedding.secant_spec`` gives it.
+
     Joins the curve onto the running secant k times, each step through
-    the cone chart ``spec.parametrization`` and driven by the step's
-    closed-form Hilbert series.  The raw join comes with its reduced
-    grevlex basis, and it is certified saturated when the last variable
-    divides no leading monomial of that basis.  For grevlex,
-    in(raw : x_last) = in(raw) : x_last (Bayer and Stillman, Invent. Math.
-    87, 1987), so the criterion holds iff x_last is a nonzerodivisor on
-    S/raw, and then raw is saturated (f ∈ raw^sat gives x_last^N f ∈ raw,
-    hence f ∈ raw).  Σ_k is irreducible and spans P^r, so raw^sat = I(Σ_k)
-    is prime and contains no variable: the criterion holds whenever raw is
-    saturated, and raw then comes back with the basis it already has.
-    Otherwise the full irrelevant-ideal saturation is computed instead.
-    Either way the result is raw^sat.
+    the cone chart and driven by the step's closed-form Hilbert series.
+    The raw join comes with its reduced grevlex basis, and it is
+    certified saturated when the last variable divides no leading
+    monomial of that basis.  For grevlex, in(raw : x_last) = in(raw) :
+    x_last (Bayer and Stillman, Invent. Math. 87, 1987), so the criterion
+    holds iff x_last is a nonzerodivisor on S/raw, and then raw is
+    saturated (f ∈ raw^sat gives x_last^N f ∈ raw, hence f ∈ raw).
+
+    The criterion always holds, because the raw join is prime.  A step
+    joining C onto V(cur) contracts J = φ(I₀) to k[x], where I₀ =
+    (constraints(p)) + (cur(x)) and φ is the graded automorphism of
+    ``_join_with_parametrization``; so k[p, x]/J ≅ k[p]/(constraints) ⊗
+    k[x]/cur.  The constraint is the weighted homogenization of the
+    irreducible curve equation, which t does not divide (the rational
+    normal curve has none), and cur is prime: I(C) at the first step, the
+    previous step's join after it.  Both stay prime over the algebraic
+    closure of F_p, so the tensor product is a domain, and its
+    contraction, the raw join, is prime.  It vanishes on C, which spans
+    P^r, so it contains no variable, and x_last is a nonzerodivisor on
+    the domain S/raw.  A basis that fails the criterion is therefore
+    wrong, and raises ``InternalIdentityError``.
     """
     ring = spec.base_ideal.ring
     if spec.k == 0 or spec.base_ideal.is_zero():
@@ -242,13 +181,29 @@ def secant_join(spec: SecantSpec) -> Ideal:
         # the join output is already a reduced grevlex basis
         raw = _ideal_with_gb(ring, gens)
     if any(f.lm[-1] for f in raw.groebner()):
-        return saturate_irrelevant(raw)
+        raise InternalIdentityError(
+            "secant join fails the saturation criterion: the last variable "
+            "divides a leading monomial of its grevlex basis, so the raw "
+            "join is not prime")
     return raw
 
 
 # ---------------------------------------------------------------------------
 # tangent cones
 # ---------------------------------------------------------------------------
+
+def _strip_last(gb, ring: PolyRing) -> list:
+    """Each element of a grevlex basis divided by the highest power of the
+    last variable dividing it: a basis of (I : x_last^∞)."""
+    last = ring.nvars - 1
+    out = []
+    for g in gb:
+        a = min(mon[last] for mon, _ in g.terms)
+        out.append(Polynomial(ring, tuple(
+            (mon[:last] + (mon[last] - a,), c) for mon, c in g.terms))
+            if a else g)
+    return out
+
 
 class PointedIdeal(namedtuple("PointedIdeal", "ideal point chart",
                               defaults=(-1,))):

@@ -14,6 +14,7 @@ from secantlab.cli import main
 from secantlab.gb import HilbertTarget, ResourceLimit
 
 RNC5 = "genus: 0\nfield: 32003\ndegree: 5\n"
+RNC4 = "genus: 0\nfield: 32003\ndegree: 4\n"
 RNC3 = "genus: 0\nfield: 32003\ndegree: 3\n"
 E5 = "genus: 1\nfield: 32003\nequation: y^2 - x^3 - 4*x - 1\ndegree: 5\n"
 IDEAL = ("field: 32003\nvariables: x, y, z, w\n"
@@ -459,6 +460,21 @@ def test_degree_too_large_to_pack_is_input_error(curve_file, capsys):
     assert f"{path}: monomial degree too large to pack" in err
 
 
+def test_betti_text_with_a_linear_generator(curve_file, capsys):
+    # N_(d,p) is defined for d >= 2 only, so a table whose first generator
+    # is linear gets no N_(d,p) line
+    text = ("field: 32003\nvariables: x, y, z\ngenerator: x\n"
+            "generator: y^2 - x*z\n")
+    code, out, err = run(capsys, ["betti", "--ideal-file",
+                                  curve_file("lin.ideal", text)])
+    assert code == 0 and err == ""
+    assert out == ("     0     1     2   (i)\n"
+                   "     1     1     .   j-i=0\n"
+                   "     .     1     1   j-i=1\n"
+                   "regularity 1, projective dimension 2, ACM True\n"
+                   "degree 2, dimension 0\n")
+
+
 def test_unit_ideal_file_is_input_error(curve_file, capsys):
     # a unit ideal has no Betti table: an input error, not a mismatch
     for gens in (["1"], ["x^2", "2"]):
@@ -478,6 +494,8 @@ MALFORMED_IDEAL_FILES = [
      "ideal file needs 'field:' and 'variables:' lines"),
     ("novars", "field: 32003\ngenerator: x^2\n",
      "ideal file needs 'field:' and 'variables:' lines"),
+    ("emptyvars", "field: 32003\nvariables: ,\n",
+     "line 2: 'variables:' names no variable"),
     ("parse", "field: 32003\nvariables: x, y\ngenerator: x*+y\n",
      "line 3: dangling '*'"),
     ("inhomog", "field: 32003\nvariables: x, y\ngenerator: x^2 - y\n",
@@ -523,24 +541,37 @@ def test_identity_failure_is_internal_error(curve_file, capsys,
     assert code == 4 and "internal error" in err
 
 
-def test_join_target_failure_is_internal_error(curve_file, capsys,
-                                               monkeypatch):
+def _short_target(weights, numerator):
     # a join target one below the truth in degree 0 is never met, so the
     # driven elimination reduces everything and then rejects its basis
-    def short(weights, numerator):
-        return HilbertTarget(weights, {**numerator, 0: numerator[0] - 1})
+    return HilbertTarget(weights, {**numerator, 0: numerator[0] - 1})
 
-    monkeypatch.setattr(ideal_ops, "HilbertTarget", short)
-    path = curve_file("c.curve", RNC5)
+
+def _not_prime_join(param, cur):
+    # (z0·z4) is no join of a curve: z4 divides its leading monomial, so
+    # the saturation criterion fails
+    return [cur.ring.gen(0) * cur.ring.gen(4)]
+
+
+@pytest.mark.parametrize("curve,name,patch,message", [
+    (RNC5, "HilbertTarget", _short_target, "Hilbert target"),
+    (RNC4, "_join_with_parametrization", _not_prime_join,
+     "saturation criterion"),
+], ids=["target", "z0z4"])
+def test_join_target_failure_is_internal_error(curve_file, capsys,
+                                               monkeypatch, curve, name,
+                                               patch, message):
+    monkeypatch.setattr(ideal_ops, name, patch)
+    path = curve_file("c.curve", curve)
     code, _, err = run(capsys, ["secant", "--file", path, "--k", "1"])
-    assert code == 4 and "Hilbert target" in err
+    assert code == 4 and message in err
     code, out, _ = run(capsys, ["verify", "--file", path, "--k", "1",
                                 "--format", "json"])
     assert code == 4
     doc = json.loads(out)
     assert {r["verdict"] for r in doc["rows"]} == \
         {"error(internal identity)"}
-    assert "Hilbert target" in doc["instance"]["error"]
+    assert message in doc["instance"]["error"]
 
 
 def test_cli_import_needs_no_numpy():

@@ -132,6 +132,34 @@ def test_check_sees_an_unreferenced_definition(tmp_path):
                                                        "a.py:Kept.unused"]
 
 
+def _private_definitions_unused_in_package(package: Path) -> list:
+    """Definitions of ``package`` with a ``_``-prefixed name, or inside a
+    ``_``-prefixed class, that ``package`` itself never refers to: code
+    that only the tests run belongs with the tests.  A public name that
+    only the tests use is API, and is not listed."""
+    return [label for label in _unreferenced_definitions(package, [])
+            if any(part.startswith("_")
+                   for part in label.split(":")[1].split("."))]
+
+
+def test_every_private_definition_is_used_in_the_package():
+    assert _private_definitions_unused_in_package(SRC) == []
+
+
+def test_check_sees_a_private_definition_unused_in_the_package(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text("def api():\n    return 1\n\n"
+                              "def run():\n    return _used()\n\n"
+                              "def _used():\n    return 1\n\n"
+                              "def _tested(n):\n    return _tested(n - 1)\n\n"
+                              "class _Box:\n"
+                              "    def fill(self):\n        return 1\n")
+    (pkg / "b.py").write_text("from .a import run\nX = run()\n")
+    assert _private_definitions_unused_in_package(pkg) == [
+        "a.py:_tested", "a.py:_Box", "a.py:_Box.fill"]
+
+
 def _attribute_reads(node) -> set:
     """Names read as an attribute, ``obj.name`` in a load, under ``node``."""
     return {n.attr for n in ast.walk(node)

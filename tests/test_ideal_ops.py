@@ -1,14 +1,16 @@
 import pytest
 
+import join_oracles
+from join_oracles import intersect, join_literal, saturate_irrelevant
 from secantlab import curves, ideal_ops
 from secantlab import gb as gb_module
 from secantlab.arith import PrimeField
 from secantlab.curves import CurveModel, embed, rational_normal_curve
-from secantlab.gb import Ideal, _ideal_with_gb, buchberger
+from secantlab.gb import (Ideal, InternalIdentityError, _ideal_with_gb,
+                          buchberger)
 from secantlab.homalg import hilbert_data
 from secantlab.ideal_ops import (PointNotOnVariety, PointedIdeal, SecantSpec,
-                                 _join_literal, _join_with_parametrization,
-                                 intersect, saturate_irrelevant, secant_join,
+                                 _join_with_parametrization, secant_join,
                                  tangent_cone_multiplicity)
 from secantlab.poly import MonomialOrder, PolyRing
 
@@ -64,7 +66,7 @@ def test_construction_strategies_agree():
     spec = rational_normal_curve(5, F).secant_spec(1)
     A = secant_join(spec)
     B = saturate_irrelevant(Ideal(spec.base_ideal.ring,
-                                  _join_literal(spec)))
+                                  join_literal(spec)))
     assert basis_terms(A) == basis_terms(B)
 
 
@@ -83,27 +85,21 @@ def test_saturation_certificate_needs_the_hilbert_polynomial(monkeypatch):
     # A join of z0·(z0, ..., z4) is not saturated: its saturation is (z0),
     # with the same dimension and degree, so the Hilbert polynomial cannot
     # tell them apart.  The last variable z4 divides the leading monomial
-    # z0·z4 of its basis, so the criterion rejects the join, and the
-    # fallback saturates it.
+    # z0·z4 of its basis, so the criterion rejects the join, which is not
+    # prime and cannot come from a curve.
     E = rational_normal_curve(4, F)
     R = E.ideal.ring
     unsaturated = list(buchberger([R.gen(0) * z for z in R.gens()], R))
     monkeypatch.setattr(ideal_ops, "_join_with_parametrization",
                         lambda *args: unsaturated)
-    fallback = []
-
-    def spy(I, *args, **kwargs):
-        fallback.append(I)
-        return saturate_irrelevant(I, *args, **kwargs)
-
-    monkeypatch.setattr(ideal_ops, "saturate_irrelevant", spy)
-    S = secant_join(E.secant_spec(1))
-    assert len(fallback) == 1
+    with pytest.raises(InternalIdentityError, match="saturation criterion"):
+        secant_join(E.secant_spec(1))
+    raw = Ideal(R, unsaturated)
+    S = saturate_irrelevant(raw)
     assert [str(f) for f in S.groebner()] == ["z0"]
-    raw = hilbert_data(fallback[0])
-    assert (raw.dimension, raw.degree) == (hilbert_data(S).dimension,
-                                           hilbert_data(S).degree)
-    assert raw.numerator != hilbert_data(S).numerator
+    assert (hilbert_data(raw).dimension, hilbert_data(raw).degree) == (
+        hilbert_data(S).dimension, hilbert_data(S).degree)
+    assert hilbert_data(raw).numerator != hilbert_data(S).numerator
 
 
 def test_secant_join_deterministic_per_seed():
@@ -115,21 +111,16 @@ def test_secant_join_deterministic_per_seed():
 
 def test_saturated_join_with_a_zero_divisor_last_variable(monkeypatch):
     # (z0·z4) is saturated, but z4 is a zero divisor on S/(z0·z4): the
-    # criterion is sufficient, not necessary, so it rejects this join and
-    # the fallback returns the same ideal
+    # criterion is sufficient, not necessary, so it rejects this join.  A
+    # join of a curve is prime, so this one is an error, although the
+    # full saturation returns the same ideal.
     E = rational_normal_curve(4, F)
     R = E.ideal.ring
     monkeypatch.setattr(ideal_ops, "_join_with_parametrization",
                         lambda *args: [R.gen(0) * R.gen(4)])
-    fallback = []
-
-    def spy(I, *args, **kwargs):
-        fallback.append(I)
-        return saturate_irrelevant(I, *args, **kwargs)
-
-    monkeypatch.setattr(ideal_ops, "saturate_irrelevant", spy)
-    S = secant_join(E.secant_spec(1))
-    assert len(fallback) == 1
+    with pytest.raises(InternalIdentityError, match="saturation criterion"):
+        secant_join(E.secant_spec(1))
+    S = saturate_irrelevant(Ideal(R, [R.gen(0) * R.gen(4)]))
     assert [str(f) for f in S.groebner()] == ["z0*z4"]
 
 
@@ -370,7 +361,7 @@ def test_intersect_elimination_is_the_parameter_free_part(monkeypatch):
     R = PolyRing(["x", "y", "z"], F)
     I = Ideal(R, [R.parse("x^2 - y*z"), R.parse("x*y - z^2")])
     J = Ideal(R, [R.parse("x + y - z"), R.parse("y^3 - x*z^2")])
-    runs = _elimination_runs(monkeypatch, ideal_ops,
+    runs = _elimination_runs(monkeypatch, join_oracles,
                              lambda: intersect(I, J))
     assert [m for _, _, m in runs] == [1]
     _assert_parameter_free_part(runs)
@@ -378,8 +369,8 @@ def test_intersect_elimination_is_the_parameter_free_part(monkeypatch):
 
 def test_literal_join_elimination_is_the_parameter_free_part(monkeypatch):
     spec = rational_normal_curve(4, F).secant_spec(1)
-    runs = _elimination_runs(monkeypatch, ideal_ops,
-                             lambda: _join_literal(spec))
+    runs = _elimination_runs(monkeypatch, join_oracles,
+                             lambda: join_literal(spec))
     assert [m for _, _, m in runs] == [10]
     _assert_parameter_free_part(runs)
 
@@ -436,13 +427,12 @@ SPY_LADDER = [(0, None, 5, 1)] + LADDER[1:]
                          ids=["rnc5", "rnc6", "rnc7", "ell5", "ell6", "g2_6"])
 def test_ladder_joins_are_certified_saturated(genus, equation, d, k,
                                               monkeypatch):
-    # the last-variable criterion certifies every ladder join, so the
-    # fallback never runs, and Σ_k comes back with its driven basis and Hilbert
-    # data: no further Buchberger run is needed for either
+    # the last-variable criterion certifies every ladder join, and Σ_k
+    # comes back with its driven basis and Hilbert data: no further
+    # Buchberger run is needed for either
     def refuse(*args, **kwargs):
         raise AssertionError("unexpected call")
 
-    monkeypatch.setattr(ideal_ops, "saturate_irrelevant", refuse)
     S = secant_join(_ladder_curve(genus, equation, d).secant_spec(k))
     monkeypatch.setattr(gb_module, "buchberger", refuse)
     assert hilbert_data(S).dimension == 2 * k + 2
