@@ -26,7 +26,8 @@ import time
 from .arith import PrimeField
 # rational_normal_curve is not called here (embed dispatches genus 0 to it);
 # it stays bound in this module because perfbench/traced.py hooks it here.
-from .curves import embed, parse_curve_file, rational_normal_curve  # noqa: F401
+from .curves import (_key_values, embed, parse_curve_file,  # noqa: F401
+                     rational_normal_curve)
 from .gb import DEFAULT_PAIR_BUDGET, Ideal, ResourceLimit, pair_budget
 from .homalg import (InternalIdentityError, hilbert_data, is_acm,
                      max_ndp_steps, minimal_free_resolution,
@@ -106,19 +107,8 @@ def parse_ideal_file(text: str) -> Ideal:
     prime = None
     names = None
     raw_gens = []
-    seen = set()
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise InputError(f"line {lineno}: expected 'key: value'")
-        key, value = key.strip().lower(), value.strip()
-        if key in seen:
-            raise InputError(f"line {lineno}: repeated key {key!r}")
-        if key != "generator":
-            seen.add(key)
+    for lineno, key, value in _key_values(
+            text, ("field", "variables", "generator"), ("generator",)):
         if key == "field":
             try:
                 prime = int(value)
@@ -129,10 +119,8 @@ def parse_ideal_file(text: str) -> Ideal:
             if not names:
                 raise InputError(f"line {lineno}: 'variables:' names no "
                                  "variable")
-        elif key == "generator":
-            raw_gens.append((lineno, value))
         else:
-            raise InputError(f"line {lineno}: unknown key {key!r}")
+            raw_gens.append((lineno, value))
     if prime is None or names is None:
         raise InputError("ideal file needs 'field:' and 'variables:' lines")
     try:

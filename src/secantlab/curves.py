@@ -329,24 +329,35 @@ def point_on_secant(emb: CurveEmbedding, k: int, params, coeffs,
 # curve description files
 # ---------------------------------------------------------------------------
 
+def _key_values(text: str, keys, repeatable=()):
+    """Lazy (lineno, lower-cased key, value) per "key: value" line, past
+    blanks and "#" comments; ValueError on a bad line, key or repeat."""
+    seen = set()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise ValueError(f"line {lineno}: expected 'key: value'")
+        key = key.strip().lower()
+        if key not in keys:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"line {lineno}: repeated key {key!r}")
+        if key not in repeatable:
+            seen.add(key)
+        yield lineno, key, value.strip()
+
+
 def parse_curve_file(text: str):
     """Parse "genus:", "field:", "equation:", "degree:" lines into a
     (CurveModel, degree) pair.  Each key appears at most once, and
     "equation:" only for genus >= 1."""
     fields, linenos = {}, {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ValueError(f"line {lineno}: expected 'key: value'")
-        key, _, value = line.partition(":")
-        key = key.strip().lower()
-        if key not in ("genus", "field", "equation", "degree"):
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if key in fields:
-            raise ValueError(f"line {lineno}: repeated key {key!r}")
-        fields[key], linenos[key] = value.strip(), lineno
+    for lineno, key, value in _key_values(
+            text, ("genus", "field", "equation", "degree")):
+        fields[key], linenos[key] = value, lineno
     for key in ("genus", "field", "degree"):
         if key not in fields:
             raise ValueError(f"missing '{key}:' line")

@@ -213,19 +213,14 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring.variables != self.ring.variables or f.ring.field != self.ring.field:
             raise RingMismatch("polynomial not over the basis ring")
-        try:
-            codec = self._codec
+
+        def reduce(codec):
             items = [(codec.encode(m), c) for m, c in f.terms]
             terms = _reduce_full(items, self._prepared(), codec,
                                  self.ring.field.p)
-        except _NeedWide:
-            self._codec = codec = _Codec(self.ring, wide=True)
-            self._reducers = None
-            items = [(codec.encode(m), c) for m, c in f.terms]
-            terms = _reduce_full(items, self._prepared(), codec,
-                                 self.ring.field.p)
-        dec = codec.decode
-        return Polynomial(self.ring, tuple((dec(m), c) for m, c in terms))
+            return tuple((codec.decode(m), c) for m, c in terms)
+
+        return Polynomial(self.ring, self._narrow_or_wide(reduce))
 
     def hilbert_numerator(self, weights) -> dict:
         """Numerator N(t), a dict degree -> coefficient, of the Hilbert
@@ -234,14 +229,19 @@ class GroebnerBasis:
         hands over the count it kept, for its own weights."""
         weights = tuple(weights)
         if self._hilbert is None or self._hilbert[0] != weights:
-            try:
-                num = _numerator(self._head_words(), self._codec, weights)
-            except _NeedWide:
-                self._codec = _Codec(self.ring, wide=True)
-                self._reducers = None
-                num = _numerator(self._head_words(), self._codec, weights)
-            self._hilbert = (weights, num)
+            self._hilbert = (weights, self._narrow_or_wide(
+                lambda codec: _numerator(self._head_words(), codec, weights)))
         return dict(self._hilbert[1])
+
+    def _narrow_or_wide(self, run):
+        """run(codec) with the basis's codec; if a narrow codec overflows,
+        switch the basis to a wide one, drop its reducers, run again."""
+        try:
+            return run(self._codec)
+        except _NeedWide:
+            self._codec = _Codec(self.ring, wide=True)
+            self._reducers = None
+            return run(self._codec)
 
     def _head_words(self) -> list:
         codec = self._codec

@@ -192,25 +192,13 @@ def secant_join(spec: SecantSpec) -> Ideal:
 # tangent cones
 # ---------------------------------------------------------------------------
 
-def _strip_last(gb, ring: PolyRing) -> list:
-    """Each element of a grevlex basis divided by the highest power of the
-    last variable dividing it: a basis of (I : x_last^∞)."""
-    last = ring.nvars - 1
-    out = []
-    for g in gb:
-        a = min(mon[last] for mon, _ in g.terms)
-        out.append(Polynomial(ring, tuple(
-            (mon[:last] + (mon[last] - a,), c) for mon, c in g.terms))
-            if a else g)
-    return out
-
-
 class PointedIdeal(namedtuple("PointedIdeal", "ideal point chart",
                               defaults=(-1,))):
     """A homogeneous ideal together with a projective point on its variety.
 
     The point is normalized so the designated chart coordinate equals 1;
-    membership is checked by evaluating every generator.
+    ``chart`` is a coordinate index, or -1 for the last nonzero one.
+    Membership is checked by evaluating every generator.
     """
 
     __slots__ = ()
@@ -221,7 +209,9 @@ class PointedIdeal(namedtuple("PointedIdeal", "ideal point chart",
         pt = [v % p for v in point]
         if len(pt) != ring.nvars:
             raise ValueError("point length does not match the ring")
-        if chart < 0:
+        if chart not in range(-1, ring.nvars):
+            raise ValueError(f"chart must be -1 or in 0..{ring.nvars - 1}")
+        if chart == -1:
             nz = [i for i, v in enumerate(pt) if v]
             if not nz:
                 raise ValueError("projective point cannot be zero")
@@ -240,51 +230,44 @@ class PointedIdeal(namedtuple("PointedIdeal", "ideal point chart",
 def tangent_cone_multiplicity(P: PointedIdeal):
     """Tangent cone at the point and its Hilbert-Samuel multiplicity.
 
-    Moves the point to the origin of its affine chart, homogenizes with a
-    fresh variable h, saturates by h (grevlex last-variable trick), then
-    reads off lowest-degree forms from a Groebner basis under an h-dominant
-    block order.  The multiplicity is the degree of the cone.
+    One substitution moves the point to the origin of its affine chart
+    and homogenizes there: in Rd = k[h, x] under the h-first block order,
+    the chart variable goes to h and every other z_i to x_i + p_i·h.  The
+    images of the generators span an ideal J of forms, and G(1, x) is the
+    translated affine generator for each image G.  The cone is read off
+    one Groebner basis of J, with no saturation by h (after Mora, EUROCAM
+    1982):
+
+    - For a form G in k[h, x], the slice of G of highest h-degree is
+      h^A·L, with L the lowest-degree form of G(1, x).  A factor h^e
+      changes A but not L.
+    - Each f in the translated affine ideal has some h^a·f^h in J.  So the
+      lowest forms of that ideal are exactly the top slices of J, whether
+      or not J is saturated.
+    - Under the h-first order, lt(G) lies in G's top slice.  A standard
+      representation G = Σ q_i g_i with lt(q_i g_i) ≤ lt(G) therefore puts
+      top(G) in (top(g_i)).
+
+    So the top slices of the basis, read in the affine grevlex ring,
+    generate the cone, and its degree is the multiplicity.
     """
     ring = P.ideal.ring
-    p = ring.field.p
     chart = P.chart
     affine_names = [v for i, v in enumerate(ring.variables) if i != chart]
     aff = PolyRing(affine_names, ring.field, MonomialOrder.grevlex())
-    # substitute chart -> 1 and translate the point to the origin
-    images = []
-    j = 0
-    for i in range(ring.nvars):
-        if i == chart:
-            images.append(aff.constant(1))
-        else:
-            images.append(aff.gen(j) + aff.constant(P.point[i]))
-            j += 1
-    affine_gens = [g.compose(images, aff) for g in P.ideal.generators
-                   if g.terms]
-    affine_gens = [g for g in affine_gens if g.terms]
-
-    # homogenize with h as the grevlex-last variable and saturate by h
     h_name = _fresh_names(1, affine_names, "h_cone")[0]
-    Rh = PolyRing(affine_names + [h_name], ring.field,
-                  MonomialOrder.grevlex())
-    homog = []
-    for g in affine_gens:
-        d = g.total_degree()
-        homog.append(Rh.from_dict({
-            mon + (d - sum(mon),): c for mon, c in g.terms}))
-    sat = _strip_last(buchberger(homog, Rh), Rh)
-
-    # h-dominant order: the leading term of each basis element sits in the
-    # maximal-h slice, which dehomogenizes to the lowest-degree form
     Rd = PolyRing([h_name] + affine_names, ring.field,
                   MonomialOrder.block_elim(1))
     h, *xs = Rd.gens()
-    gb2 = buchberger([g.compose(xs + [h], Rd) for g in sat], Rd)
+    pt = P.point[:chart] + P.point[chart + 1:]
+    images = [x + h * c for x, c in zip(xs, pt)]
+    images.insert(chart, h)
+    gb = buchberger([g.compose(images, Rd) for g in P.ideal.generators
+                     if g.terms], Rd)
     cone_gens = []
-    for g in gb2:
+    for g in gb:
         a = max(mon[0] for mon, _ in g.terms)
-        low = {mon[1:]: c for mon, c in g.terms if mon[0] == a}
-        cone_gens.append(aff.from_dict(low))
+        cone_gens.append(aff.from_dict(
+            {mon[1:]: c for mon, c in g.terms if mon[0] == a}))
     cone = Ideal(aff, cone_gens)
-    mult = hilbert_data(cone).degree
-    return cone, mult
+    return cone, hilbert_data(cone).degree

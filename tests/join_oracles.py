@@ -9,9 +9,8 @@ run.
 """
 
 from secantlab.gb import Ideal, buchberger
-from secantlab.ideal_ops import (SecantSpec, _fresh_names, _strip_last,
-                                 _subring_part)
-from secantlab.poly import MonomialOrder, PolyRing
+from secantlab.ideal_ops import SecantSpec, _fresh_names, _subring_part
+from secantlab.poly import MonomialOrder, PolyRing, Polynomial
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -27,6 +26,19 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     gb = buchberger(gens, big, eliminate=1)
     kept = _subring_part(gb, 1, ring)
     return Ideal(ring, kept)
+
+
+def _strip_last(gb, ring: PolyRing) -> list:
+    """Each element of a grevlex basis divided by the highest power of the
+    last variable dividing it: a basis of (I : x_last^∞)."""
+    last = ring.nvars - 1
+    out = []
+    for g in gb:
+        a = min(mon[last] for mon, _ in g.terms)
+        out.append(Polynomial(ring, tuple(
+            (mon[:last] + (mon[last] - a,), c) for mon, c in g.terms))
+            if a else g)
+    return out
 
 
 def saturate_irrelevant(I: Ideal) -> Ideal:

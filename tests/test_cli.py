@@ -496,6 +496,8 @@ MALFORMED_IDEAL_FILES = [
      "ideal file needs 'field:' and 'variables:' lines"),
     ("emptyvars", "field: 32003\nvariables: ,\n",
      "line 2: 'variables:' names no variable"),
+    ("fieldfirst", "field: p\ncolour: red\nvariables: x, y\n",
+     "line 1: field must be an integer"),
     ("parse", "field: 32003\nvariables: x, y\ngenerator: x*+y\n",
      "line 3: dangling '*'"),
     ("inhomog", "field: 32003\nvariables: x, y\ngenerator: x^2 - y\n",

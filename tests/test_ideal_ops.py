@@ -12,6 +12,7 @@ from secantlab.homalg import hilbert_data
 from secantlab.ideal_ops import (PointNotOnVariety, PointedIdeal, SecantSpec,
                                  _join_with_parametrization, secant_join,
                                  tangent_cone_multiplicity)
+from secantlab.oracle import predicted_multiplicity
 from secantlab.poly import MonomialOrder, PolyRing
 
 F = PrimeField(32003)
@@ -140,6 +141,9 @@ def test_pointed_ideal_validates_point():
         PointedIdeal(I, (0, 0, 0))
     with pytest.raises(ValueError, match="point length"):
         PointedIdeal(ideal=I, point=(0, 1))
+    for chart in (3, 5, -2):
+        with pytest.raises(ValueError, match="chart must be"):
+            PointedIdeal(I, (0, 0, 1), chart)
     P = PointedIdeal(I, (0, 0, 5))
     assert P.point == (0, 0, 1) and P.chart == 2  # normalized, chart chosen
     Q = PointedIdeal(I, (2, 2, 2), chart=1)
@@ -170,6 +174,39 @@ def test_tangent_cone_with_a_variable_named_like_its_fresh_one():
     assert cone_at_node(["h_cone0", "y", "z"]) == cone_at_node(["x", "y",
                                                                 "z"])
     assert cone_at_node(["x", "y", "z"])[1] == 2
+
+
+def _cone_in_one_run(P, monkeypatch):
+    """tangent_cone_multiplicity(P), gated on one Buchberger run: the cone
+    comes from a single basis of the homogenized ideal."""
+    runs = []
+    real = ideal_ops.buchberger
+
+    def spy(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ideal_ops, "buchberger", spy)
+    out = tangent_cone_multiplicity(P)
+    monkeypatch.setattr(ideal_ops, "buchberger", real)
+    assert len(runs) == 1
+    return out
+
+
+@pytest.mark.parametrize("gens,cone_basis,mult", [
+    (["x*z", "y*z"], ["y", "x"], 1),
+    (["x*z^2 - y^3", "x*y*z"], ["x", "y^4"], 4),
+    (["x^2*z - y^2*z", "x*y^2"], ["x^2 - y^2", "x*y^2", "y^4"], 6),
+], ids=["xz_yz", "cusp_xyz", "lines_xy2"])
+def test_tangent_cone_where_the_chart_variable_is_a_zero_divisor(
+        gens, cone_basis, mult, monkeypatch):
+    # z divides a generator, so the homogenized ideal is not saturated by
+    # h; the top h-slices of its basis still generate the cone
+    R = PolyRing(["x", "y", "z"], F)
+    I = Ideal(R, [R.parse(g) for g in gens])
+    cone, m = _cone_in_one_run(PointedIdeal(I, (0, 0, 1)), monkeypatch)
+    assert [str(f) for f in cone.groebner()] == cone_basis
+    assert m == mult
 
 
 def test_invalid_spec_rejected():
@@ -437,3 +474,22 @@ def test_ladder_joins_are_certified_saturated(genus, equation, d, k,
     monkeypatch.setattr(gb_module, "buchberger", refuse)
     assert hilbert_data(S).dimension == 2 * k + 2
     assert list(S.groebner()) == list(S.generators)
+
+
+@pytest.mark.parametrize("genus,equation,d,k,ms", [
+    (0, None, 7, 1, [0]), (0, None, 7, 2, [0, 1]),
+    (1, "y^2 - x^3 - 4*x - 1", 5, 1, [0, 1]),
+    (1, "y^2 - x^3 - 4*x - 1", 6, 1, [0, 1]),
+    (2, "y^2 - x^5 - x - 1", 7, 1, [0]),
+], ids=["rnc7_k1", "rnc7_k2", "ell5", "ell6", "g2_7"])
+def test_tangent_cone_multiplicity_along_the_strata(genus, equation, d, k, ms,
+                                                    monkeypatch):
+    # the multiplicity of Σ_k at a witness point of Σ_m \ Σ_{m-1} is the
+    # closed form, each from one Buchberger run
+    E = _ladder_curve(genus, equation, d)
+    S = secant_join(E.secant_spec(k))
+    for m in ms:
+        pts = curves.sample_affine_points(E.model, m + 1, seed=m + 1)
+        P = curves.point_on_secant(E, m, pts, list(range(1, m + 2)), S)
+        _, mult = _cone_in_one_run(P, monkeypatch)
+        assert mult == predicted_multiplicity(genus, d, k, m)
