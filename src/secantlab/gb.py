@@ -29,7 +29,13 @@ part alone.
 
 Internally monomials are the packed integers of ``poly._Codec``, whose
 integer comparison is the monomial order: the terms of a ``Polynomial``
-are already in packed order, and a reducer's head is its first term.  The
+are already in packed order, and a reducer's head is its first term.
+Each term is divided by the first reducer whose head divides it, found
+through one divisor cache per reduction context, keyed by exponent word.
+A Buchberger run shares one cache, which is exact because its basis only
+grows by append: the first divisor of a word never changes, and a cached
+miss rescans only the elements appended since.  An interreduction shares
+one too, since its list of minimal elements is fixed.  The
 Gebauer-Moller update and the one Hilbert numerator kernel
 (``_numerator``, behind ``GroebnerBasis.hilbert_numerator``) work on the
 exponent fields alone, the exponent words, where lcm, colon, coprimality
@@ -111,9 +117,10 @@ class _Reducer:
 
 
 def _reduce_full(items, reducers, codec: _Codec, p: int,
-                 head_only: bool = False) -> tuple:
+                 head_only: bool = False, cache: dict | None = None) -> tuple:
     """Normal form of (packed, coeff) items against the reducer list, as a
-    tuple of terms sorted descending as packed ints.
+    tuple of terms sorted descending as packed ints.  Items may repeat a
+    monomial: their coefficients are summed mod p.
 
     Reducers must be monic; each term is divided by the first reducer
     whose head divides it.  With ``head_only`` the reduction stops at the
@@ -121,8 +128,15 @@ def _reduce_full(items, reducers, codec: _Codec, p: int,
     unreduced.  Every returned term is checked against the degree cap,
     popped or not: under a block or weighted order a tail term can outweigh
     its head in total degree.
+
+    ``cache`` maps a popped term's exponent word to (its first dividing
+    reducer or None, the number of reducers scanned): a hit skips the
+    scan, and a cached miss scans only the reducers appended since.  One
+    cache may serve several calls as long as the reducer list only grows
+    by append, for then the first divisor of a word never changes.
     """
-    one = codec.one
+    if cache is None:
+        cache = {}
     guard = codec.guard
     pmask = codec.pmask
     deg_shift = codec.deg_shift
@@ -150,11 +164,13 @@ def _reduce_full(items, reducers, codec: _Codec, p: int,
         if dm >= deg_cap:
             codec.too_large()
         mp = (m & pmask) | guard
-        red = None
-        for g in reducers:
-            if g.lmdeg <= dm and (mp - g.lm) & guard == guard:
-                red = g
-                break
+        red, scanned = cache.get(mp, (None, 0))
+        if red is None and scanned < len(reducers):
+            for g in reducers[scanned:] if scanned else reducers:
+                if g.lmdeg <= dm and (mp - g.lm) & guard == guard:
+                    red = g
+                    break
+            cache[mp] = (red, len(reducers))
         if red is None:
             remainder.append((m, c))
             if head_only:
@@ -165,7 +181,7 @@ def _reduce_full(items, reducers, codec: _Codec, p: int,
                 remainder += [(m2, coeffs[m2]) for m2 in rest]
                 break
             continue
-        q1 = m - red.lm_full + one - one
+        q1 = m - red.lm_full
         for m2, c2 in red.tail:
             nm = m2 + q1
             old = get(nm)
@@ -425,7 +441,6 @@ def _buchberger(generators, ring, codec: _Codec,
                 target: HilbertTarget | None,
                 eliminate: int) -> GroebnerBasis:
     budget = _PAIR_BUDGET.get()
-    one = codec.one
     pmask = codec.pmask
     guard = codec.guard
     exp_lcm = codec.exp_lcm
@@ -525,6 +540,7 @@ def _buchberger(generators, ring, codec: _Codec,
             if ((g.lm | guard) - lm) & guard == guard:
                 g.alive = False
 
+    divisors: dict = {}        # the reducer cache: basis only grows by append
     processed = 0
     top = 0                    # largest weighted degree taken from the queue
     while queue:
@@ -543,20 +559,20 @@ def _buchberger(generators, ring, codec: _Codec,
             processed += 1
             if processed > budget:
                 raise ResourceLimit(processed, budget)
+            # the S-polynomial is the two shifted tails, the heads cancel;
+            # it is zero when they cancel term by term, both being sorted
             gi, gj = basis[i], basis[j]
-            qi = lcm - gi.lm_full + one
-            qj = lcm - gj.lm_full + one
-            spoly: dict = {lcm: 0}
-            for m, c in ((gi.lm_full, 1),) + gi.tail:
-                nm = m + qi - one
-                spoly[nm] = (spoly.get(nm, 0) + c) % p
-            for m, c in ((gj.lm_full, 1),) + gj.tail:
-                nm = m + qj - one
-                spoly[nm] = (spoly.get(nm, 0) - c) % p
-            items = [(m, c) for m, c in spoly.items() if c]
-            if not items:
+            si = lcm - gi.lm_full
+            sj = lcm - gj.lm_full
+            ti, tj = gi.tail, gj.tail
+            if len(ti) == len(tj) and all(
+                    mi + si == mj + sj and ci == cj
+                    for (mi, ci), (mj, cj) in zip(ti, tj)):
                 continue
-        terms = _reduce_full(items, basis, codec, p, head_only=True)
+            items = [(m + si, c) for m, c in ti]
+            items += [(m + sj, -c) for m, c in tj]
+        terms = _reduce_full(items, basis, codec, p, head_only=True,
+                             cache=divisors)
         if not terms:
             continue
         if terms[0][1] != 1:
@@ -604,10 +620,11 @@ def _interreduce(basis, ring, codec, eliminate) -> GroebnerBasis:
     p = ring.field.p
     out = []
     dec = codec.decode
+    divisors: dict = {}        # the reducer cache: minimal is fixed
     for g in minimal:
         # every term met while reducing g's tail is below g.lm, so g's own
         # head divides none of them and one shared list serves every g
-        tail = _reduce_full(g.tail, minimal, codec, p)
+        tail = _reduce_full(g.tail, minimal, codec, p, cache=divisors)
         terms = ((dec(g.lm_full), 1),) + tuple((dec(m), c) for m, c in tail)
         out.append(Polynomial(ring, terms))
     return GroebnerBasis(out, ring, codec)

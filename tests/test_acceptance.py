@@ -206,10 +206,10 @@ def test_ac8_stretch_genus2_d12():
     #   genus 4 non-normal example
     # The last two are out of desk scale by design.  The first needs the
     # d=12 secant join in P^10: `secantlab verify --k 1` on the golden
-    # genus-2 equation with degree 12 takes 66 s on a 2-core VM, with every
-    # row matching.  That is more than the rest of this suite together, so
-    # the slot is still reported as skipped rather than computed.
+    # genus-2 equation with degree 12 takes 13 to 18 s on a 2-core VM, with
+    # every row matching.  That would add more than half to this suite's
+    # time, so the slot is still reported as skipped rather than computed.
     print("\nAC-8 SKIP: genus-2 d=12 k=1 slot skipped "
-          "(verify takes about 66 s, beyond the suite's budget); "
+          "(verify takes 13 to 18 s, beyond the suite's budget); "
           "genus-2 k=2 and genus-4 slots skipped by design")
     pytest.skip("stretch criterion: all three slots reported as skipped")

@@ -15,7 +15,7 @@ from secantlab.gb import (GroebnerBasis, HilbertTarget, Ideal,
                           _ideal_with_gb, _poly_mul, buchberger, pair_budget)
 from secantlab.homalg import minimal_free_resolution
 from secantlab.ideal_ops import secant_join
-from secantlab.poly import MonomialOrder, PolyRing, RingMismatch
+from secantlab.poly import MonomialOrder, PolyRing, Polynomial, RingMismatch
 
 F = PrimeField(32003)
 R = PolyRing(["x", "y", "z"], F)
@@ -308,6 +308,82 @@ def test_unreduced_tails_respect_the_narrow_cap(monkeypatch):
                                      gb_module._Codec(Rb, wide=True), None, 2)
     assert kept._codec.wide
     assert [f.terms for f in kept] == [f.terms for f in wide]
+
+
+def test_shared_divisor_cache_keeps_the_first_divisor():
+    # one cache serves several reductions while the reducer list grows by
+    # append, as in a Buchberger run.  These reducers are no Groebner
+    # basis, so a remainder shows which divisor each word took: it must be
+    # the first in the list, as a fresh scan finds it
+    codec = gb_module._Codec(R)
+    polys = []
+    cache = {}
+
+    def remainder(text, head_only=False):
+        reducers = GroebnerBasis(polys, R, codec)._prepared()
+        items = [(codec.encode(m), c) for m, c in R.parse(text).terms]
+        shared = gb_module._reduce_full(items, reducers, codec, F.p,
+                                        head_only, cache=cache)
+        assert shared == gb_module._reduce_full(items, reducers, codec, F.p,
+                                                head_only)
+        return Polynomial(R, tuple((codec.decode(m), c) for m, c in shared))
+
+    polys.append(R.parse("x*y - z^2"))
+    assert remainder("y^2 + x*z + x*y") == R.parse("y^2 + x*z + z^2")
+    # a reducer appended later resolves the cached miss of y^2
+    polys.append(R.parse("y^2 - x*z"))
+    assert remainder("y^2") == R.parse("x*z")
+    # x*y keeps its cached first divisor when a later head divides it too
+    polys.append(R.parse("x*y - y*z"))
+    assert remainder("x*y") == R.parse("z^2")
+    # two appended heads divide the cached miss x*z: the first one wins
+    polys.extend([R.parse("x*z - y*z"), R.parse("x*z - z^2")])
+    assert remainder("x*z") == R.parse("y*z")
+    # y^3 -> x*y*z -> z^3, whose head is irreducible: x*z stays unreduced
+    assert remainder("y^3 + x*z", head_only=True) == R.parse("z^3 + x*z")
+
+
+def test_shared_divisor_cache_on_a_growing_list():
+    # random monic reducers, appended one at a time; after each append a
+    # few random polynomials are reduced with the shared cache and afresh
+    rng = random.Random(23)
+    codec = gb_module._Codec(R)
+    monomials = [e for e in product(range(4), repeat=3) if sum(e) <= 3]
+
+    def random_poly():
+        terms = {m: rng.randrange(1, F.p) for m in rng.sample(monomials, 4)}
+        return R.from_dict(terms)
+
+    polys = []
+    cache = {}
+    for _ in range(12):
+        polys.append(random_poly().monic())
+        reducers = GroebnerBasis(polys, R, codec)._prepared()
+        for _ in range(6):
+            items = [(codec.encode(m), c) for m, c in random_poly().terms]
+            for head_only in (False, True):
+                assert gb_module._reduce_full(
+                    items, reducers, codec, F.p, head_only, cache=cache) \
+                    == gb_module._reduce_full(items, reducers, codec, F.p,
+                                              head_only)
+
+
+def test_zero_s_polynomial_is_not_divided(monkeypatch):
+    # x*f and y*f with f = y + z: the S-polynomial of their one pair
+    # cancels term by term, so the loop drops it without a division
+    heads = []
+    real_reduce = gb_module._reduce_full
+
+    def reduce_spy(*args, head_only=False, **kwargs):
+        out = real_reduce(*args, head_only=head_only, **kwargs)
+        if head_only:
+            heads.append(out)
+        return out
+
+    monkeypatch.setattr(gb_module, "_reduce_full", reduce_spy)
+    basis = buchberger([R.parse("x*y + x*z"), R.parse("y^2 + y*z")], R)
+    assert len(heads) == 2 and all(heads)
+    assert list(basis) == [R.parse("y^2 + y*z"), R.parse("x*y + x*z")]
 
 
 def test_eliminate_must_be_the_first_block():
