@@ -93,14 +93,6 @@ def _build_embedding(path: str):
         raise InputError(f"{path}: {e}")
 
 
-def _secant_ideal(emb, k: int) -> Ideal:
-    """The ideal of Σ_k: at once the zero ideal when Σ_k fills P^r, else
-    the secant join."""
-    if emb.secant_fills(k):
-        return Ideal(emb.ideal.ring, [])
-    return secant_join(emb.secant_spec(k))
-
-
 def parse_ideal_file(text: str) -> Ideal:
     """Homogeneous ideal file: one "field: P" and one "variables: a, b, c"
     line, and one "generator: <polynomial>" line per generator."""
@@ -185,7 +177,7 @@ def cmd_curve(args) -> int:
 
 def cmd_secant(args) -> int:
     emb = _build_embedding(args.file)
-    S = _secant_ideal(emb, args.k)
+    S = secant_join(emb.secant_spec(args.k))
     gens = [str(f) for f in S.generators]
     if args.format == "json":
         payload = _json({
@@ -213,7 +205,7 @@ def cmd_betti(args) -> int:
         if not args.file or args.k is None:
             raise InputError("betti needs --file with --k, or --ideal-file")
         emb = _build_embedding(args.file)
-        I = _secant_ideal(emb, args.k)
+        I = secant_join(emb.secant_spec(args.k))
     if I.is_zero():
         _emit("(zero ideal)\n" if args.format == "text"
               else _json({"r": I.ring.nvars - 1, "entries": [[0, 0, 1]]}),
@@ -317,7 +309,7 @@ def cmd_bench(args) -> int:
     emb = _build_embedding(args.file)
     t_embed = time.monotonic() - t0
     t0 = time.monotonic()
-    S = _secant_ideal(emb, args.k)
+    S = secant_join(emb.secant_spec(args.k))
     t_join = time.monotonic() - t0
     t0 = time.monotonic()
     if not S.is_zero():
@@ -387,11 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    k = getattr(args, "k", None)
-    if k is not None and k < 0:
-        print("error: k must be nonnegative", file=sys.stderr)
-        return EXIT_INPUT
     try:
+        if getattr(args, "k", None) is not None and args.k < 0:
+            raise InputError("k must be nonnegative")
         with pair_budget(_pair_budget(args)):
             return args.func(args)
     except (InputError, DegreeTooLarge) as e:

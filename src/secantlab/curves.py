@@ -3,10 +3,12 @@
 A curve is embedded by the complete linear system of O(d * P_inf): genus 0
 gives the rational normal curve directly, genus 1 and 2 use an explicit
 monomial basis of functions with bounded pole order at infinity and realize
-the image ideal by a weighted graph elimination.  The embeddings seed
-secant_join and carry a weighted-homogeneous cone parametrization for its
-fast path: (s, t) -> s^(d-i) t^i for genus 0, and for genus 1 and 2 the
-images t^(d - pole) m(x, y) of weight d under the weights (2, w_y, 1) of
+the image ideal by a weighted graph elimination.  An embedding hands
+secant_join its input through ``CurveEmbedding.secant_spec``; secant_join
+alone decides when Σ_k fills P^r.  The embedding carries a
+weighted-homogeneous cone parametrization for the join: (s, t) ->
+s^(d-i) t^i for genus 0, and for genus 1 and 2 the images
+t^(d - pole) m(x, y) of weight d under the weights (2, w_y, 1) of
 (x, y, t), w_y = 3 or 5, cut out by the curve equation homogenised by t.
 :class:`CurveModel` is an immutable record built on ``namedtuple`` whose
 ``__new__`` validates the model; :class:`CurveEmbedding` is an immutable
@@ -164,11 +166,6 @@ class CurveEmbedding(NamedTuple):
     def secant_spec(self, k: int) -> SecantSpec:
         return SecantSpec(k=k, base_ideal=self.ideal,
                           parametrization=self.parametrization)
-
-    def secant_fills(self, k: int) -> bool:
-        """Σ_k fills P^r, so its ideal is zero: the curve spans P^r, and
-        Σ_k has the expected dimension min(2k + 1, r)."""
-        return 2 * k + 1 >= self.r
 
     def evaluate(self, param) -> tuple:
         """Embedded coordinates of an affine curve point.

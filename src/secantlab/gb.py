@@ -32,9 +32,11 @@ integer comparison is the monomial order: the terms of a ``Polynomial``
 are already in packed order, and a reducer's head is its first term.
 Each term is divided by the first reducer whose head divides it, found
 through one divisor cache per reduction context, keyed by exponent word.
-A Buchberger run shares one cache, which is exact because its basis only
-grows by append: the first divisor of a word never changes, and a cached
-miss rescans only the elements appended since.  An interreduction shares
+A Buchberger run shares one cache per weighted degree, which is exact
+because its basis only grows by append: the first divisor of a word never
+changes, and a cached miss rescans only the elements appended since.
+Clearing it when the degree changes bounds its memory at no cost in
+divisions.  An interreduction shares
 one too, since its list of minimal elements is fixed.  The
 Gebauer-Moller update and the one Hilbert numerator kernel
 (``_numerator``, behind ``GroebnerBasis.hilbert_numerator``) work on the
@@ -540,7 +542,9 @@ def _buchberger(generators, ring, codec: _Codec,
             if ((g.lm | guard) - lm) & guard == guard:
                 g.alive = False
 
-    divisors: dict = {}        # the reducer cache: basis only grows by append
+    # on homogeneous input a reduction meets terms of its own degree only
+    divisors: dict = {}
+    cache_deg = None
     processed = 0
     top = 0                    # largest weighted degree taken from the queue
     while queue:
@@ -549,6 +553,9 @@ def _buchberger(generators, ring, codec: _Codec,
             lcm = pair_set.pop((i, j), None)
             if lcm is None:
                 continue
+        if prio[0] != cache_deg:
+            cache_deg = prio[0]
+            divisors.clear()
         if target is not None:
             top = prio[0]
             if excess(top) == 0:

@@ -2,10 +2,12 @@
 
 The secant join through a cone chart of the curve, certified saturated by
 the last-variable criterion on its reduced grevlex basis, and tangent
-cones with Hilbert-Samuel multiplicities.  The raw join is prime, so the
-criterion always holds: a join that fails it is wrong, and raises
-``InternalIdentityError``.  Everything here is pure: input
-ideals are never mutated beyond their own write-once Groebner caches.
+cones with Hilbert-Samuel multiplicities.  ``secant_join`` alone decides
+when Σ_k fills P^r (2k + 1 ≥ r), and answers the zero ideal there without
+a join.  The raw join is prime, so the criterion always holds: a join
+that fails it is wrong, and raises ``InternalIdentityError``.  Everything
+here is pure: input ideals are never mutated beyond their own write-once
+Groebner caches.
 The records are immutable: :class:`ConeParametrization` is a
 ``NamedTuple``, and :class:`SecantSpec` and :class:`PointedIdeal` are built
 on ``namedtuple`` with a ``__new__`` that validates before it constructs.
@@ -146,8 +148,11 @@ def secant_join(spec: SecantSpec) -> Ideal:
     Precondition: ``base_ideal`` is I(C) for the curve C of the cone chart
     ``spec.parametrization``, as ``CurveEmbedding.secant_spec`` gives it.
 
-    Joins the curve onto the running secant k times, each step through
-    the cone chart and driven by the step's closed-form Hilbert series.
+    When 2k + 1 ≥ r, Σ_k fills P^r and the answer is the zero ideal, with
+    no Groebner run: C spans P^r, so Σ_k has the expected dimension
+    min(2k + 1, r).  Otherwise this joins the curve onto the running
+    secant k times, each step through the cone chart and driven by the
+    step's closed-form Hilbert series.
     The raw join comes with its reduced grevlex basis, and it is
     certified saturated when the last variable divides no leading
     monomial of that basis.  For grevlex, in(raw : x_last) = in(raw) :
@@ -170,14 +175,14 @@ def secant_join(spec: SecantSpec) -> Ideal:
     wrong, and raises ``InternalIdentityError``.
     """
     ring = spec.base_ideal.ring
-    if spec.k == 0 or spec.base_ideal.is_zero():
+    if 2 * spec.k + 1 >= ring.nvars - 1:
+        return Ideal(ring, [])
+    if spec.k == 0:
         return spec.base_ideal
 
     raw = spec.base_ideal
     for _ in range(spec.k):
         gens = _join_with_parametrization(spec.parametrization, raw)
-        if not gens:
-            return Ideal(ring, [])
         # the join output is already a reduced grevlex basis
         raw = _ideal_with_gb(ring, gens)
     if any(f.lm[-1] for f in raw.groebner()):

@@ -161,7 +161,8 @@ def verify(emb, k: int, seed: int = 0,
            degree_bound=None) -> VerificationReport:
     """Run secant_join -> hilbert_data -> minimal_free_resolution on the
     embedding and compare every prediction; failures downgrade rows to
-    skipped instead of raising.  A join basis or Betti table that breaks
+    skipped instead of raising, and a zero secant ideal (Σ_k fills P^r)
+    skips every row.  A join basis or Betti table that breaks
     a run-time identity gives every row the verdict
     "error(internal identity)" and puts the message in
     ``instance["error"]``."""
@@ -189,8 +190,6 @@ def verify(emb, k: int, seed: int = 0,
     def all_rows(verdict):
         return report({}, lambda *_: verdict)
 
-    if emb.secant_fills(k):
-        return all_rows("skipped(fills ambient)")
     stage = "secant_join"
     try:
         S = secant_join(emb.secant_spec(k))

@@ -107,7 +107,7 @@ class _Codec:
     comparison block at the top.  For two packed monomials a, b:
 
       a < b as ints        iff  the monomial of a is smaller under the order
-      a + b - one          is the packed product
+      a + b - encode(0…0)  is the packed product
       mask test on fields  decides divisibility
 
     The narrow layout (8-bit exponent fields, 16-bit key fields) keeps the
@@ -117,9 +117,9 @@ class _Codec:
     monomials still fits its fields exactly.
     """
 
-    __slots__ = ("one", "pmask", "guard", "low", "ones", "exp_bits",
-                 "deg_shift", "deg_mask", "deg_cap", "wide", "order_weights",
-                 "_coeff_vec", "_const", "_shifts", "_exp_mask", "_sum_shift")
+    __slots__ = ("pmask", "guard", "low", "ones", "exp_bits", "deg_shift",
+                 "deg_mask", "deg_cap", "wide", "order_weights", "_coeff_vec",
+                 "_const", "_shifts", "_exp_mask", "_sum_shift")
 
     def __init__(self, ring: PolyRing, wide: bool = False):
         exp_bits = 16 if wide else 8
@@ -184,7 +184,6 @@ class _Codec:
                 pos += key_bits
         self._coeff_vec = coeff
         self._const = const
-        self.one = const
         self._shifts = [exp_bits * i for i in range(n)]
         # stored monomials stay below deg_cap; transient products of two of
         # them then keep every exponent and key field carry-free
@@ -267,8 +266,6 @@ class PolyRing:
 
     def __init__(self, variables, field: PrimeField,
                  order: MonomialOrder | None = None):
-        if isinstance(variables, str):
-            variables = tuple(v.strip() for v in variables.split(","))
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")

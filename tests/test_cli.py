@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import secantlab
-from secantlab import cli, homalg, ideal_ops, oracle
+from secantlab import cli, homalg, ideal_ops
 from secantlab.arith import MAX_PRIME, is_prime
 from secantlab.cli import main
 from secantlab.gb import HilbertTarget, ResourceLimit
@@ -80,12 +80,12 @@ E6 = "genus: 1\nfield: 32003\nequation: y^2 - x^3 - 4*x - 1\ndegree: 6\n"
 def test_filling_secant_answers_without_a_join(curve_file, capsys,
                                                monkeypatch, text, k, r):
     # 2k + 1 >= r: Σ_k fills P^r, so every command prints its zero-ideal
-    # answer without running the join
+    # answer, which secant_join gives without a join step or Groebner run
     def refuse(*args, **kwargs):
-        raise AssertionError("secant_join called")
+        raise AssertionError("join step on a filling secant")
 
-    for module in (cli, oracle):
-        monkeypatch.setattr(module, "secant_join", refuse)
+    for name in ("_join_with_parametrization", "buchberger"):
+        monkeypatch.setattr(ideal_ops, name, refuse)
     path = curve_file("c.curve", text)
     k = str(k)
     code, out, _ = run(capsys, ["secant", "--file", path, "--k", k])

@@ -43,9 +43,27 @@ def test_intersect_with_a_variable_named_like_its_fresh_one():
     assert len(meet(["x", "y"])) == 2
 
 
-def test_secant_of_twisted_cubic_fills_space():
-    S = secant_join(rational_normal_curve(3, F).secant_spec(1))
-    assert S.is_zero()
+def test_secant_of_twisted_cubic_fills_space(monkeypatch):
+    # 2k + 1 >= r: Σ_k fills P^r, and secant_join answers the zero ideal
+    # with no join step and no Groebner run.  The rational normal quartic
+    # fills at k = 2 (at k = 1 it is the catalecticant cubic, below).
+    cases = [(0, None, 3, 1), (0, None, 4, 2), (0, None, 5, 2),
+             (1, "y^2 - x^3 - 4*x - 1", 4, 1),
+             (2, "y^2 - x^5 - 3*x^3 - x - 7", 5, 1),
+             (1, "y^2 - x^3 - 4*x - 1", 6, 2)]
+    specs = [_ladder_curve(g, eq, d).secant_spec(k) for g, eq, d, k in cases]
+    steps = []
+
+    def count(*args, **kwargs):
+        steps.append(args)
+        raise AssertionError("join step on a filling secant")
+
+    monkeypatch.setattr(ideal_ops, "_join_with_parametrization", count)
+    monkeypatch.setattr(ideal_ops, "buchberger", count)
+    for spec in specs:
+        S = secant_join(spec)
+        assert S.is_zero() and S.ring == spec.base_ideal.ring
+    assert steps == []
 
 
 def test_secant_of_quartic_is_catalecticant_cubic():

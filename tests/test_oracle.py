@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from secantlab import oracle
+from secantlab import ideal_ops
 from secantlab.arith import PrimeField
 from secantlab.curves import CurveModel, embed, rational_normal_curve
 from secantlab.oracle import (HypothesisViolated, PredictionRecord,
@@ -98,13 +98,16 @@ def test_verify_degenerate_secant_skips_all():
 
 
 def test_verify_filling_k_skips_the_join(monkeypatch):
-    # Σ_2 of the elliptic sextic fills P^5 (2k + 1 = r): no join is needed
+    # Σ_2 of the elliptic sextic fills P^5 (2k + 1 = r): secant_join
+    # answers the zero ideal with no join step and no Groebner run
     def no_join(*args, **kwargs):
-        raise AssertionError("secant_join called for a filling k")
-    monkeypatch.setattr(oracle, "secant_join", no_join)
+        raise AssertionError("join step for a filling k")
     R2 = PolyRing(["x", "y"], F)
     m1 = CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1"))
-    rep = verify(embed(m1, 6), 2)
+    emb = embed(m1, 6)
+    for name in ("_join_with_parametrization", "buchberger"):
+        monkeypatch.setattr(ideal_ops, name, no_join)
+    rep = verify(emb, 2)
     assert [r["verdict"] for r in rep.rows] == ["skipped(fills ambient)"] * 9
     assert all(r["computed"] is None for r in rep.rows)
 
