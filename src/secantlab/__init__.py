@@ -19,8 +19,7 @@ from .curves import (CurveEmbedding, CurveModel, DegreeTooSmall,
                      DuplicatePoints, embed, parse_curve_file,
                      point_on_secant, rational_normal_curve, rr_basis,
                      sample_affine_points)
-from .oracle import (HypothesisViolated, PredictionRecord,
-                     VerificationReport, predicted_canonical_h0,
+from .oracle import (HypothesisViolated, predicted_canonical_h0,
                      predicted_degree, predicted_multiplicity,
                      predicted_regularity, predictions, verify)
 
@@ -36,9 +35,9 @@ __all__ = [
     "CurveEmbedding", "CurveModel", "DegreeTooSmall", "DuplicatePoints",
     "embed", "parse_curve_file", "point_on_secant", "rational_normal_curve",
     "rr_basis", "sample_affine_points",
-    "HypothesisViolated", "PredictionRecord", "VerificationReport",
-    "predicted_canonical_h0", "predicted_degree", "predicted_multiplicity",
-    "predicted_regularity", "predictions", "verify",
+    "HypothesisViolated", "predicted_canonical_h0", "predicted_degree",
+    "predicted_multiplicity", "predicted_regularity", "predictions",
+    "verify",
 ]
 
 __version__ = "0.1.0"

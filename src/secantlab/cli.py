@@ -4,8 +4,9 @@ verification reports.
 Subcommands: curve, secant, betti, verify, bench.  Exit codes form the CI
 contract: 0 success / all rows match, 1 mismatch, 2 input error (a monomial
 degree too large to pack included), 3 resource limit, 4 internal error (a
-Betti table broke a run-time identity, or a secant join failed its
-saturation criterion, so that no result is certified).  Each subcommand
+Betti table broke a run-time identity, a Hilbert-driven basis missed its
+Hilbert target, or a secant join failed its saturation criterion, so
+that no result is certified).  Each subcommand
 runs under one S-pair budget, set once by ``main``: --pair-budget, else
 the environment variable SECANTLAB_PAIR_BUDGET, else
 ``gb.DEFAULT_PAIR_BUDGET``.  Input validation is not budgeted, so an
@@ -256,9 +257,8 @@ def _verify_instance(task):
     with pair_budget(budget):
         emb = _build_embedding(path)
         rep = verify(emb, k, seed=seed, degree_bound=max_degree)
-    out = rep.to_json_dict()
-    out["instance"]["curve_file"] = os.path.basename(path)
-    return out
+    rep["instance"]["curve_file"] = os.path.basename(path)
+    return rep
 
 
 def cmd_verify(args) -> int:

@@ -35,7 +35,8 @@ from .poly import MonomialOrder, PolyRing, Polynomial
 
 
 class ZeroIdeal(ValueError):
-    """Operation undefined for the zero ideal."""
+    """Operation undefined for the zero ideal, or for a degree-truncated
+    table that lists no generator."""
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +219,13 @@ def is_acm(B: BettiTable, hd: HilbertData) -> bool:
 
 
 def min_generator_degree(B: BettiTable) -> int:
-    """Smallest degree of a minimal generator of I."""
+    """Smallest degree of a minimal generator of I.  Raises ZeroIdeal when
+    the table lists no generator: I is zero, or for a truncated table, no
+    generator has degree <= the bound."""
     degs = [j for (i, j), _ in B.entries if i == 1]
     if not degs:
+        if B.truncated_at is not None:
+            raise ZeroIdeal(f"no generator has degree <= {B.truncated_at}")
         raise ZeroIdeal("the ideal has no generators")
     return min(degs)
 

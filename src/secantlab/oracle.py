@@ -4,16 +4,16 @@ pipeline comparing them against computed invariants.
 The predicted quantities for Σ_k of a genus-g curve embedded by a degree
 deg_L line bundle: dimension 2k+1, the binomial degree formula, the
 multiplicity formula on the singular strata, regularity, the N_{k+2,p}
-window, ACM-ness, and the canonical corner Betti number.  A
-:class:`PredictionRecord` is an immutable ``NamedTuple`` record; a
-:class:`VerificationReport` is a plain class with ``__slots__``.
+window, ACM-ness, and the canonical corner Betti number.  The
+prediction table and the verification report are plain dicts: the keys
+of :func:`predictions` are the verify rows' names in row order, and
+:func:`verify` returns its report ready for ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import warnings
 from math import comb
-from typing import NamedTuple
 
 from .gb import ResourceLimit
 from .homalg import (InternalIdentityError, ZeroIdeal, hilbert_data, is_acm,
@@ -82,110 +82,50 @@ def predicted_canonical_h0(g: int, k: int) -> int:
     return binomial(g + k, k + 1)
 
 
-class PredictionRecord(NamedTuple):
-    """Every closed-form prediction for (g, deg_L, k)."""
-
-    g: int
-    deg_L: int
-    k: int
-    r: int
-    hypothesis_ok: bool
-    predicted_dim: int
-    predicted_degree: int
-    predicted_reg_structure_sheaf: int
-    predicted_reg_embedded: int
-    predicted_ndp_window: int
-    predicted_acm: bool
-    predicted_min_gen_degree: int | None
-    predicted_canonical_h0: int
-    predicted_corner: tuple
-
-
-def predictions(g: int, deg_L: int, k: int) -> PredictionRecord:
-    ok = hypothesis_holds(g, deg_L, k)
+def predictions(g: int, deg_L: int, k: int) -> dict:
+    """The predicted value of every verify row for (g, deg_L, k), keyed by
+    row name in row order."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HypothesisViolated)
         deg = predicted_degree(g, deg_L, k)
     reg_s, reg_e = predicted_regularity(g, k)
     p_max = deg_L - 2 * g - 2 * k - 1
-    r = deg_L - g
-    return PredictionRecord(
-        g=g, deg_L=deg_L, k=k, r=r, hypothesis_ok=ok,
-        predicted_dim=2 * k + 1,
-        predicted_degree=deg,
-        predicted_reg_structure_sheaf=reg_s,
-        predicted_reg_embedded=reg_e,
-        predicted_ndp_window=p_max,
-        predicted_acm=p_max >= 0,
-        predicted_min_gen_degree=k + 2 if p_max >= 1 else None,
-        predicted_canonical_h0=predicted_canonical_h0(g, k),
-        predicted_corner=(r - 2 * k - 1, 2 * k + 2))
+    return {"dim": 2 * k + 1,
+            "degree": deg,
+            "reg_structure_sheaf": reg_s,
+            "reg_embedded": reg_e,
+            "ndp_window": p_max,
+            "acm": p_max >= 0,
+            "min_gen_degree": k + 2 if p_max >= 1 else None,
+            "canonical_h0": predicted_canonical_h0(g, k),
+            "corner": [deg_L - g - 2 * k - 1, 2 * k + 2]}
 
 
 # ---------------------------------------------------------------------------
 # verification pipeline
 # ---------------------------------------------------------------------------
 
-class VerificationReport:
-    """Per-invariant verdict rows for one (curve, k) instance."""
-
-    __slots__ = ("instance", "rows", "seed", "prime")
-
-    def __init__(self, instance: dict, rows: list, seed: int, prime: int):
-        self.instance = instance
-        self.rows = rows
-        self.seed = seed
-        self.prime = prime
-
-    def to_json_dict(self) -> dict:
-        return {"instance": self.instance, "rows": self.rows,
-                "seed": self.seed, "prime": self.prime}
-
-    @property
-    def mismatches(self):
-        return [r for r in self.rows if r["verdict"] == "mismatch"]
-
-    @property
-    def resource_skips(self):
-        return [r for r in self.rows
-                if r["verdict"].startswith("skipped")
-                and "resource" in r["verdict"]]
-
-
-def _row(name, predicted, computed, verdict):
-    return {"name": name, "predicted": predicted, "computed": computed,
-            "verdict": verdict}
-
-
-def verify(emb, k: int, seed: int = 0,
-           degree_bound=None) -> VerificationReport:
+def verify(emb, k: int, seed: int = 0, degree_bound=None) -> dict:
     """Run secant_join -> hilbert_data -> minimal_free_resolution on the
-    embedding and compare every prediction; failures downgrade rows to
-    skipped instead of raising, and a zero secant ideal (Σ_k fills P^r)
-    skips every row.  A join basis or Betti table that breaks
-    a run-time identity gives every row the verdict
-    "error(internal identity)" and puts the message in
+    embedding and compare every prediction.  Returns the JSON-ready report
+    ``{"instance", "rows", "seed", "prime"}``: one row per entry of
+    :func:`predictions`, each ``{"name", "predicted", "computed",
+    "verdict"}``.  Failures downgrade rows to skipped instead of raising,
+    and a zero secant ideal (Σ_k fills P^r) skips every row.  A join basis
+    or Betti table that breaks a run-time identity gives every row the
+    verdict "error(internal identity)" and puts the message in
     ``instance["error"]``."""
     g = emb.model.genus
-    pred = predictions(g, emb.d, k)
+    predicted = predictions(g, emb.d, k)
     instance = {"genus": g, "degree": emb.d, "k": k, "r": emb.r}
-    predicted = {
-        "dim": pred.predicted_dim,
-        "degree": pred.predicted_degree,
-        "reg_structure_sheaf": pred.predicted_reg_structure_sheaf,
-        "reg_embedded": pred.predicted_reg_embedded,
-        "ndp_window": pred.predicted_ndp_window,
-        "acm": pred.predicted_acm,
-        "min_gen_degree": pred.predicted_min_gen_degree,
-        "canonical_h0": pred.predicted_canonical_h0,
-        "corner": list(pred.predicted_corner),
-    }
 
     def report(computed, rule):
-        rows = [_row(name, p_, computed.get(name),
-                     rule(name, p_, computed.get(name)))
+        rows = [{"name": name, "predicted": p_,
+                 "computed": computed.get(name),
+                 "verdict": rule(name, p_, computed.get(name))}
                 for name, p_ in predicted.items()]
-        return VerificationReport(instance, rows, seed, emb.model.field.p)
+        return {"instance": instance, "rows": rows, "seed": seed,
+                "prime": emb.model.field.p}
 
     def all_rows(verdict):
         return report({}, lambda *_: verdict)
@@ -222,7 +162,7 @@ def verify(emb, k: int, seed: int = 0,
         if g:
             computed["corner"] = [projective_dimension(B), reg]
     # canonical h^0 sits in the corner Koszul group K_{r-2k-1, 2k+2}
-    ci, cq = pred.predicted_corner
+    ci, cq = predicted["corner"]
     if B.truncated_at is None or ci + cq <= B.truncated_at:
         computed["canonical_h0"] = koszul_dim(B, ci, cq)
 

@@ -220,7 +220,7 @@ def test_ac8_stretch_genus2_d12(monkeypatch):
 
     monkeypatch.setattr(oracle, "minimal_free_resolution", keep)
     rep = oracle.verify(embed(model, degree), 1)
-    assert [r["verdict"] for r in rep.rows] == ["match"] * 9
+    assert [r["verdict"] for r in rep["rows"]] == ["match"] * 9
     (B,) = tables
     assert (B.beta(1, 3), B.beta(6, 9), B.beta(7, 11)) == (70, 7, 3)
     elapsed = time.monotonic() - t0

@@ -218,7 +218,18 @@ def test_resolution_zero_ideal():
     R = PolyRing(["x", "y"], F)
     B = minimal_free_resolution(Ideal(R, []))
     assert B.to_json_dict()["entries"] == [[0, 0, 1]]
-    with pytest.raises(ZeroIdeal):
+    with pytest.raises(ZeroIdeal, match="the ideal has no generators"):
+        min_generator_degree(B)
+
+
+def test_min_generator_degree_of_a_table_truncated_below_it():
+    # Σ_1 of the rational normal quintic: four cubic generators, none of
+    # degree <= 2, so the truncated table has no generator to report
+    S = secant_join(rational_normal_curve(5, F).secant_spec(1))
+    assert minimal_free_resolution(S).beta(1, 3) == 4
+    B = minimal_free_resolution(S, degree_bound=2)
+    assert B.truncated_at == 2
+    with pytest.raises(ZeroIdeal, match="no generator has degree <= 2"):
         min_generator_degree(B)
 
 

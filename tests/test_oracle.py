@@ -1,18 +1,30 @@
+import contextlib
+import io
 import json
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
 from secantlab import ideal_ops
 from secantlab.arith import PrimeField
 from secantlab.curves import CurveModel, embed, rational_normal_curve
-from secantlab.oracle import (HypothesisViolated, PredictionRecord,
-                              hypothesis_holds, predicted_canonical_h0,
-                              predicted_degree, predicted_multiplicity,
-                              predicted_regularity, predictions, verify)
+from secantlab.oracle import (HypothesisViolated, hypothesis_holds,
+                              predicted_canonical_h0, predicted_degree,
+                              predicted_multiplicity, predicted_regularity,
+                              predictions, verify)
 from secantlab.poly import PolyRing
 
 F = PrimeField(32003)
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def readme_row_names():
+    """The row names README lists after "prints nine rows per curve"."""
+    m = re.search(r"prints nine rows per curve, in this order:(.*?)\.\s",
+                  README, re.S)
+    return re.findall(r"`(\w+)`", m.group(1))
 
 
 def test_degree_spot_values():
@@ -51,32 +63,51 @@ def test_hypothesis_window_and_warning():
     assert any(issubclass(w.category, HypothesisViolated) for w in wlist)
 
 
-def test_prediction_record_fields():
-    rec = predictions(1, 5, 1)
-    assert isinstance(rec, PredictionRecord)
-    assert rec.r == 4 and rec.hypothesis_ok
-    assert rec.predicted_dim == 3
-    assert rec.predicted_degree == 5
-    assert rec.predicted_reg_embedded == 5
-    assert rec.predicted_ndp_window == 0
-    assert rec.predicted_acm
-    assert rec.predicted_canonical_h0 == 1
-    rec6 = predictions(1, 6, 1)
-    assert rec6.predicted_ndp_window == 1
-    assert rec6.predicted_min_gen_degree == 3
+def test_prediction_values():
+    pred = predictions(1, 5, 1)
+    # r = deg_L - g = 4 puts the corner at K_{r-2k-1, 2k+2} = K_{1, 4}
+    assert hypothesis_holds(1, 5, 1) and pred["corner"] == [1, 4]
+    assert pred["dim"] == 3
+    assert pred["degree"] == 5
+    assert pred["reg_embedded"] == 5
+    assert pred["ndp_window"] == 0
+    assert pred["acm"]
+    assert pred["canonical_h0"] == 1
+    pred6 = predictions(1, 6, 1)
+    assert pred6["ndp_window"] == 1
+    assert pred6["min_gen_degree"] == 3
+    # the keys are the verify rows, in README's order
+    names = readme_row_names()
+    assert len(names) == 9
+    rep = verify(rational_normal_curve(4, F), 1)
+    assert list(predictions(0, 4, 1)) == names
+    assert [r["name"] for r in rep["rows"]] == names
+
+
+def test_readme_library_example_runs():
+    block = re.search(r"```python\n(.*?)```", README, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    lines = out.getvalue().splitlines()
+    skipped = "skipped(outside hypothesis window)"
+    assert repr(["match"] * 6 + [skipped] + ["match"] * 2) in lines
+    assert lines[-1].endswith("processed 6 of 5")
 
 
 def test_min_gen_prediction_absent_outside_window():
-    rec = predictions(1, 5, 1)  # p_max = 0, no positive-step window
-    assert rec.predicted_min_gen_degree is None
+    pred = predictions(1, 5, 1)  # p_max = 0, no positive-step window
+    assert pred["min_gen_degree"] is None
 
 
 def test_verify_elliptic_quintic_matches():
     R2 = PolyRing(["x", "y"], F)
     m1 = CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1"))
     rep = verify(embed(m1, 5), 1)
-    assert not rep.mismatches and not rep.resource_skips
-    verdicts = {r["name"]: r["verdict"] for r in rep.rows}
+    assert not [r for r in rep["rows"] if r["verdict"] == "mismatch"]
+    assert not [r for r in rep["rows"] if r["verdict"].startswith("skipped")
+                and "resource" in r["verdict"]]
+    verdicts = {r["name"]: r["verdict"] for r in rep["rows"]}
     assert verdicts["degree"] == "match"
     assert verdicts["reg_embedded"] == "match"
     assert verdicts["corner"] == "match"
@@ -85,8 +116,8 @@ def test_verify_elliptic_quintic_matches():
 
 def test_verify_genus0_rows():
     rep = verify(rational_normal_curve(5, F), 1)
-    assert not rep.mismatches
-    rows = {r["name"]: r for r in rep.rows}
+    assert not [r for r in rep["rows"] if r["verdict"] == "mismatch"]
+    rows = {r["name"]: r for r in rep["rows"]}
     assert rows["ndp_window"]["computed"] == 2
     assert rows["corner"]["verdict"] == "skipped(corner vanishes for genus 0)"
     assert rows["acm"]["computed"] is True
@@ -94,7 +125,7 @@ def test_verify_genus0_rows():
 
 def test_verify_degenerate_secant_skips_all():
     rep = verify(rational_normal_curve(3, F), 1)
-    assert all(r["verdict"] == "skipped(fills ambient)" for r in rep.rows)
+    assert all(r["verdict"] == "skipped(fills ambient)" for r in rep["rows"])
 
 
 def test_verify_filling_k_skips_the_join(monkeypatch):
@@ -108,17 +139,17 @@ def test_verify_filling_k_skips_the_join(monkeypatch):
     for name in ("_join_with_parametrization", "buchberger"):
         monkeypatch.setattr(ideal_ops, name, no_join)
     rep = verify(emb, 2)
-    assert [r["verdict"] for r in rep.rows] == ["skipped(fills ambient)"] * 9
-    assert all(r["computed"] is None for r in rep.rows)
+    assert [r["verdict"] for r in rep["rows"]] == ["skipped(fills ambient)"] * 9
+    assert all(r["computed"] is None for r in rep["rows"])
 
 
 def test_report_json_shape():
     rep = verify(rational_normal_curve(4, F), 1)
-    doc = rep.to_json_dict()
-    json.dumps(doc)  # serializable
-    assert doc["instance"]["genus"] == 0 and doc["instance"]["k"] == 1
-    assert doc["seed"] == 0 and doc["prime"] == 32003
-    assert len(doc["rows"]) == 9
+    assert json.loads(json.dumps(rep)) == rep  # plain JSON data
+    assert list(rep) == ["instance", "rows", "seed", "prime"]
+    assert rep["instance"]["genus"] == 0 and rep["instance"]["k"] == 1
+    assert rep["seed"] == 0 and rep["prime"] == 32003
+    assert len(rep["rows"]) == 9
 
 
 def test_invalid_inputs_rejected():
