@@ -1,15 +1,16 @@
-"""Curve models of genus 0, 1, 2 over F_p and their projective embeddings.
+"""Curve models of genus g >= 0 over F_p and their projective embeddings.
 
 A curve is embedded by the complete linear system of O(d * P_inf): genus 0
-gives the rational normal curve directly, genus 1 and 2 use an explicit
-monomial basis of functions with bounded pole order at infinity and realize
-the image ideal by a weighted graph elimination.  An embedding hands
+gives the rational normal curve directly, genus g >= 1 (the model
+y^2 + h(x) y = f(x), deg f = 2g + 1) uses an explicit monomial basis of
+functions with bounded pole order at infinity and realizes the image ideal
+by a weighted graph elimination.  An embedding hands
 secant_join its input through ``CurveEmbedding.secant_spec``; secant_join
 alone decides when Σ_k fills P^r.  The embedding carries a
 weighted-homogeneous cone parametrization for the join: (s, t) ->
-s^(d-i) t^i for genus 0, and for genus 1 and 2 the images
+s^(d-i) t^i for genus 0, and for genus g >= 1 the images
 t^(d - pole) m(x, y) of weight d under the weights (2, w_y, 1) of
-(x, y, t), w_y = 3 or 5, cut out by the curve equation homogenised by t.
+(x, y, t), w_y = 2g + 1, cut out by the curve equation homogenised by t.
 :class:`CurveModel` is an immutable record built on ``namedtuple`` whose
 ``__new__`` validates the model; :class:`CurveEmbedding` is an immutable
 ``NamedTuple`` record.
@@ -43,11 +44,14 @@ class DuplicatePoints(ValueError):
 
 class CurveModel(namedtuple("CurveModel", "genus field equation",
                             defaults=(None,))):
-    """Genus 0 (no equation), genus 1 (Weierstrass w(x, y)), or genus 2
-    (y^2 - f(x), deg f = 5 squarefree) over a prime field.
+    """Genus 0 (no equation), or genus g >= 1 as y^2 + h(x)*y - f(x) with
+    deg h <= g and deg f = 2g + 1, over a prime field.
 
-    f is squarefree iff f and f' generate the unit ideal of F_p[x], which
-    one Groebner basis of (f, f') decides, outside any caller's pair budget.
+    Completing the square, (2y + h)^2 = h^2 + 4f (p is odd), so the model
+    is smooth iff h^2 + 4f is squarefree; for g = 1 that is the
+    discriminant test Δ != 0.  h^2 + 4f is squarefree iff it and its
+    derivative generate the unit ideal of F_p[x], which one Groebner basis
+    decides, outside any caller's pair budget.
     """
 
     __slots__ = ()
@@ -56,14 +60,12 @@ class CurveModel(namedtuple("CurveModel", "genus field equation",
                 equation: Polynomial | None = None):
         self = super().__new__(cls, genus, field, equation)
         g = self.genus
-        if g not in (0, 1, 2):
-            raise ValueError("genus must be 0, 1, or 2")
+        if g < 0:
+            raise ValueError("genus must be nonnegative")
         if g == 0:
             if self.equation is not None:
                 raise ValueError("genus 0 takes no equation")
             return self
-        if self.field.p == 2:
-            raise ValueError("odd characteristic required for genus >= 1")
         eq = self.equation
         if eq is None or eq.ring.variables != ("x", "y"):
             raise ValueError("equation must live in a ring with variables "
@@ -71,56 +73,30 @@ class CurveModel(namedtuple("CurveModel", "genus field equation",
         if eq.ring.field != self.field:
             raise ValueError("equation field does not match the model field")
         coeffs = dict(eq.terms)
-        if g == 1:
-            p = self.field.p
-            allowed = {(0, 2), (1, 1), (0, 1), (3, 0), (2, 0), (1, 0), (0, 0)}
-            if set(coeffs) - allowed or coeffs.get((0, 2)) != 1 \
-                    or coeffs.get((3, 0)) != p - 1:
-                raise ValueError(
-                    "genus 1 needs a Weierstrass equation "
-                    "y^2 + a1*x*y + a3*y - x^3 - a2*x^2 - a4*x - a6")
-            if self._weierstrass_discriminant() == 0:
-                raise ValueError("singular Weierstrass model (discriminant 0)")
-        else:
-            if coeffs.get((0, 2)) != 1 or any(j not in (0, 2) or (j == 2 and i)
-                                              for i, j in coeffs):
-                raise ValueError("genus 2 needs an equation y^2 - f(x)")
-            ring = PolyRing(["x"], self.field)
-            f = ring.from_dict({(i,): -c for (i, j), c in coeffs.items()
-                                if j == 0})
-            deg = f.total_degree() if f else -1
-            if deg >= 4 and deg % 2 == 0:
-                raise ValueError("even-degree model rejected")
-            if deg != 5:
-                raise ValueError("genus 2 needs deg f = 5")
-            fprime = ring.from_dict({(i - 1,): i * c for (i,), c in f.terms})
-            # a fresh context runs the check at the default budget, so an
-            # invalid equation is a ValueError under any caller's budget
-            if not Context().run(buchberger, [f, fprime],
-                                 ring).is_unit_ideal():
-                raise ValueError("f must be squarefree (gcd(f, f') = 1)")
+        if coeffs.get((0, 2)) != 1 or any(j > 2 or (j == 2 and i)
+                                          for i, j in coeffs):
+            raise ValueError(f"genus {g} needs an equation "
+                             "y^2 + h(x)*y - f(x)")
+        ring = PolyRing(["x"], self.field)
+        h = ring.from_dict({(i,): c for (i, j), c in coeffs.items() if j == 1})
+        f = ring.from_dict({(i,): -c for (i, j), c in coeffs.items()
+                            if j == 0})
+        if h and h.total_degree() > g:
+            raise ValueError(f"genus {g} needs deg h <= {g}")
+        deg = f.total_degree() if f else -1
+        if deg >= 4 and deg % 2 == 0:
+            raise ValueError("even-degree model rejected")
+        if deg != 2 * g + 1:
+            raise ValueError(f"genus {g} needs deg f = {2 * g + 1}")
+        disc = h * h + f * 4
+        dprime = ring.from_dict({(i - 1,): i * c for (i,), c in disc.terms})
+        # a fresh context runs the check at the default budget, so an
+        # invalid equation is a ValueError under any caller's budget
+        if not Context().run(buchberger, [disc, dprime],
+                             ring).is_unit_ideal():
+            raise ValueError("h^2 + 4f must be squarefree "
+                             "(gcd with its derivative = 1)")
         return self
-
-    def _coeff(self, i, j):
-        return dict(self.equation.terms).get((i, j), 0)
-
-    def weierstrass_coefficients(self):
-        """(a1, a2, a3, a4, a6) of w = y^2 + a1xy + a3y - x^3 - ..."""
-        p = self.field.p
-        return (self._coeff(1, 1), (-self._coeff(2, 0)) % p,
-                self._coeff(0, 1), (-self._coeff(1, 0)) % p,
-                (-self._coeff(0, 0)) % p)
-
-    def _weierstrass_discriminant(self):
-        p = self.field.p
-        a1, a2, a3, a4, a6 = self.weierstrass_coefficients()
-        b2 = (a1 * a1 + 4 * a2) % p
-        b4 = (2 * a4 + a1 * a3) % p
-        b6 = (a3 * a3 + 4 * a6) % p
-        b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3
-              - a4 * a4) % p
-        return (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6
-                + 9 * b2 * b4 * b6) % p
 
     def contains_affine(self, pt) -> bool:
         return self.genus == 0 or self.equation.evaluate(pt) == 0
@@ -134,16 +110,15 @@ def rr_basis(model: CurveModel, d: int):
     """Monomial basis of the functions with pole order <= d at infinity,
     as (exponent pair, pole order), sorted by pole order.
 
-    Genus 0: all degree-d monomials in two parameters (s, t).  Genus 1: x^i
-    (pole 2i) and y*x^j (pole 3+2j).  Genus 2: x^i (pole 2i) and y*x^j
-    (pole 5+2j).
+    Genus 0: all degree-d monomials in two parameters (s, t).  Genus
+    g >= 1: x^i (pole 2i) and y*x^j (pole 2g+1+2j).
     """
     g = model.genus
     if d < 2 * g + 1:
         raise DegreeTooSmall(f"need degree >= {2 * g + 1} for genus {g}")
     if g == 0:
         return [((d - i, i), i) for i in range(d + 1)]
-    ypole = 3 if g == 1 else 5
+    ypole = 2 * g + 1
     basis = [((i, 0), 2 * i) for i in range(d // 2 + 1)]
     basis += [((j, 1), ypole + 2 * j) for j in range((d - ypole) // 2 + 1)]
     basis.sort(key=lambda b: b[1])
@@ -215,8 +190,8 @@ def embed(model: CurveModel, d: int) -> CurveEmbedding:
     and eliminates {x, y, t} under a pole-order-weighted block order; the
     result is the saturated homogeneous ideal of the embedded curve.
 
-    The cone chart gives x, y, t the weights 2, w_y, 1 (w_y = 3 for genus
-    1, 5 for genus 2) and sends (x, y, t) to t^(d - pole_i) m_i(x, y), each
+    The cone chart gives x, y, t the weights 2, w_y, 1 (w_y = 2g + 1, the
+    pole order of y) and sends (x, y, t) to t^(d - pole_i) m_i(x, y), each
     of weight d.  Its constraint is the curve equation homogenised by t to
     weight 2 w_y (x^i y^j gets t^(2 w_y - 2i - w_y j)).  Where t != 0, the
     substitution x = t^2 X, y = t^w_y Y turns this into the unweighted cone
@@ -230,7 +205,7 @@ def embed(model: CurveModel, d: int) -> CurveEmbedding:
     field = model.field
     znames = [f"z{i}" for i in range(r + 1)]
     names = ["x", "y", "t"] + znames
-    wy = 3 if model.genus == 1 else 5
+    wy = 2 * model.genus + 1
     weights = (2, wy, 1) + tuple(1 + pole for _, pole in basis)
     big = PolyRing(names, field, MonomialOrder.block_elim(3, weights))
     gens = [model.equation.compose(big.gens()[:2], big)]
@@ -258,9 +233,10 @@ def embed(model: CurveModel, d: int) -> CurveEmbedding:
 def sample_affine_points(model: CurveModel, count: int, seed: int = 0):
     """Deterministic sample of distinct affine curve points.
 
-    Genus 0 yields parameter scalars; genus >= 1 yields (x, y) with y
-    obtained from seeded x values via square roots (Tonelli-Shanks in the
-    field layer).
+    Genus 0 yields parameter scalars; genus >= 1 yields (x, y) for seeded
+    x values, y = -h/2 +- sqrt(h^2/4 + f) solving y^2 + h(x) y = f(x)
+    (square roots by Tonelli-Shanks in the field layer).  The equation w
+    gives h(x) = w(x, 1) - w(x, 0) - 1 and f(x) = -w(x, 0).
     """
     p = model.field.p
     rng = random.Random(seed)
@@ -271,32 +247,19 @@ def sample_affine_points(model: CurveModel, count: int, seed: int = 0):
     pts = []
     xs = list(range(p))
     rng.shuffle(xs)
-    if model.genus == 1:
-        a1, a2, a3, a4, a6 = model.weierstrass_coefficients()
-        inv2 = model.field.inv(2)
-        for x in xs:
-            if len(pts) == count:
-                break
-            b = (a1 * x + a3) % p
-            c = (x * x * x + a2 * x * x + a4 * x + a6) % p
-            disc = (b * b + 4 * c) % p
-            s = model.field.sqrt(disc)
-            if s is None:
-                continue
-            y = (s - b) * inv2 % p
-            pts.append((x, y))
-            if len(pts) < count and s != 0:
-                pts.append((x, (-s - b) * inv2 % p))
-    else:
-        for x in xs:
-            if len(pts) == count:
-                break
-            s = model.field.sqrt(-model.equation.evaluate((x, 0)))
-            if s is None:
-                continue
-            pts.append((x, s))
-            if len(pts) < count and s != 0:
-                pts.append((x, p - s))
+    w = model.equation
+    inv2 = model.field.inv(2)
+    for x in xs:
+        if len(pts) == count:
+            break
+        f = -w.evaluate((x, 0)) % p
+        half_h = (w.evaluate((x, 1)) + f - 1) * inv2 % p
+        s = model.field.sqrt(half_h * half_h + f)
+        if s is None:
+            continue
+        pts.append((x, (s - half_h) % p))
+        if len(pts) < count and s != 0:
+            pts.append((x, (-s - half_h) % p))
     if len(pts) < count:
         raise ValueError("curve has too few affine points over this field")
     return pts
@@ -373,7 +336,7 @@ def parse_curve_file(text: str):
             raise ValueError(f"line {linenos['equation']}: genus 0 takes no "
                              "equation")
         equation = PolyRing(["x", "y"], field).parse(fields["equation"])
-    elif genus != 0:
+    elif genus > 0:
         raise ValueError("genus >= 1 requires an 'equation:' line")
     model = CurveModel(genus, field, equation)
     return model, degree

@@ -69,7 +69,7 @@ class ConeParametrization(NamedTuple):
     ``images`` live in a small parameter ring and map onto (a dense subset
     of) the cone; ``constraints`` cut out the chart (empty for a genuinely
     polynomial parametrization such as the rational normal curve, the curve
-    equation homogenised by t for genus 1 and 2).  ``weights`` grade the
+    equation homogenised by t for genus g >= 1).  ``weights`` grade the
     parameter variables, and every image is weighted-homogeneous of degree
     ``image_weight`` (every constraint of some degree), so the join ideal is
     homogeneous once each ambient variable gets weight ``image_weight``.

@@ -39,8 +39,8 @@ def hypothesis_holds(g: int, deg_L: int, k: int) -> bool:
 
 
 def _warn_hypothesis(g, deg_L, k):
-    if g not in (0, 1, 2):
-        raise ValueError(f"genus must be 0, 1 or 2, got {g}")
+    if g < 0:
+        raise ValueError(f"genus must be nonnegative, got {g}")
     if not hypothesis_holds(g, deg_L, k):
         warnings.warn(
             f"deg_L = {deg_L} < {2 * g + 2 * k + 1} = 2g+2k+1: "

@@ -263,6 +263,11 @@ def test_bad_curve_file_is_input_error(curve_file, capsys):
                       "equation: y^2 - x^6 - x - 1\ndegree: 12\n")
     code, _, err = run(capsys, ["curve", "--file", path])
     assert code == 2 and "even-degree" in err
+    path = curve_file("bad3.curve",
+                      "genus: 3\nfield: 32003\n"
+                      "equation: y^2 - x^7 - 2*x^6 - x^5\ndegree: 9\n")
+    code, _, err = run(capsys, ["curve", "--file", path])
+    assert code == 2 and "f must be squarefree" in err
 
 
 def test_negative_k_rejected(curve_file, capsys):
@@ -427,9 +432,10 @@ def test_ideal_file_repeated_key_is_input_error(curve_file, capsys, text,
      "genus, field, and degree must be integers"),
     ("genus: 1\nfield: 32003\ndegree: 5\n",
      "genus >= 1 requires an 'equation:' line"),
+    ("genus: -1\nfield: 32003\ndegree: 5\n", "genus must be nonnegative"),
 ], ids=["repeated", "unknown", "equation_on_genus_0", "no_colon",
         "genus_not_integer", "field_not_integer", "degree_not_integer",
-        "genus_1_without_equation"])
+        "genus_1_without_equation", "negative_genus"])
 def test_malformed_curve_file_is_input_error(curve_file, capsys, text,
                                              message):
     path = curve_file("m.curve", text)

@@ -18,6 +18,8 @@ F101 = PrimeField(101)
 # a1, a3 != 0: the chart constraint has the odd-weight terms x*y and y
 GENERAL_WEIERSTRASS = "y^2 + x*y + 3*y - x^3 - 2*x^2 - 4*x - 1"
 GENUS2_SEXTIC = "y^2 - x^5 - 3*x^3 - x - 7"
+# h(x) = x^2 + 3 != 0: the y-linear terms x^2*y and y
+GENUS2_MIXED = "y^2 + x^2*y + 3*y - x^5 - 3*x^3 - x - 7"
 
 
 def elliptic(field=F101, equation="y^2 - x^3 - 4*x - 1"):
@@ -30,6 +32,11 @@ def genus2(equation="y^2 - x^5 - x - 1"):
     return CurveModel(2, F, R.parse(equation))
 
 
+def genus3(equation="y^2 - x^7 - 3*x^3 - x - 7"):
+    R = PolyRing(["x", "y"], F)
+    return CurveModel(3, F, R.parse(equation))
+
+
 # -- model validation -------------------------------------------------------
 
 def test_genus0_needs_no_equation():
@@ -39,12 +46,13 @@ def test_genus0_needs_no_equation():
 
 def test_singular_weierstrass_rejected():
     R = PolyRing(["x", "y"], F101)
-    with pytest.raises(ValueError, match="discriminant 0"):
+    # h^2 + 4f = 4x^3 is not squarefree: the discriminant vanishes
+    with pytest.raises(ValueError, match="f must be squarefree"):
         CurveModel(1, F101, R.parse("y^2 - x^3"))
-    with pytest.raises(ValueError, match="discriminant 0"):
+    with pytest.raises(ValueError, match="f must be squarefree"):
         CurveModel(genus=1, field=F101, equation=R.parse("y^2 - x^3"))
-    with pytest.raises(ValueError, match="genus must be 0, 1, or 2"):
-        CurveModel(genus=3, field=F101)
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        CurveModel(genus=-1, field=F101)
     m = CurveModel(field=F101, genus=0)
     assert m == CurveModel(0, F101) and m.equation is None
     with pytest.raises(AttributeError):
@@ -61,6 +69,8 @@ def test_non_squarefree_hyperelliptic_rejected():
     R = PolyRing(["x", "y"], F)
     with pytest.raises(ValueError, match="squarefree"):
         CurveModel(2, F, R.parse("y^2 - x^5 - 2*x^4 - x^3"))
+    with pytest.raises(ValueError, match="squarefree"):
+        CurveModel(3, F, R.parse("y^2 - x^7 - 2*x^6 - x^5"))
     # validation is not budgeted: an invalid equation stays a ValueError
     with pair_budget(1), pytest.raises(ValueError, match="squarefree"):
         CurveModel(2, F, R.parse("y^2 - x^5 - x^3"))
@@ -103,6 +113,8 @@ def test_rr_basis_sizes_and_poles():
     poles = [pole for _, pole in b12]
     assert poles == sorted(poles)
     assert 1 not in poles and 3 not in poles  # Weierstrass gaps at infinity
+    b9 = rr_basis(genus3(), 9)
+    assert [pole for _, pole in b9] == [0, 2, 4, 6, 7, 8, 9]  # gaps 1, 3, 5
 
 
 def test_rr_basis_degree_floor():
@@ -158,11 +170,11 @@ def _weight(mon, weights):
 
 @pytest.mark.parametrize("model,d", [
     (elliptic(F), 5), (elliptic(F), 6), (elliptic(F, GENERAL_WEIERSTRASS), 5),
-    (genus2(GENUS2_SEXTIC), 6), (genus2(), 7)])
+    (genus2(GENUS2_SEXTIC), 6), (genus2(), 7), (genus3(), 7), (genus3(), 9)])
 def test_cone_chart_is_weighted_homogeneous(model, d):
     # x, y, t weigh 2, w_y, 1; every image t^(d - pole) m(x, y) weighs d and
     # the curve equation, homogenised by t, weighs 2 w_y
-    wy = 3 if model.genus == 1 else 5
+    wy = 2 * model.genus + 1
     param = embed(model, d).parametrization
     assert param.weights == (2, wy, 1) and param.image_weight == d
     assert len(param.images) == d + 1 - model.genus
@@ -178,6 +190,8 @@ def test_cone_chart_is_weighted_homogeneous(model, d):
 
 def test_sampled_points_satisfy_ideal():
     for emb, npts in ((embed(elliptic(), 5), 40),
+                      (embed(genus2(GENUS2_MIXED), 7), 40),
+                      (embed(genus3(), 9), 40),
                       (rational_normal_curve(4, F), 60)):
         for prm in sample_affine_points(emb.model, npts, seed=7):
             v = emb.evaluate(prm)
@@ -233,6 +247,18 @@ def test_curve_file_parsing_and_errors():
         "# comment\ngenus: 2\nfield: 32003\n"
         "equation: y^2 - x^5 - x - 1\ndegree: 7\n")
     assert m.genus == 2 and d == 7
+    # non-monic f on genus 1, h != 0 on genus 2
+    for g, equation in ((1, "y^2 - 2*x^3 - 4*x - 1"), (2, GENUS2_MIXED)):
+        m, _ = parse_curve_file(f"genus: {g}\nfield: 32003\n"
+                                f"equation: {equation}\ndegree: 7\n")
+        assert m.genus == g
+    for g, equation, message in (
+            (1, "y^2 + x^2*y - x^3 - 1", "deg h <= 1"),
+            (1, "y^3 + y^2 - x^3 - 1", "needs an equation"),
+            (3, "y^2 - x^5 - x - 1", "deg f = 7")):
+        with pytest.raises(ValueError, match=message):
+            parse_curve_file(f"genus: {g}\nfield: 32003\n"
+                             f"equation: {equation}\ndegree: 9\n")
     with pytest.raises(ValueError):
         parse_curve_file("genus: 1\nfield: 10\n"
                          "equation: y^2 - x^3 - 1\ndegree: 5\n")

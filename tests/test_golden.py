@@ -27,6 +27,10 @@ CASES = {
     # mismatch rows and the ndp_window lower-bound match
     "verify_genus2_6_k1.json": (1, ["verify", "--file", "genus2_6.curve",
                                     "--k", "1"]),
+    # genus 3: the degree term C(g, 2) = 3, which is 0 or 1 for genus <= 2,
+    # and the corner C(g+k, k+1) = 6
+    "verify_genus3_9_k1.json": (0, ["verify", "--file", "genus3_9.curve",
+                                    "--k", "1"]),
     # genus 1 truncated: at 4 every table-read row is skipped, at 6 the
     # canonical corner degree 6 is inside the bound and computed
     "verify_elliptic6_k1_max4.json": (0, ["verify", "--file",

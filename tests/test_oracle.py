@@ -154,6 +154,6 @@ def test_report_json_shape():
 
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
-        predicted_degree(3, 10, 1)
+        predicted_degree(-1, 10, 1)
     with pytest.raises(ValueError):
         predicted_multiplicity(1, 10, 1, 2)
