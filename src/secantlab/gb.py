@@ -25,7 +25,8 @@ generating set of the same ideal, driven or not, yields identical output.
 An elimination run (``eliminate`` = the first block of a block order)
 minimalizes, tail-reduces and decodes only the elements free of that
 block: the reduced basis of the elimination ideal, at the cost of that
-part alone.
+part alone.  A driven elimination whose ideal the caller knows to be
+principal (``principal``) stops at its first element free of the block.
 
 Internally monomials are the packed integers of ``poly._Codec``, whose
 integer comparison is the monomial order: the terms of a ``Polynomial``
@@ -393,7 +394,7 @@ def _series_of_denominator(weights, length: int) -> list:
 
 def buchberger(generators, ring: PolyRing,
                target: HilbertTarget | None = None,
-               eliminate: int = 0) -> GroebnerBasis:
+               eliminate: int = 0, principal: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``, for
     the ring's order.  New elements are only head-reduced while the loop
     runs; the tails of the returned elements are reduced at the end.  A
@@ -416,6 +417,22 @@ def buchberger(generators, ring: PolyRing,
     finished basis is checked against the target in every degree the run
     reached: an exact target must be met, and a lower bound must not be
     undercut, else InternalIdentityError.
+
+    With ``principal``, valid only with ``eliminate`` and ``target`` (else
+    ValueError), the caller asserts that I ∩ k[x_m, ...] is a principal
+    ideal (F).  The run then stops right after it adds its first element
+    q free of the eliminated block, checks the target in every degree
+    below q's, and returns q alone, interreduced: the reduced basis (F).
+    Proof: degrees are taken in ascending order, and a generator or pair
+    is dropped only where in(G) is complete, so once the run is in degree
+    D, in(G) equals in(I) in every degree below D.  A block-free monomial
+    is divisible only by block-free heads, and an element with a
+    block-free head is block-free.  So the elimination ideal has no
+    element of degree below D, the degree of q: that element's head would
+    be divisible by the head of a block-free element added before q.
+    Hence deg F >= D, and F divides q, so q = c·F.  The run cannot check
+    that the ideal is principal: if it is not, the result generates a
+    proper subideal.
     """
     if any(f.ring != ring for f in generators):
         raise RingMismatch("generator not over the basis ring")
@@ -426,6 +443,8 @@ def buchberger(generators, ring: PolyRing,
                 raise ValueError(
                     f"generator {f} is not weighted-homogeneous for the "
                     f"weights {target.weights}")
+    if principal and not (eliminate and target is not None):
+        raise ValueError("principal needs both eliminate and a target")
     if eliminate:
         first = ring.order.blocks[0]
         if len(ring.order.blocks) < 2 or first[2] != eliminate:
@@ -433,15 +452,16 @@ def buchberger(generators, ring: PolyRing,
                 f"eliminate={eliminate} is not the first block of the "
                 f"order {ring.order.name}")
     try:
-        return _buchberger(generators, ring, _Codec(ring), target, eliminate)
+        return _buchberger(generators, ring, _Codec(ring), target, eliminate,
+                           principal)
     except _NeedWide:
         return _buchberger(generators, ring, _Codec(ring, wide=True), target,
-                           eliminate)
+                           eliminate, principal)
 
 
 def _buchberger(generators, ring, codec: _Codec,
                 target: HilbertTarget | None,
-                eliminate: int) -> GroebnerBasis:
+                eliminate: int, principal: bool = False) -> GroebnerBasis:
     budget = _PAIR_BUDGET.get()
     pmask = codec.pmask
     guard = codec.guard
@@ -547,6 +567,8 @@ def _buchberger(generators, ring, codec: _Codec,
     cache_deg = None
     processed = 0
     top = 0                    # largest weighted degree taken from the queue
+    stopped = False            # by ``principal``, in degree top
+    block = (1 << (codec.exp_bits * eliminate)) - 1   # fields 0..m-1
     while queue:
         prio, i, j = heapq.heappop(queue)
         if i >= 0:
@@ -586,11 +608,14 @@ def _buchberger(generators, ring, codec: _Codec,
             inv = ring.field.inv(terms[0][1])
             terms = tuple((m, c * inv % p) for m, c in terms)
         add_element(terms)
+        if principal and not terms[0][0] & block:
+            stopped = True     # in(G) may be incomplete in degree top
+            break
 
     numerator = None
     if target is not None:
         # a lower bound may stay below HF_{S/I}: only a deficit is wrong
-        excesses = [excess(d) for d in range(top + 1)]
+        excesses = [excess(d) for d in range(top + (not stopped))]
         wrong = [d for d, e in enumerate(excesses)
                  if e < 0 or target.exact and e]
         if wrong:
@@ -604,17 +629,16 @@ def _buchberger(generators, ring, codec: _Codec,
             for d, c in target.numerator.items():
                 numerator[d] = numerator.get(d, 0) + c
             numerator = {d: c for d, c in numerator.items() if c}
-    out = _interreduce(basis, ring, codec, eliminate)
+    out = _interreduce(basis, ring, codec, block)
     if numerator is not None:
         out._hilbert = (weights, numerator)
     return out
 
 
-def _interreduce(basis, ring, codec, eliminate) -> GroebnerBasis:
-    """Minimalize heads, then tail-reduce everything: the reduced GB.  With
-    ``eliminate`` = m, only the elements with heads free of the variables
-    0..m-1 take part."""
-    block = (1 << (codec.exp_bits * eliminate)) - 1   # fields 0..m-1
+def _interreduce(basis, ring, codec, block) -> GroebnerBasis:
+    """Minimalize heads, then tail-reduce everything: the reduced GB.  Only
+    the elements whose heads are free of the exponent fields in ``block``
+    take part (all of them for block 0)."""
     # ascending packed heads ascend under the ring's order, as the
     # returned basis must
     live = sorted((g for g in basis if not g.lm & block),

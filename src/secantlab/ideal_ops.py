@@ -120,6 +120,16 @@ def _join_with_parametrization(param: ConeParametrization, cur: Ideal):
     HS(k[p]/constraints) · HS(k[x]/cur)(t^image_weight): the chart's
     factor, from a basis in its few variables, times the Hilbert numerator
     of ``cur``, whose grevlex basis is cached after the first step.
+
+    When this step's join is a hypersurface, dim cur + 2 = n − 1 in Krull
+    dimensions, the elimination runs with ``principal`` and stops at its
+    first parameter-free element q, of degree D.  That is exact.  The raw
+    join is prime (``secant_join`` proves it), of dimension dim cur + 2 =
+    2k + 2 at the k-th step: the same non-defectivity that ``secant_join``
+    relies on when it says Σ_k fills P^r.  A prime of height one in a
+    polynomial ring is principal, say (F).  The join has no nonzero
+    element of degree below D (``buchberger`` proves it), so deg F ≥ D,
+    and F divides q, so q = c·F.
     """
     ring = cur.ring
     n = ring.nvars
@@ -135,10 +145,12 @@ def _join_with_parametrization(param: ConeParametrization, cur: Ideal):
     gens += [f.compose(imgs, big) for f in cur.generators]
     chart_num = buchberger(param.constraints, param.ring).hilbert_numerator(
         param.weights)
+    cur_data = hilbert_data(cur)
     cur_num = {param.image_weight * d: c for d, c in enumerate(
-        hilbert_data(cur).numerator) if c}
+        cur_data.numerator) if c}
     target = HilbertTarget(weights, _poly_mul(chart_num, cur_num))
-    gb = buchberger(gens, big, target=target, eliminate=m)
+    gb = buchberger(gens, big, target=target, eliminate=m,
+                    principal=cur_data.dimension + 2 == n - 1)
     return _subring_part(gb, m, ring)
 
 

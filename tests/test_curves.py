@@ -240,6 +240,20 @@ def test_secant_hypersurface_certificate(model, d):
         point_on_secant(E, 1, pts[i:i + 2], [1 + i, 7 + 3 * i], S)
 
 
+def test_elliptic_septic_secant_plane_hypersurface():
+    # k = 2 for genus 1: Σ_2 of the elliptic normal septic is a hypersurface
+    # in P^6, one septic (the degree formula gives 7), which vanishes at 10
+    # seeded points Σ c_j ν(P_j) of three curve points each
+    model = elliptic(F)
+    E = embed(model, 7)
+    S = secant_join(E.secant_spec(2))
+    (f,) = S.groebner()
+    assert E.r == 6 and f.total_degree() == predicted_degree(1, 7, 2) == 7
+    pts = sample_affine_points(model, 30, seed=7)
+    for i in range(0, 30, 3):
+        point_on_secant(E, 2, pts[i:i + 3], [1 + i, 2 + 5 * i, 3 + 7 * i], S)
+
+
 # -- curve files ------------------------------------------------------------
 
 def test_curve_file_parsing_and_errors():

@@ -432,6 +432,45 @@ def test_hilbert_target_guards():
         buchberger(gens, R, target=short)
 
 
+def test_principal_needs_eliminate_and_a_target():
+    w = (1, 1, 1)
+    Rb = PolyRing(["x", "y", "z"], F, MonomialOrder.block_elim(1))
+    gens = [Rb.parse("x*y - z^2"), Rb.parse("x^2 - y*z")]
+    exact = _exact_target(buchberger(gens, Rb), w)
+    for kwargs in ({}, {"target": exact}, {"eliminate": 1}):
+        with pytest.raises(ValueError, match="principal"):
+            buchberger(gens, Rb, principal=True, **kwargs)
+
+
+def _image_of_binary_cubics(monomials):
+    """Generators v_i - m_i(s, t) of the graph of (s, t) -> (m_i), with
+    their exact target, in k[s, t, v] eliminating s and t (weights 1 on
+    s and t, 3 on the v_i)."""
+    names = ["s", "t"] + [f"v{i}" for i in range(len(monomials))]
+    w = (1, 1) + (3,) * len(monomials)
+    Rs = PolyRing(names, F, MonomialOrder.block_elim(2, w))
+    gens = [Rs.parse(f"v{i} - {m}") for i, m in enumerate(monomials)]
+    return gens, Rs, _exact_target(buchberger(gens, Rs), w)
+
+
+def test_principal_elimination_is_the_full_one():
+    # the image of (s^3, s^2 t, t^3) is the plane cuspidal cubic, so its
+    # elimination ideal is principal: stopping at the first form loses
+    # nothing
+    gens, Rs, target = _image_of_binary_cubics(["s^3", "s^2*t", "t^3"])
+    full = buchberger(gens, Rs, target=target, eliminate=2)
+    early = buchberger(gens, Rs, target=target, eliminate=2, principal=True)
+    assert [f.terms for f in early] == [f.terms for f in full]
+    assert list(early) == [Rs.parse("v1^3 - v0^2*v2")]
+    # the twisted cubic's ideal is not principal: the same stop keeps only
+    # the first of its three quadrics, as the caller was warned
+    gens, Rs, target = _image_of_binary_cubics(
+        ["s^3", "s^2*t", "s*t^2", "t^3"])
+    full = buchberger(gens, Rs, target=target, eliminate=2)
+    early = buchberger(gens, Rs, target=target, eliminate=2, principal=True)
+    assert len(full) == 3 and list(early) == [full.elements[0]]
+
+
 def test_lower_bound_target_guard():
     # a lower bound one above the truth in degree 0 (numerator plus
     # (1-t)^3) cannot hold, and the finished basis undercuts it there

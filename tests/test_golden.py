@@ -24,6 +24,9 @@ CASES = {
                                      "--k", "1"]),
     "verify_rnc6_k2_max4.json": (0, ["verify", "--file", "rnc6.curve", "--k",
                                      "2", "--max-degree", "4"]),
+    # genus 1, k = 2: Σ_2 is the hypersurface of one septic in P^6
+    "verify_elliptic7_k2.json": (0, ["verify", "--file", "elliptic7.curve",
+                                     "--k", "2"]),
     # mismatch rows and the ndp_window lower-bound match
     "verify_genus2_6_k1.json": (1, ["verify", "--file", "genus2_6.curve",
                                     "--k", "1"]),

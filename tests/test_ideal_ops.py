@@ -318,12 +318,45 @@ def test_elliptic_sextic_join_reduction_gate(monkeypatch):
 
 def test_rnc6_k2_join_reduction_gate(monkeypatch):
     # Deterministic work counter: the two driven joins of the secant plane
-    # variety of the rational normal sextic divide 352 times, 164 of them
-    # to zero
+    # variety of the rational normal sextic divide 197 times, 83 of them
+    # to zero.  The second join is a hypersurface and stops at its first
+    # parameter-free form; run to the end, the two took 352, 164 to zero
     spec = rational_normal_curve(6, F).secant_spec(2)
     remainders = _driven_join_remainders(monkeypatch, spec)
-    assert len(remainders) <= 352
-    assert sum(1 for r in remainders if not r) <= 164
+    assert len(remainders) <= 197
+    assert sum(1 for r in remainders if not r) <= 83
+
+
+def test_elliptic_quintic_join_reduction_gate(monkeypatch):
+    # Deterministic work counter: the secant variety of the elliptic
+    # quintic is a hypersurface, and its driven join stops at the quintic
+    # after 51 divisions, 6 of them to zero (141 and 43 run to the end)
+    R2 = PolyRing(["x", "y"], F)
+    E = embed(CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1")), 5)
+    remainders = _driven_join_remainders(monkeypatch, E.secant_spec(1))
+    assert len(remainders) <= 51
+    assert sum(1 for r in remainders if not r) <= 6
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    terms = [a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+             for j, a in enumerate(rows[0])]
+    # even columns enter with sign +, odd ones with sign -
+    return sum(terms[2::2], terms[0]) - sum(terms[3::2], terms[1])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rnc_hypersurface_join_is_the_hankel_determinant(k):
+    # Groebner-free oracle: Σ_k of the rational normal curve of degree
+    # 2k + 2 is the hypersurface of the (k+2) x (k+2) Hankel determinant
+    # det(z_{i+j}), and the early-stopped join returns exactly that form
+    S = secant_join(rational_normal_curve(2 * k + 2, F).secant_spec(k))
+    z = S.ring.gens()
+    hankel = [[z[i + j] for j in range(k + 2)] for i in range(k + 2)]
+    assert S.generators == (_det(hankel).monic(),)
 
 
 def _head_reduction_remainders(monkeypatch, run):
@@ -450,17 +483,20 @@ def test_driven_join_equals_untargeted(genus, equation, d, k, monkeypatch):
     # every join step (k = 2 covers k = 1): the driven elimination gives
     # the parameter-free part of the untargeted reduced basis term for
     # term, and its closed-form target is the weighted Hilbert series of
-    # that full basis
+    # that full basis.  A hypersurface step (rnc6's second, ell5, g2_6)
+    # stops at its first parameter-free form, and still gives that part
     steps = []
 
-    def spy(gens, ring, *args, target=None, eliminate=0, **kwargs):
+    def spy(gens, ring, *args, target=None, eliminate=0, principal=False,
+            **kwargs):
         ref = buchberger(gens, ring, *args, **kwargs)
         if target is None:
             assert not eliminate
             return ref
         assert target.numerator == ref.hilbert_numerator(target.weights)
         driven = buchberger(gens, ring, *args, target=target,
-                            eliminate=eliminate, **kwargs)
+                            eliminate=eliminate, principal=principal,
+                            **kwargs)
         assert [f.terms for f in driven] == [
             f.terms for f in ref if _free_of(f, eliminate)]
         steps.append(len(ref))
