@@ -5,23 +5,31 @@ loop reduces each generator and S-polynomial only until its head is
 irreducible and stores the rest unreduced: Buchberger's criterion needs
 irreducible heads only.  Tails are fully reduced once, when the finished
 basis is interreduced, and ``GroebnerBasis.normal_form`` always reduces
-fully.  Every run has one selection rule: generators and pairs are taken
-together by the weighted degree of their head or lcm, generators first
-within a degree, then pairs by ascending lcm.  The weights are the
-target's when there is one, else the order's (a block's weights, 1 in a
-block without), so on homogeneous input this is the normal strategy.
+fully.  Every run has one selection rule: the loop takes a whole weighted
+degree at once, every generator and pair whose head or lcm has the lowest
+degree d left, generators first, then pairs by ascending lcm.  The weights
+are the target's when there is one, else the order's (a block's weights, 1
+in a block without), so on homogeneous input this is the normal strategy.
+On such input the batch is closed: an element added in degree d forms
+pairs of lcm degree > d only, for an lcm equal to its head would make that
+head reducible.  The batch's head reductions run round-robin, ``_STEP``
+divisions per turn, all through the one resumable reducer; a reduction
+whose head is irreducible is made monic and added to the basis at once,
+so the reductions still in flight meet it.
 A Hilbert target (:class:`HilbertTarget`, an immutable ``NamedTuple``
 record), a weighted Hilbert series that is either exact for S/I or a
 coefficient-wise lower bound on it, for a weighted-homogeneous ideal
-(Traverso, J. Symbolic Comput. 22, 1996), lets a run drop a generator or
-pair of degree d unreduced once dim (S/in(G))_d equals the target's.  Since
-dim (S/in(G))_d >= dim (S/I)_d >= target(d), in(G) is then complete in
-degree d, so it would reduce to zero; this holds for a lower bound as much
-as for the exact series.  The count of in(G) is kept incrementally,
-N(M + m) = N(M) - t^e N(M : m) for a new head m of weight e, and a run
-without ``eliminate`` hands it to the returned basis.  The reduced
-basis is canonical for the (ideal, order) pair, so recomputation from any
-generating set of the same ideal, driven or not, yields identical output.
+(Traverso, J. Symbolic Comput. 22, 1996), lets a run drop the rest of the
+batch of degree d, in flight or not yet started, once dim (S/in(G))_d
+equals the target's.  Since dim (S/in(G))_d >= dim (S/I)_d >= target(d),
+in(G) is then complete in degree d, so the rest would reduce to zero;
+this holds for a lower bound as much as for the exact series.  The count
+of in(G) changes only when a head is added, so it is compared then.  It
+is kept incrementally, N(M + m) = N(M) - t^e N(M : m) for a new head m of
+weight e, and a run without ``eliminate`` hands it to the returned basis.
+The reduced basis is canonical for the (ideal, order) pair, so
+recomputation from any generating set of the same ideal, driven or not,
+yields identical output.
 An elimination run (``eliminate`` = the first block of a block order)
 minimalizes, tail-reduces and decodes only the elements free of that
 block: the reduced basis of the elimination ideal, at the cost of that
@@ -33,12 +41,12 @@ integer comparison is the monomial order: the terms of a ``Polynomial``
 are already in packed order, and a reducer's head is its first term.
 Each term is divided by the first reducer whose head divides it, found
 through one divisor cache per reduction context, keyed by exponent word.
-A Buchberger run shares one cache per weighted degree, which is exact
-because its basis only grows by append: the first divisor of a word never
-changes, and a cached miss rescans only the elements appended since.
-Clearing it when the degree changes bounds its memory at no cost in
-divisions.  An interreduction shares
-one too, since its list of minimal elements is fixed.  The
+A Buchberger run shares one cache per degree batch, among all its
+reductions in flight, which is exact because its basis only grows by
+append: the first divisor of a word never changes, and a cached miss
+rescans only the elements appended since.  Clearing it when the batch
+changes bounds its memory at no cost in divisions.  An interreduction
+shares one too, since its list of minimal elements is fixed.  The
 Gebauer-Moller update and the one Hilbert numerator kernel
 (``_numerator``, behind ``GroebnerBasis.hilbert_numerator``) work on the
 exponent fields alone, the exponent words, where lcm, colon, coprimality
@@ -48,15 +56,16 @@ when any total degree reaches the narrow capacity; degree checks at encode
 and reduction time keep both layouts exact.
 
 Every run is capped by one S-pair budget, a context value: the pairs it
-reduces may not exceed it, else it raises :class:`ResourceLimit`.  It is
-``DEFAULT_PAIR_BUDGET`` unless a caller sets it for a block of work with
-``with pair_budget(n):``, which covers every Groebner basis computed in the
-block, each run counted on its own.
+starts to reduce may not exceed it, else it raises :class:`ResourceLimit`.
+It is ``DEFAULT_PAIR_BUDGET`` unless a caller sets it for a block of work
+with ``with pair_budget(n):``, which covers every Groebner basis computed
+in the block, each run counted on its own.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import reduce
@@ -119,9 +128,21 @@ class _Reducer:
         self.index = index
 
 
-def _reduce_full(items, reducers, codec: _Codec, p: int,
-                 head_only: bool = False, cache: dict | None = None) -> tuple:
-    """Normal form of (packed, coeff) items against the reducer list, as a
+# Divisions per turn of a round-robin head reduction.  On the elliptic
+# sextic join, steps of 1, 2, 4, 8, 16 and 32 made 61, 60, 62, 47, 57 and
+# 77 thousand tail-term updates, and a step that doubles each turn 69
+# thousand; the join took 61, 48 and 50 ms at steps 1, 8 and 16.  On
+# genus 2 d=8, d=10 and genus 3 d=9, steps 1 to 16 stay within 25 % of
+# each other.
+_STEP = 8
+
+
+def _reduction(items, reducers, codec: _Codec, p: int,
+               head_only: bool = False, cache: dict | None = None,
+               step: int = _STEP):
+    """The one reducer, resumable: a generator that divides (packed, coeff)
+    items by the reducer list, pauses after every ``step`` divisions,
+    yielding the reducer of its last one, and returns the normal form as a
     tuple of terms sorted descending as packed ints.  Items may repeat a
     monomial: their coefficients are summed mod p.
 
@@ -135,8 +156,11 @@ def _reduce_full(items, reducers, codec: _Codec, p: int,
     ``cache`` maps a popped term's exponent word to (its first dividing
     reducer or None, the number of reducers scanned): a hit skips the
     scan, and a cached miss scans only the reducers appended since.  One
-    cache may serve several calls as long as the reducer list only grows
-    by append, for then the first divisor of a word never changes.
+    cache may serve several reductions, in flight together or in turn, as
+    long as the reducer list only grows by append, for then the first
+    divisor of a word never changes.  A term is looked up when it is
+    popped, so a reducer appended while the reduction is paused divides
+    every term popped after.
     """
     if cache is None:
         cache = {}
@@ -158,6 +182,7 @@ def _reduce_full(items, reducers, codec: _Codec, p: int,
     push = heapq.heappush
     pop = heapq.heappop
     remainder = []
+    done = 0                   # divisions since the last pause
     while heap:
         m = -pop(heap)
         c = coeffs.pop(m, None)
@@ -199,7 +224,23 @@ def _reduce_full(items, reducers, codec: _Codec, p: int,
                     coeffs[nm] = nc
                 else:
                     del coeffs[nm]
+        done += 1
+        if done == step:
+            done = 0
+            yield red
     return tuple(remainder)
+
+
+def _reduce_full(items, reducers, codec: _Codec, p: int,
+                 head_only: bool = False, cache: dict | None = None) -> tuple:
+    """:func:`_reduction` run to completion: the normal form of the items,
+    or with ``head_only`` their head reduction."""
+    run = _reduction(items, reducers, codec, p, head_only, cache)
+    while True:
+        try:
+            next(run)
+        except StopIteration as finished:
+            return finished.value
 
 
 class GroebnerBasis:
@@ -397,9 +438,17 @@ def buchberger(generators, ring: PolyRing,
                eliminate: int = 0, principal: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``, for
     the ring's order.  New elements are only head-reduced while the loop
-    runs; the tails of the returned elements are reduced at the end.  A
-    run that would reduce more S-pairs than the current ``pair_budget``
-    raises ResourceLimit.
+    runs; the tails of the returned elements are reduced at the end.
+
+    The loop takes one weighted degree d at a time: all generators and
+    pairs of degree d, the lowest left.  On homogeneous input no element
+    added meanwhile forms a pair of degree d: its head has degree d and is
+    irreducible, so it is no lcm of itself with another head.  The batch's
+    head reductions advance in turn, ``_STEP`` divisions each, and an
+    element whose head comes out irreducible is added at once, so the
+    reductions still in flight divide by it too.  An S-pair counts against
+    the current ``pair_budget`` when its reduction starts, and a run that
+    would start more pairs than the budget raises ResourceLimit.
 
     With ``eliminate`` = m > 0, which must be the size of the first block
     of the ring's order (else ValueError), only the elements free of the
@@ -411,9 +460,12 @@ def buchberger(generators, ring: PolyRing,
 
     With ``target``, the weighted Hilbert series of S/I or a lower bound
     on it, every generator must be weighted-homogeneous for
-    ``target.weights`` (else ValueError), and generators and S-pairs in a
-    degree whose leading-term count is already complete are dropped
-    unreduced.  Dropped pairs do not count against the pair budget.  The
+    ``target.weights`` (else ValueError), and once the leading-term count
+    of the batch's degree is complete, at its start or after an element is
+    added, the rest of the batch is dropped: the reductions in flight and
+    those not yet started, which would all reduce to zero.  A pair dropped
+    in flight has counted against the pair budget; one dropped before it
+    started has not.  The
     finished basis is checked against the target in every degree the run
     reached: an exact target must be met, and a lower bound must not be
     undercut, else InternalIdentityError.
@@ -562,26 +614,13 @@ def _buchberger(generators, ring, codec: _Codec,
             if ((g.lm | guard) - lm) & guard == guard:
                 g.alive = False
 
-    # on homogeneous input a reduction meets terms of its own degree only
-    divisors: dict = {}
-    cache_deg = None
     processed = 0
-    top = 0                    # largest weighted degree taken from the queue
-    stopped = False            # by ``principal``, in degree top
-    block = (1 << (codec.exp_bits * eliminate)) - 1   # fields 0..m-1
-    while queue:
-        prio, i, j = heapq.heappop(queue)
-        if i >= 0:
-            lcm = pair_set.pop((i, j), None)
-            if lcm is None:
-                continue
-        if prio[0] != cache_deg:
-            cache_deg = prio[0]
-            divisors.clear()
-        if target is not None:
-            top = prio[0]
-            if excess(top) == 0:
-                continue       # in(G) is complete in this degree
+    divisors: dict = {}        # the reducer cache, one per degree batch
+
+    def reduction(i, j, lcm):
+        """Head reduction of generator j (i < 0) or of the S-polynomial of
+        the pair (i, j), which counts against the budget when it starts."""
+        nonlocal processed
         if i < 0:
             items = packed_gens[j]
         else:
@@ -597,20 +636,54 @@ def _buchberger(generators, ring, codec: _Codec,
             if len(ti) == len(tj) and all(
                     mi + si == mj + sj and ci == cj
                     for (mi, ci), (mj, cj) in zip(ti, tj)):
-                continue
+                return ()
             items = [(m + si, c) for m, c in ti]
             items += [(m + sj, -c) for m, c in tj]
-        terms = _reduce_full(items, basis, codec, p, head_only=True,
-                             cache=divisors)
-        if not terms:
+        return (yield from _reduction(items, basis, codec, p, True, divisors))
+
+    top = 0                    # largest weighted degree taken from the queue
+    stopped = False            # by ``principal``, in degree top
+    block = (1 << (codec.exp_bits * eliminate)) - 1   # fields 0..m-1
+    while queue and not stopped:
+        # take the whole lowest degree d.  On homogeneous input no element
+        # added below forms a pair of degree d, whose lcm would be its
+        # head, then reducible; elsewhere such a pair waits for a later
+        # batch
+        d = queue[0][0][0]
+        turns = deque()
+        while queue and queue[0][0][0] == d:
+            _, i, j = heapq.heappop(queue)
+            lcm = pair_set.pop((i, j), None) if i >= 0 else None
+            if i < 0 or lcm is not None:
+                turns.append(reduction(i, j, lcm))
+        if not turns:
             continue
-        if terms[0][1] != 1:
-            inv = ring.field.inv(terms[0][1])
-            terms = tuple((m, c * inv % p) for m, c in terms)
-        add_element(terms)
-        if principal and not terms[0][0] & block:
-            stopped = True     # in(G) may be incomplete in degree top
-            break
+        # on homogeneous input a reduction meets terms of degree d only
+        divisors.clear()
+        if target is not None:
+            top = d
+            if excess(d) == 0:
+                continue       # in(G) is complete in this degree
+        while turns:
+            run = turns.popleft()
+            try:
+                next(run)
+            except StopIteration as finished:
+                terms = finished.value
+            else:
+                turns.append(run)
+                continue
+            if not terms:
+                continue
+            if terms[0][1] != 1:
+                inv = ring.field.inv(terms[0][1])
+                terms = tuple((m, c * inv % p) for m, c in terms)
+            add_element(terms)
+            if principal and not terms[0][0] & block:
+                stopped = True     # in(G) may be incomplete in degree top
+                break
+            if target is not None and excess(d) == 0:
+                break          # the rest would reduce to zero: drop them
 
     numerator = None
     if target is not None:

@@ -206,12 +206,12 @@ def test_ac8_stretch_genus2_d12(monkeypatch):
     #   genus 2, d=12, k=1 truncated resolution (N_3,5 vs N_3,6): computed
     #   genus 2, k=2: out of desk scale (the genus 2 d=8 k=2 join runs
     #   past 5 min), so it stays skipped and is reported as such.
-    #   the genus 4 non-normal example: within desk scale (genus 4 d=11
-    #   `secantlab verify --k 1` takes about 17 s), but not run by this
-    #   test, and reported as skipped.
+    #   the genus 4 non-normal example, d=11, k=1: computed
     # Slot 1 is the secant join of the golden genus-2 equation in P^10 and
-    # its full Betti table; `secantlab verify --k 1` on it takes 17 to 21 s
-    # and 53 MB on a 2-core VM.
+    # its full Betti table; slot 3 is `secantlab verify --k 1` on the
+    # golden genus-4 curve in P^7, where min_gen_degree is outside the
+    # hypothesis window at deg L = 2g + 3.  On a 2-core VM `secantlab
+    # verify --k 1` takes 5.3 s on the first and 2.1 s on the second.
     t0 = time.monotonic()
     model, degree = parse_curve_file((GOLDEN / "genus2_12.curve").read_text())
     tables = []
@@ -226,8 +226,18 @@ def test_ac8_stretch_genus2_d12(monkeypatch):
     assert [r["verdict"] for r in rep["rows"]] == ["match"] * 9
     (B,) = tables
     assert (B.beta(1, 3), B.beta(6, 9), B.beta(7, 11)) == (70, 7, 3)
+    model, degree = parse_curve_file((GOLDEN / "genus4_11.curve").read_text())
+    assert (model.genus, degree) == (4, 2 * 4 + 3)
+    rep = oracle.verify(embed(model, degree), 1)
+    assert {r["name"]: r["verdict"] for r in rep["rows"]} == {
+        "dim": "match", "degree": "match", "reg_structure_sheaf": "match",
+        "reg_embedded": "match", "ndp_window": "match", "acm": "match",
+        "min_gen_degree": "skipped(outside hypothesis window)",
+        "canonical_h0": "match", "corner": "match"}
     elapsed = time.monotonic() - t0
     assert elapsed < 60
     print(f"\nAC-8 PASS: genus-2 d=12 k=1 slot computed, all nine rows "
-          f"match ({elapsed:.1f}s < 60s); genus-2 k=2 slot skipped (out "
-          f"of desk scale), genus-4 slot skipped (not run here)")
+          f"match; genus-4 d=11 k=1 slot computed, eight rows match and "
+          f"min_gen_degree skipped (outside the hypothesis window); "
+          f"genus-2 k=2 slot skipped (out of desk scale) "
+          f"({elapsed:.1f}s < 60s)")

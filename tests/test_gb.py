@@ -6,8 +6,10 @@ from operator import mul
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reduction_spy import ReductionSpy
 
 from secantlab import gb as gb_module
+from secantlab import ideal_ops
 from secantlab.arith import PrimeField
 from secantlab.curves import CurveModel, embed, rational_normal_curve
 from secantlab.gb import (GroebnerBasis, HilbertTarget, Ideal,
@@ -105,6 +107,28 @@ def test_pair_budget_enforced():
         assert info.value.max_pairs == 1
         # the block restores the default budget, even when it raises
         run()
+
+
+def test_driven_join_counts_a_pair_when_it_starts(monkeypatch):
+    # a degree's pairs are reduced round-robin: the budget is spent when
+    # a pair's reduction starts, so the join stops at pair n + 1, and the
+    # pairs it would drop unstarted at its Hilbert count are not spent
+    runs = []
+
+    def spy(*args, target=None, **kwargs):
+        runs.append(target is not None)
+        return buchberger(*args, target=target, **kwargs)
+
+    monkeypatch.setattr(ideal_ops, "buchberger", spy)
+    elliptic = CurveModel(1, F, PolyRing(["x", "y"], F).parse(
+        "y^2 - x^3 - 4*x - 1"))
+    spec = embed(elliptic, 6).secant_spec(1)
+    for n in (30, 60):
+        runs.clear()
+        with pair_budget(n), pytest.raises(ResourceLimit) as info:
+            secant_join(spec)
+        assert runs[-1]
+        assert (info.value.pairs_processed, info.value.max_pairs) == (n + 1, n)
 
 
 def test_resource_limit_survives_pickle():
@@ -368,21 +392,84 @@ def test_shared_divisor_cache_on_a_growing_list():
                                               head_only)
 
 
+def _divide(f, divisors, head_only):
+    """Remainder of f by the list of monic divisors, on Polynomials: the
+    largest remaining term is divided by the first divisor whose head
+    divides it.  With ``head_only``, stop at the first term no head
+    divides and keep the rest of f as it is."""
+    remainder = R.constant(0)
+    while f:
+        m, c = f.terms[0]
+        for g in divisors:
+            q = tuple(a - b for a, b in zip(m, g.lm))
+            if min(q) >= 0:
+                f = f - g * R.from_dict({q: c})
+                break
+        else:
+            if head_only:
+                return f
+            remainder = remainder + R.from_dict({m: c})
+            f = f - R.from_dict({m: c})
+    return remainder
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_stepped_reducer_divides_as_in_turn(wide):
+    # random monic reducers, appended one at a time, as in a Buchberger
+    # run; the resumable reducer, run to completion with a pause after
+    # every division or every _STEP divisions, and with a shared or a
+    # fresh cache, gives the remainder of division in turn
+    rng = random.Random(29)
+    codec = gb_module._Codec(R, wide=wide)
+    monomials = [e for e in product(range(4), repeat=3) if sum(e) <= 3]
+
+    def random_poly():
+        terms = {m: rng.randrange(1, F.p) for m in rng.sample(monomials, 4)}
+        return R.from_dict(terms)
+
+    def run_to_end(run):
+        pauses = 0
+        while True:
+            try:
+                next(run)
+            except StopIteration as finished:
+                return finished.value, pauses
+            pauses += 1
+
+    polys = []
+    shared = {}
+    for _ in range(12):
+        polys.append(random_poly().monic())
+        reducers = GroebnerBasis(polys, R, codec)._prepared()
+        for _ in range(6):
+            f = random_poly()
+            items = [(codec.encode(m), c) for m, c in f.terms]
+            for head_only in (False, True):
+                expected = _divide(f, polys, head_only)
+                assert gb_module._reduce_full(
+                    items, reducers, codec, F.p, head_only,
+                    cache=shared) == tuple(
+                        (codec.encode(m), c) for m, c in expected.terms)
+                divisions = None
+                for step in (1, gb_module._STEP):
+                    for cache in (shared, None):
+                        out, pauses = run_to_end(gb_module._reduction(
+                            items, reducers, codec, F.p, head_only, cache,
+                            step))
+                        assert Polynomial(R, tuple(
+                            (codec.decode(m), c) for m, c in out)) \
+                            == expected
+                        if step == 1:
+                            divisions = pauses
+                        assert pauses == divisions // step
+
+
 def test_zero_s_polynomial_is_not_divided(monkeypatch):
     # x*f and y*f with f = y + z: the S-polynomial of their one pair
     # cancels term by term, so the loop drops it without a division
-    heads = []
-    real_reduce = gb_module._reduce_full
-
-    def reduce_spy(*args, head_only=False, **kwargs):
-        out = real_reduce(*args, head_only=head_only, **kwargs)
-        if head_only:
-            heads.append(out)
-        return out
-
-    monkeypatch.setattr(gb_module, "_reduce_full", reduce_spy)
+    work = ReductionSpy(monkeypatch)
     basis = buchberger([R.parse("x*y + x*z"), R.parse("y^2 + y*z")], R)
-    assert len(heads) == 2 and all(heads)
+    assert len(work.heads) == 2 and all(work.heads)
     assert list(basis) == [R.parse("y^2 + y*z"), R.parse("x*y + x*z")]
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reduction_spy import ReductionSpy
 
 from secantlab import gb as gb_module
 from secantlab import homalg
@@ -615,42 +616,37 @@ def test_driven_cut_reduction_gate(monkeypatch):
     # Deterministic work counter: on the secant variety of the rational
     # normal sextic (the 3x3 minors of the 3 x 5 Hankel matrix) the first
     # two cuts are free and run nothing; each of the two driven cut runs
-    # reduces its 10 generators and nothing else, none to zero;
+    # head-reduces its 10 generators and nothing else, none to zero;
     # untargeted, each made 25 reductions, 15 of them to zero.  The
     # interreduction and the substitution's normal forms are not counted.
     cut_runs = []       # remainders of each cut run's main-loop reductions
-    counting = []
+    work = ReductionSpy(monkeypatch)
+    work.watching = False
     real_run = gb_module._buchberger
-    real_reduce = gb_module._reduce_full
     real_interreduce = gb_module._interreduce
 
     def run_spy(gens, ring, *args):
-        if ring.nvars < 7:          # a cut ring: I itself lives in 7
-            cut_runs.append([])
-            counting.append(True)
+        if ring.nvars >= 7:         # not a cut ring: I itself lives in 7
+            return real_run(gens, ring, *args)
+        work.heads = []
+        work.watching = True
         try:
             return real_run(gens, ring, *args)
         finally:
-            counting.clear()
-
-    def reduce_spy(*args, **kwargs):
-        out = real_reduce(*args, **kwargs)
-        if counting:
-            cut_runs[-1].append(out)
-        return out
+            work.watching = False
+            cut_runs.append(work.heads)
 
     def interreduce_spy(*args):
-        counting.clear()
+        work.watching = False
         return real_interreduce(*args)
 
     monkeypatch.setattr(gb_module, "_buchberger", run_spy)
-    monkeypatch.setattr(gb_module, "_reduce_full", reduce_spy)
     monkeypatch.setattr(gb_module, "_interreduce", interreduce_spy)
     I = _hankel_minors(6)
     assert len(list(regular_cut(I, hilbert_data(I)))) == 5
     assert len(cut_runs) == 2
     for remainders in cut_runs:
-        assert len(remainders) <= 10 and all(remainders)
+        assert 0 < len(remainders) <= 10 and all(remainders)
 
 
 def test_cut_chain_reads_each_numerator_off_its_driven_run(monkeypatch):

@@ -2,6 +2,7 @@ import pytest
 
 import join_oracles
 from join_oracles import intersect, join_literal, saturate_irrelevant
+from reduction_spy import ReductionSpy
 from secantlab import curves, ideal_ops
 from secantlab import gb as gb_module
 from secantlab.arith import PrimeField
@@ -278,64 +279,70 @@ def test_elliptic_sextic_join_basis_gate(monkeypatch):
     assert len(elim) == 1 and elim[0] <= 99
 
 
-def _driven_join_remainders(monkeypatch, spec):
-    """Remainders of every division in secant_join's Hilbert-driven runs."""
-    reduce_full = gb_module._reduce_full
-    remainders = []
-    active = []
-
-    def reduce_spy(*args, **kwargs):
-        out = reduce_full(*args, **kwargs)
-        if active:
-            remainders.append(out)
-        return out
+def _driven_join_work(monkeypatch, spec):
+    """The reducer's work in secant_join's Hilbert-driven runs, their
+    interreductions included: a ReductionSpy that watched only them."""
+    work = ReductionSpy(monkeypatch)
+    work.watching = False
 
     def spy(*args, target=None, **kwargs):
-        if target is not None:
-            active.append(True)
+        if target is None:
+            return buchberger(*args, **kwargs)
+        seen = len(work.heads)
+        work.watching = True
         try:
-            return buchberger(*args, target=target, **kwargs)
+            basis = buchberger(*args, target=target, **kwargs)
         finally:
-            active.clear()
+            work.watching = False
+        # a spy that no head reduction passes through counts nothing
+        assert len(work.heads) > seen
+        return basis
 
-    monkeypatch.setattr(gb_module, "_reduce_full", reduce_spy)
     monkeypatch.setattr(ideal_ops, "buchberger", spy)
     secant_join(spec)
-    return remainders
+    return work
 
 
 def test_elliptic_sextic_join_reduction_gate(monkeypatch):
-    # Deterministic work counter: the Hilbert-driven elimination divides
-    # 172 times (10 generators, 157 S-pairs, 5 interreductions, one per
-    # parameter-free element), 68 of them to zero; interreducing the whole
-    # basis took 266 divisions, and the untargeted loop 600, 381 to zero.
+    # Deterministic work counter: the Hilbert-driven elimination makes
+    # 1,818 division steps and 46,931 tail-term updates, interreduction
+    # included.  Reducing one S-polynomial at a time to its end, before
+    # each degree was reduced round-robin and cut at its Hilbert count,
+    # took 4,319 and 105,784; the untargeted loop made 600 reductions,
+    # 381 to zero
     R2 = PolyRing(["x", "y"], F)
     E = embed(CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1")), 6)
-    remainders = _driven_join_remainders(monkeypatch, E.secant_spec(1))
-    assert len(remainders) <= 172
-    assert sum(1 for r in remainders if not r) <= 68
+    work = _driven_join_work(monkeypatch, E.secant_spec(1))
+    assert work.steps <= 1818
+    assert work.updates <= 46931
 
 
 def test_rnc6_k2_join_reduction_gate(monkeypatch):
     # Deterministic work counter: the two driven joins of the secant plane
-    # variety of the rational normal sextic divide 197 times, 83 of them
-    # to zero.  The second join is a hypersurface and stops at its first
-    # parameter-free form; run to the end, the two took 352, 164 to zero
+    # variety of the rational normal sextic make 423 division steps and
+    # 3,077 tail-term updates (453 and 3,222 one S-polynomial at a time).
+    # The second join is a hypersurface and stops at its first
+    # parameter-free form; run to the end, the two made 352 reductions,
+    # 164 to zero
     spec = rational_normal_curve(6, F).secant_spec(2)
-    remainders = _driven_join_remainders(monkeypatch, spec)
-    assert len(remainders) <= 197
-    assert sum(1 for r in remainders if not r) <= 83
+    work = _driven_join_work(monkeypatch, spec)
+    assert work.steps <= 423
+    assert work.updates <= 3077
 
 
 def test_elliptic_quintic_join_reduction_gate(monkeypatch):
     # Deterministic work counter: the secant variety of the elliptic
     # quintic is a hypersurface, and its driven join stops at the quintic
-    # after 51 divisions, 6 of them to zero (141 and 43 run to the end)
+    # after 317 division steps and 3,044 tail-term updates.  That is more
+    # than the 144 and 1,627 of one S-polynomial at a time, which reached
+    # the quintic sooner: round-robin advances every reduction of the
+    # quintic's degree in turn.  Run to the end, without the stop, the
+    # join makes 2,595 steps and 231,476 updates
     R2 = PolyRing(["x", "y"], F)
     E = embed(CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1")), 5)
-    remainders = _driven_join_remainders(monkeypatch, E.secant_spec(1))
-    assert len(remainders) <= 51
-    assert sum(1 for r in remainders if not r) <= 6
+    work = _driven_join_work(monkeypatch, E.secant_spec(1))
+    assert work.steps <= 317
+    assert work.updates <= 3044
 
 
 def _det(rows):
@@ -360,20 +367,13 @@ def test_rnc_hypersurface_join_is_the_hankel_determinant(k):
 
 
 def _head_reduction_remainders(monkeypatch, run):
-    """Remainders of every head reduction of the Buchberger main loop, one
-    per generator or S-pair taken, while ``run()`` runs."""
-    reduce_full = gb_module._reduce_full
-    remainders = []
-
-    def reduce_spy(*args, head_only=False, **kwargs):
-        out = reduce_full(*args, head_only=head_only, **kwargs)
-        if head_only:
-            remainders.append(out)
-        return out
-
-    monkeypatch.setattr(gb_module, "_reduce_full", reduce_spy)
+    """Remainders of every head reduction of the Buchberger main loop that
+    finishes, one per generator or S-pair taken, while ``run()`` runs."""
+    work = ReductionSpy(monkeypatch)
     run()
-    return remainders
+    # a spy that no head reduction passes through counts nothing
+    assert work.heads
+    return work.heads
 
 
 def test_genus2_octic_embedding_reduction_gate(monkeypatch):
