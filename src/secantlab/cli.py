@@ -31,8 +31,9 @@ from .curves import (_key_values, embed, parse_curve_file,  # noqa: F401
                      rational_normal_curve)
 from .gb import DEFAULT_PAIR_BUDGET, Ideal, ResourceLimit, pair_budget
 from .homalg import (InternalIdentityError, hilbert_data, is_acm,
-                     max_ndp_steps, minimal_free_resolution,
-                     projective_dimension, regularity)
+                     max_ndp_steps, min_generator_degree,
+                     minimal_free_resolution, projective_dimension,
+                     regularity)
 from .ideal_ops import secant_join
 from .oracle import verify
 from .poly import DegreeTooLarge, MonomialOrder, PolyRing
@@ -237,7 +238,7 @@ def cmd_betti(args) -> int:
             lines.append(f"regularity {regularity(B)}, projective dimension "
                          f"{projective_dimension(B)}, "
                          f"ACM {is_acm(B, hd)}")
-            d0 = min(j for (i, j), _ in B.entries if i == 1)
+            d0 = min_generator_degree(B)
             # N_(d,p) is defined for d >= 2 only: no line for a linear
             # generator
             if d0 >= 2:

@@ -12,10 +12,12 @@ are the target's when there is one, else the order's (a block's weights, 1
 in a block without), so on homogeneous input this is the normal strategy.
 On such input the batch is closed: an element added in degree d forms
 pairs of lcm degree > d only, for an lcm equal to its head would make that
-head reducible.  The batch's head reductions run round-robin, ``_STEP``
-divisions per turn, all through the one resumable reducer; a reduction
-whose head is irreducible is made monic and added to the basis at once,
-so the reductions still in flight meet it.
+head reducible.  The batch's head reductions run round-robin through the
+one resumable reducer, which pauses after every division; the loop takes
+``_STEP`` divisions per turn.  A reduction whose head is irreducible is
+made monic and added to the basis at once, so the reductions still in
+flight meet it.  A zero S-polynomial reaches the reducer too: its two
+shifted tails cancel when their coefficients are summed, at no division.
 A Hilbert target (:class:`HilbertTarget`, an immutable ``NamedTuple``
 record), a weighted Hilbert series that is either exact for S/I or a
 coefficient-wise lower bound on it, for a weighted-homogeneous ideal
@@ -138,13 +140,13 @@ _STEP = 8
 
 
 def _reduction(items, reducers, codec: _Codec, p: int,
-               head_only: bool = False, cache: dict | None = None,
-               step: int = _STEP):
+               head_only: bool = False, cache: dict | None = None):
     """The one reducer, resumable: a generator that divides (packed, coeff)
-    items by the reducer list, pauses after every ``step`` divisions,
-    yielding the reducer of its last one, and returns the normal form as a
-    tuple of terms sorted descending as packed ints.  Items may repeat a
-    monomial: their coefficients are summed mod p.
+    items by the reducer list, pauses after every division, yielding the
+    reducer it applied, and returns the normal form as a tuple of terms
+    sorted descending as packed ints.  Items may repeat a monomial: their
+    coefficients are summed mod p, so items that cancel return () with no
+    division.
 
     Reducers must be monic; each term is divided by the first reducer
     whose head divides it.  With ``head_only`` the reduction stops at the
@@ -182,7 +184,6 @@ def _reduction(items, reducers, codec: _Codec, p: int,
     push = heapq.heappush
     pop = heapq.heappop
     remainder = []
-    done = 0                   # divisions since the last pause
     while heap:
         m = -pop(heap)
         c = coeffs.pop(m, None)
@@ -224,18 +225,14 @@ def _reduction(items, reducers, codec: _Codec, p: int,
                     coeffs[nm] = nc
                 else:
                     del coeffs[nm]
-        done += 1
-        if done == step:
-            done = 0
-            yield red
+        yield red
     return tuple(remainder)
 
 
 def _reduce_full(items, reducers, codec: _Codec, p: int,
-                 head_only: bool = False, cache: dict | None = None) -> tuple:
-    """:func:`_reduction` run to completion: the normal form of the items,
-    or with ``head_only`` their head reduction."""
-    run = _reduction(items, reducers, codec, p, head_only, cache)
+                 cache: dict | None = None) -> tuple:
+    """:func:`_reduction` run to completion: the normal form of the items."""
+    run = _reduction(items, reducers, codec, p, cache=cache)
     while True:
         try:
             next(run)
@@ -627,18 +624,12 @@ def _buchberger(generators, ring, codec: _Codec,
             processed += 1
             if processed > budget:
                 raise ResourceLimit(processed, budget)
-            # the S-polynomial is the two shifted tails, the heads cancel;
-            # it is zero when they cancel term by term, both being sorted
+            # the S-polynomial is the two shifted tails, the heads cancel
             gi, gj = basis[i], basis[j]
             si = lcm - gi.lm_full
             sj = lcm - gj.lm_full
-            ti, tj = gi.tail, gj.tail
-            if len(ti) == len(tj) and all(
-                    mi + si == mj + sj and ci == cj
-                    for (mi, ci), (mj, cj) in zip(ti, tj)):
-                return ()
-            items = [(m + si, c) for m, c in ti]
-            items += [(m + sj, -c) for m, c in tj]
+            items = [(m + si, c) for m, c in gi.tail]
+            items += [(m + sj, -c) for m, c in gj.tail]
         return (yield from _reduction(items, basis, codec, p, True, divisors))
 
     top = 0                    # largest weighted degree taken from the queue
@@ -667,7 +658,8 @@ def _buchberger(generators, ring, codec: _Codec,
         while turns:
             run = turns.popleft()
             try:
-                next(run)
+                for _ in range(_STEP):
+                    next(run)
             except StopIteration as finished:
                 terms = finished.value
             else:
@@ -709,18 +701,18 @@ def _buchberger(generators, ring, codec: _Codec,
 
 
 def _interreduce(basis, ring, codec, block) -> GroebnerBasis:
-    """Minimalize heads, then tail-reduce everything: the reduced GB.  Only
-    the elements whose heads are free of the exponent fields in ``block``
-    take part (all of them for block 0)."""
+    """Tail-reduce the minimal elements: the reduced GB.  Only the elements
+    whose heads are free of the exponent fields in ``block`` take part
+    (all of them for block 0).
+
+    The minimal heads are those of the ``alive`` elements: a head is
+    irreducible by every earlier head, and ``add_element`` marks it dead
+    exactly when a later head divides it.  A head free of ``block`` is
+    divisible only by heads free of it."""
     # ascending packed heads ascend under the ring's order, as the
     # returned basis must
-    live = sorted((g for g in basis if not g.lm & block),
-                  key=lambda g: g.lm_full)
-    minimal: list[_Reducer] = []
-    for g in live:
-        if any(codec.divides(h.lm_full, g.lm_full) for h in minimal):
-            continue
-        minimal.append(g)
+    minimal = sorted((g for g in basis if g.alive and not g.lm & block),
+                     key=lambda g: g.lm_full)
     p = ring.field.p
     out = []
     dec = codec.decode

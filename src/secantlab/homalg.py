@@ -203,13 +203,13 @@ def check_ndp(B: BettiTable, d: int, p: int) -> bool:
 
 
 def max_ndp_steps(B: BettiTable, d: int) -> int:
-    """Largest p with N_{d,p}; -1 if even N_{d,0} fails."""
-    p = -1
-    while p + 1 <= max((i for (i, _), _ in B.entries), default=0):
-        if not check_ndp(B, d, p + 1):
-            break
-        p += 1
-    return p
+    """Largest p <= the projective dimension with N_{d,p}: one less than
+    the smallest i of a nonzero beta_{i,j} with j - i >= d, else the
+    projective dimension; -1 if even N_{d,0} fails."""
+    if d < 2:
+        raise ValueError("need d >= 2")
+    return min((i - 1 for (i, j), v in B.entries if v and j - i >= d),
+               default=projective_dimension(B))
 
 
 def is_acm(B: BettiTable, hd: HilbertData) -> bool:
@@ -258,9 +258,10 @@ def _strip(coeffs) -> tuple:
     return tuple(coeffs)
 
 
-def _cut(I: Ideal, h: Polynomial):
+def _cut(I: Ideal, hd: HilbertData, h: Polynomial):
     """(I + (h))/(h) and its Hilbert data, as an ideal of the grevlex ring
-    without the leading variable of the linear form h.
+    without the leading variable of the linear form h.  ``hd`` is the
+    Hilbert data of I.
 
     The Groebner basis of the cut is driven by a lower bound on its Hilbert
     function.  For A = S/I, HF_{A/hA}(d) = HF_A(d) - HF_A(d-1) +
@@ -277,9 +278,8 @@ def _cut(I: Ideal, h: Polynomial):
     gens = [cut_ring.from_dict({m[:v] + m[v + 1:]: c
                                 for m, c in reduce_h(f).terms})
             for f in I.generators]
-    numerator = hilbert_data(I).numerator
     bound = HilbertTarget((1,) * cut_ring.nvars,
-                          {d: c for d, c in enumerate(numerator) if c},
+                          {d: c for d, c in enumerate(hd.numerator) if c},
                           exact=False)
     J = _ideal_with_gb(cut_ring, gens,
                        buchberger(gens, cut_ring, target=bound))
@@ -305,12 +305,9 @@ def _free_cut(J: Ideal, hd: HilbertData):
     if any(f.lm[last] for f in gb):
         return None
     cut_ring = PolyRing(ring.variables[:last], ring.field, ring.order)
-    basis = GroebnerBasis([Polynomial(cut_ring, tuple(
-        (m[:last], c) for m, c in f.terms if not m[last])) for f in gb],
-        cut_ring)
-    basis._hilbert = ((1,) * last,
-                      {d: c for d, c in enumerate(hd.numerator) if c})
-    return (_ideal_with_gb(cut_ring, basis.elements, basis),
+    basis = [Polynomial(cut_ring, tuple(
+        (m[:last], c) for m, c in f.terms if not m[last])) for f in gb]
+    return (_ideal_with_gb(cut_ring, basis),
             HilbertData(last, hd.numerator, hd.dimension - 1, hd.degree))
 
 
@@ -344,7 +341,7 @@ def regular_cut(I: Ideal, hd: HilbertData, seed: int = 0):
             ring = J.ring
             h = ring.from_dict({ring.gen(v).lm: rng.randrange(1, ring.field.p)
                                 for v in range(ring.nvars)})
-            cut = _cut(J, h)
+            cut = _cut(J, hd, h)
         J, hd = cut
         certified = certified and _strip(hd.numerator) == numerator
         yield J, hd, certified

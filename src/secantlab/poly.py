@@ -208,11 +208,6 @@ class _Codec:
         p = m & self.pmask
         return tuple((p >> s) & self._exp_mask for s in self._shifts)
 
-    def divides(self, a: int, b: int) -> bool:
-        g = self.guard
-        t = ((b & self.pmask) | g) - (a & self.pmask)
-        return (t & g) == g
-
     def deg(self, m: int) -> int:
         return (m >> self.deg_shift) & self.deg_mask
 

@@ -4,10 +4,10 @@ from secantlab import gb as gb_module
 
 
 class ReductionSpy:
-    """Replaces ``gb._reduction`` with the real reducer run one division
-    at a time, pausing where the real one would, so the run takes the same
-    course.  While ``watching``, it counts division steps and tail-term
-    updates (the tail length of each reducer applied), abandoned
+    """Replaces ``gb._reduction`` with a wrapper around the real reducer
+    that passes on each of its pauses, one per division, so the run takes
+    the same course.  While ``watching``, it counts the division steps and
+    tail-term updates (the tail length of each reducer applied), abandoned
     reductions included, and keeps the remainder of each head reduction
     that finishes."""
 
@@ -18,10 +18,8 @@ class ReductionSpy:
         self.watching = True
         real = gb_module._reduction
 
-        def spy(items, reducers, codec, p, head_only=False, cache=None,
-                step=gb_module._STEP):
-            run = real(items, reducers, codec, p, head_only, cache, step=1)
-            done = 0
+        def spy(items, reducers, codec, p, head_only=False, cache=None):
+            run = real(items, reducers, codec, p, head_only, cache)
             while True:
                 try:
                     red = next(run)
@@ -32,9 +30,6 @@ class ReductionSpy:
                 if self.watching:
                     self.steps += 1
                     self.updates += len(red.tail)
-                done += 1
-                if done == step:
-                    done = 0
-                    yield red
+                yield red
 
         monkeypatch.setattr(gb_module, "_reduction", spy)

@@ -334,6 +334,24 @@ def test_unreduced_tails_respect_the_narrow_cap(monkeypatch):
     assert [f.terms for f in kept] == [f.terms for f in wide]
 
 
+def _run_to_end(run):
+    """(the value a ``gb._reduction`` run returns, its number of pauses)."""
+    pauses = 0
+    while True:
+        try:
+            next(run)
+        except StopIteration as finished:
+            return finished.value, pauses
+        pauses += 1
+
+
+def _reduce(items, reducers, codec, head_only, cache=None):
+    """Remainder of the items, or with ``head_only`` their head reduction,
+    by the reducer run to its end."""
+    return _run_to_end(gb_module._reduction(items, reducers, codec, F.p,
+                                            head_only, cache))[0]
+
+
 def test_shared_divisor_cache_keeps_the_first_divisor():
     # one cache serves several reductions while the reducer list grows by
     # append, as in a Buchberger run.  These reducers are no Groebner
@@ -346,10 +364,8 @@ def test_shared_divisor_cache_keeps_the_first_divisor():
     def remainder(text, head_only=False):
         reducers = GroebnerBasis(polys, R, codec)._prepared()
         items = [(codec.encode(m), c) for m, c in R.parse(text).terms]
-        shared = gb_module._reduce_full(items, reducers, codec, F.p,
-                                        head_only, cache=cache)
-        assert shared == gb_module._reduce_full(items, reducers, codec, F.p,
-                                                head_only)
+        shared = _reduce(items, reducers, codec, head_only, cache)
+        assert shared == _reduce(items, reducers, codec, head_only)
         return Polynomial(R, tuple((codec.decode(m), c) for m, c in shared))
 
     polys.append(R.parse("x*y - z^2"))
@@ -386,39 +402,39 @@ def test_shared_divisor_cache_on_a_growing_list():
         for _ in range(6):
             items = [(codec.encode(m), c) for m, c in random_poly().terms]
             for head_only in (False, True):
-                assert gb_module._reduce_full(
-                    items, reducers, codec, F.p, head_only, cache=cache) \
-                    == gb_module._reduce_full(items, reducers, codec, F.p,
-                                              head_only)
+                assert _reduce(items, reducers, codec, head_only, cache) \
+                    == _reduce(items, reducers, codec, head_only)
 
 
 def _divide(f, divisors, head_only):
-    """Remainder of f by the list of monic divisors, on Polynomials: the
-    largest remaining term is divided by the first divisor whose head
-    divides it.  With ``head_only``, stop at the first term no head
-    divides and keep the rest of f as it is."""
+    """(remainder, number of divisions) of f by the list of monic
+    divisors, on Polynomials: the largest remaining term is divided by
+    the first divisor whose head divides it.  With ``head_only``, stop at
+    the first term no head divides and keep the rest of f as it is."""
     remainder = R.constant(0)
+    divisions = 0
     while f:
         m, c = f.terms[0]
         for g in divisors:
             q = tuple(a - b for a, b in zip(m, g.lm))
             if min(q) >= 0:
                 f = f - g * R.from_dict({q: c})
+                divisions += 1
                 break
         else:
             if head_only:
-                return f
+                return f, divisions
             remainder = remainder + R.from_dict({m: c})
             f = f - R.from_dict({m: c})
-    return remainder
+    return remainder, divisions
 
 
 @pytest.mark.parametrize("wide", [False, True])
 def test_stepped_reducer_divides_as_in_turn(wide):
     # random monic reducers, appended one at a time, as in a Buchberger
-    # run; the resumable reducer, run to completion with a pause after
-    # every division or every _STEP divisions, and with a shared or a
-    # fresh cache, gives the remainder of division in turn
+    # run; the resumable reducer, run to completion with a shared or a
+    # fresh cache, gives the remainder of division in turn and pauses
+    # once per division
     rng = random.Random(29)
     codec = gb_module._Codec(R, wide=wide)
     monomials = [e for e in product(range(4), repeat=3) if sum(e) <= 3]
@@ -426,15 +442,6 @@ def test_stepped_reducer_divides_as_in_turn(wide):
     def random_poly():
         terms = {m: rng.randrange(1, F.p) for m in rng.sample(monomials, 4)}
         return R.from_dict(terms)
-
-    def run_to_end(run):
-        pauses = 0
-        while True:
-            try:
-                next(run)
-            except StopIteration as finished:
-                return finished.value, pauses
-            pauses += 1
 
     polys = []
     shared = {}
@@ -445,31 +452,28 @@ def test_stepped_reducer_divides_as_in_turn(wide):
             f = random_poly()
             items = [(codec.encode(m), c) for m, c in f.terms]
             for head_only in (False, True):
-                expected = _divide(f, polys, head_only)
-                assert gb_module._reduce_full(
-                    items, reducers, codec, F.p, head_only,
-                    cache=shared) == tuple(
-                        (codec.encode(m), c) for m, c in expected.terms)
-                divisions = None
-                for step in (1, gb_module._STEP):
-                    for cache in (shared, None):
-                        out, pauses = run_to_end(gb_module._reduction(
-                            items, reducers, codec, F.p, head_only, cache,
-                            step))
-                        assert Polynomial(R, tuple(
-                            (codec.decode(m), c) for m, c in out)) \
-                            == expected
-                        if step == 1:
-                            divisions = pauses
-                        assert pauses == divisions // step
+                expected, divisions = _divide(f, polys, head_only)
+                if not head_only:
+                    assert gb_module._reduce_full(
+                        items, reducers, codec, F.p, cache=shared) == tuple(
+                            (codec.encode(m), c) for m, c in expected.terms)
+                for cache in (shared, None):
+                    out, pauses = _run_to_end(gb_module._reduction(
+                        items, reducers, codec, F.p, head_only, cache))
+                    assert Polynomial(R, tuple(
+                        (codec.decode(m), c) for m, c in out)) == expected
+                    assert pauses == divisions
 
 
 def test_zero_s_polynomial_is_not_divided(monkeypatch):
     # x*f and y*f with f = y + z: the S-polynomial of their one pair
-    # cancels term by term, so the loop drops it without a division
+    # reaches the reducer, whose coefficient sum cancels its two shifted
+    # tails, so it comes out () without a division
     work = ReductionSpy(monkeypatch)
     basis = buchberger([R.parse("x*y + x*z"), R.parse("y^2 + y*z")], R)
-    assert len(work.heads) == 2 and all(work.heads)
+    assert work.steps == 0
+    assert len(work.heads) == 3 and all(work.heads[:2])
+    assert work.heads[2] == ()
     assert list(basis) == [R.parse("y^2 + y*z"), R.parse("x*y + x*z")]
 
 

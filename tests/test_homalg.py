@@ -13,7 +13,7 @@ from secantlab.arith import MAX_PRIME, PrimeField
 from secantlab.curves import (CurveModel, embed, parse_curve_file,
                               rational_normal_curve)
 from secantlab.gb import Ideal, buchberger
-from secantlab.homalg import (InternalIdentityError, ZeroIdeal,
+from secantlab.homalg import (BettiTable, InternalIdentityError, ZeroIdeal,
                               _bayer_stillman, _cut, _koszul_betti,
                               _rank_mod, _standard_monomials, betti_numerator,
                               check_ndp, hilbert_data, is_acm, koszul_dim,
@@ -82,9 +82,9 @@ def test_hilbert_function_without_variables():
     # the chain of I = (x+y+z)(x, y) cut by x+y+z, y+z, z ends there
     R = PolyRing(["x", "y", "z"], F)
     I = Ideal(R, [R.parse("x^2 + x*y + x*z"), R.parse("x*y + y^2 + y*z")])
-    J = I
+    J, hd_J = I, hilbert_data(I)
     for h in ("x + y + z", "y + z", "z"):
-        J, hd_J = _cut(J, J.ring.parse(h))
+        J, hd_J = _cut(J, hd_J, J.ring.parse(h))
     assert J.ring.nvars == 0 and J.is_zero()
     assert [hd_J.hilbert_function(d) for d in range(4)] == [1, 0, 0, 0]
 
@@ -268,6 +268,40 @@ def test_check_ndp_argument_validation():
         check_ndp(B, 3, -1)
 
 
+def _max_ndp_steps_by_search(B, d):
+    """Test oracle: the largest p with N_{d,p}, searched p = 0, 1, ...
+    up to the projective dimension with check_ndp; -1 if N_{d,0} fails."""
+    p = -1
+    while p + 1 <= max((i for (i, _), _ in B.entries), default=0):
+        if not check_ndp(B, d, p + 1):
+            break
+        p += 1
+    return p
+
+
+def test_max_ndp_steps_is_the_search_in_closed_form():
+    R = PolyRing(["x", "y", "z", "w"], F)
+    complete_intersection = Ideal(R, [R.parse("x^3 + y^3 + z^3 + w^3"),
+                                      R.parse("x*y*z + y*z*w + x^2*w")])
+    R3 = PolyRing(["x", "y", "z"], F)
+    non_acm = Ideal(R3, [R3.parse("x^2"), R3.parse("x*y")])
+    ideals = [twisted_cubic(), complete_intersection, non_acm,
+              _rational_quartic(), _hankel_minors(6), Ideal(R, [])]
+    tables = [BettiTable(4, ())]
+    for I in ideals:
+        tables.append(minimal_free_resolution(I))
+        tables += [minimal_free_resolution(I, degree_bound=b)
+                   for b in (2, 3)]
+    for B in tables:
+        for d in range(2, 6):
+            assert max_ndp_steps(B, d) == _max_ndp_steps_by_search(B, d)
+    # every N_{d,p} needs d >= 2, whatever the table
+    for B in tables[:2]:
+        for d in (0, 1):
+            with pytest.raises(ValueError, match="d >= 2"):
+                max_ndp_steps(B, d)
+
+
 def test_display_renders_dots_for_zeros():
     out = minimal_free_resolution(twisted_cubic()).display()
     assert "." in out and "3" in out and "2" in out
@@ -297,9 +331,9 @@ def test_cut_certificate_rejects_zero_divisor():
     R = PolyRing(["x", "y", "z"], F)
     I = Ideal(R, [R.parse("x*y")])
     hd = hilbert_data(I)
-    _, hd_x = _cut(I, R.var("x"))
+    _, hd_x = _cut(I, hd, R.var("x"))
     assert hd_x.numerator != hd.numerator
-    J, hd_J = _cut(I, R.var("z"))
+    J, hd_J = _cut(I, hd, R.var("z"))
     assert J.ring.variables == ("x", "y")
     assert hd_J.numerator == hd.numerator and hd_J.dimension == 1
 
@@ -374,7 +408,7 @@ def test_bayer_stillman_needs_injectivity():
     chain = [hilbert_data(I)]
     J = I
     for h in ("x", "y", "z"):
-        J, hd_J = _cut(J, J.ring.parse(h))
+        J, hd_J = _cut(J, chain[-1], J.ring.parse(h))
         chain.append(hd_J)
     assert chain[-1].hilbert_function(1) == 0
     assert not any(_bayer_stillman(chain, m) for m in range(1, 6))
@@ -465,7 +499,7 @@ def _count_seeded_cuts(monkeypatch):
     seeded = []
     real = homalg._cut
     monkeypatch.setattr(homalg, "_cut",
-                        lambda J, h: seeded.append(J) or real(J, h))
+                        lambda J, hd, h: seeded.append(J) or real(J, hd, h))
     return seeded
 
 

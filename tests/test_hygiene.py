@@ -160,6 +160,101 @@ def test_check_sees_a_private_definition_unused_in_the_package(tmp_path):
         "a.py:_tested", "a.py:_Box", "a.py:_Box.fill"]
 
 
+def _private_functions(tree):
+    """(label, node, is_method) for each function of ``tree``, nested ones
+    included, with a ``_``-prefixed name or inside a ``_``-prefixed class;
+    dunder methods are left out."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                private = name.startswith("_") or (owner or "").startswith("_")
+                if private and not (name.startswith("__")
+                                    and name.endswith("__")):
+                    label = f"{owner}.{name}" if owner else name
+                    yield label, child, owner is not None
+                yield from walk(child, None)
+            else:
+                yield from walk(child, owner)
+    yield from walk(tree, None)
+
+
+def _unpassed_defaults(package: Path) -> list:
+    """Defaulted parameters of the private functions of ``package`` that
+    no call in ``package`` passes, by position or by keyword: a default
+    that every caller keeps is a constant.  Calls are matched by name,
+    whatever the object; a function whose name is also read other than
+    as a call, so that it may be called elsewhere, is left out."""
+    paths, trees = _trees(package, [])
+    calls = {}      # name -> [(positional count, keywords, unpacks)]
+    called = set()  # ids of the name nodes that are called
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = getattr(fn, "id", None) or getattr(fn, "attr", None)
+                called.add(id(fn))
+                unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                           or any(k.arg is None for k in node.keywords))
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords},
+                     unpacks))
+    other_reads = {n.id if isinstance(n, ast.Name) else n.attr
+                   for tree in trees.values() for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load) and id(n) not in called}
+    out = []
+    for path in paths:
+        for label, fn, is_method in _private_functions(trees[path]):
+            if fn.name in other_reads:
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            if is_method and not any(getattr(d, "id", None) == "staticmethod"
+                                     for d in fn.decorator_list):
+                positional = positional[1:]
+            first = len(positional) - len(a.defaults)
+            defaulted = [(k, arg.arg) for k, arg in enumerate(positional)
+                         if k >= first]
+            defaulted += [(None, arg.arg) for arg, d in
+                          zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for k, name in defaulted:
+                if not any(unpacks or name in keywords
+                           or k is not None and npos > k
+                           for npos, keywords, unpacks
+                           in calls.get(fn.name, [])):
+                    out.append(f"{path.name}:{label}({name})")
+    return out
+
+
+def test_every_default_of_a_private_function_is_passed():
+    assert _unpassed_defaults(SRC) == []
+
+
+def test_check_sees_an_unpassed_default(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "def api(n, step=1):\n    return _run(n, True)\n\n"
+        "def _run(n, fast=False, step=1, *, cap=None, log=None):\n"
+        "    return _run(n, cap=3)\n\n"
+        "def _spread(*args, scale=1):\n    return args\n\n"
+        "def _hook(n=0):\n    return n\n\n"
+        "class _Box:\n"
+        "    def __init__(self, size=0):\n        self.size = size\n"
+        "    def fill(self, n, twice=False):\n        return n\n"
+        "    @staticmethod\n"
+        "    def make(size=0):\n        return _Box()\n")
+    (pkg / "b.py").write_text(
+        "from .a import _Box, _hook, _spread\n"
+        "X = _Box().fill(2, True)\nY = _Box.make()\n"
+        "Z = _spread(**{'scale': 2})\nHOOK = _hook\n")
+    assert _unpassed_defaults(pkg) == ["a.py:_run(step)", "a.py:_run(log)",
+                                       "a.py:_Box.make(size)"]
+
+
 def _attribute_reads(node) -> set:
     """Names read as an attribute, ``obj.name`` in a load, under ``node``."""
     return {n.attr for n in ast.walk(node)
