@@ -14,10 +14,12 @@ On such input the batch is closed: an element added in degree d forms
 pairs of lcm degree > d only, for an lcm equal to its head would make that
 head reducible.  The batch's head reductions run round-robin through the
 one resumable reducer, which pauses after every division; the loop takes
-``_STEP`` divisions per turn.  A reduction whose head is irreducible is
-made monic and added to the basis at once, so the reductions still in
-flight meet it.  A zero S-polynomial reaches the reducer too: its two
-shifted tails cancel when their coefficients are summed, at no division.
+``_STEP`` divisions per turn.  It merges its input and the reducer tails
+on a heap, reading each only as far as the reduction gets, so a dropped
+reduction costs only the terms it read.  A reduction whose head is
+irreducible is made monic and added to the basis at once, so the
+reductions still in flight meet it.  A zero S-polynomial reaches the
+reducer too: its two shifted tails cancel on the heap, at no division.
 A Hilbert target (:class:`HilbertTarget`, an immutable ``NamedTuple``
 record), a weighted Hilbert series that is either exact for S/I or a
 coefficient-wise lower bound on it, for a weighted-homogeneous ideal
@@ -52,7 +54,8 @@ shares one too, since its list of minimal elements is fixed.  The
 Gebauer-Moller update and the one Hilbert numerator kernel
 (``_numerator``, behind ``GroebnerBasis.hilbert_numerator``) work on the
 exponent fields alone, the exponent words, where lcm, colon, coprimality
-and degree are a few integer operations each.  A narrow layout (8-bit
+and degree are a few integer operations each; a pair's lcm is read off
+the colon word of the Hilbert count.  A narrow layout (8-bit
 exponents) is tried first and transparently restarted with a wide layout
 when any total degree reaches the narrow capacity; degree checks at encode
 and reduction time keep both layouts exact.
@@ -131,29 +134,31 @@ class _Reducer:
 
 
 # Divisions per turn of a round-robin head reduction.  On the elliptic
-# sextic join, steps of 1, 2, 4, 8, 16 and 32 made 61, 60, 62, 47, 57 and
-# 77 thousand tail-term updates, and a step that doubles each turn 69
-# thousand; the join took 61, 48 and 50 ms at steps 1, 8 and 16.  On
-# genus 2 d=8, d=10 and genus 3 d=9, steps 1 to 16 stay within 25 % of
-# each other.
+# sextic join, steps of 1, 2, 4, 8, 16 and 32 merged 24.5, 23.8, 26.9,
+# 24.2, 25.8 and 41.6 thousand stream terms in 37, 36, 37, 34, 35 and 41
+# ms.  On genus 3 d=9 step 8 was fastest too; on genus 2 d=8 and d=10
+# step 16 was 2-4 % faster, and steps 1 to 32 stayed within 8 %.
 _STEP = 8
 
 
-def _reduction(items, reducers, codec: _Codec, p: int,
+def _reduction(streams, reducers, codec: _Codec, p: int,
                head_only: bool = False, cache: dict | None = None):
-    """The one reducer, resumable: a generator that divides (packed, coeff)
-    items by the reducer list, pauses after every division, yielding the
+    """The one reducer, resumable: a generator that divides the sum of the
+    streams by the reducer list, pauses after every division, yielding the
     reducer it applied, and returns the normal form as a tuple of terms
-    sorted descending as packed ints.  Items may repeat a monomial: their
-    coefficients are summed mod p, so items that cancel return () with no
-    division.
+    sorted descending as packed ints.  A stream (terms, shift, k) is k
+    times the terms, sorted descending, each with the packed shift added.
+    A heap holds each stream's next term (Monagan and Pearce, CASC 2007);
+    a popped monomial's coefficients are summed mod p, so streams that
+    cancel return () with no division, and a division adds the reducer's
+    tail as a stream.
 
     Reducers must be monic; each term is divided by the first reducer
-    whose head divides it.  With ``head_only`` the reduction stops at the
-    first term no head divides, and the terms below it are returned
+    whose head divides it.  With ``head_only`` the division stops at the
+    first term no head divides, and the rest of the streams is drained
     unreduced.  Every returned term is checked against the degree cap,
-    popped or not: under a block or weighted order a tail term can outweigh
-    its head in total degree.
+    divided or not: under a block or weighted order a tail term can
+    outweigh its head in total degree.
 
     ``cache`` maps a popped term's exponent word to (its first dividing
     reducer or None, the number of reducers scanned): a hit skips the
@@ -171,68 +176,56 @@ def _reduction(items, reducers, codec: _Codec, p: int,
     deg_shift = codec.deg_shift
     deg_mask = codec.deg_mask
     deg_cap = codec.deg_cap
-    coeffs: dict = {}
-    get = coeffs.get
-    for m, c in items:
-        nc = (get(m, 0) + c) % p
-        if nc:
-            coeffs[m] = nc
-        else:
-            coeffs.pop(m, None)
-    heap = [-m for m in coeffs]
-    heapq.heapify(heap)
+    heap = []                  # -m for each monomial some stream is at
+    fronts: dict = {}          # m -> [coefficient sum, streams at m...]
+    get = fronts.get
     push = heapq.heappush
     pop = heapq.heappop
     remainder = []
-    while heap:
+    pending = [(iter(terms), shift, k) for terms, shift, k in streams]
+    while True:
+        for stream in pending:     # read each pending stream's next term
+            it, shift, k = stream
+            for m, c in it:
+                m += shift
+                front = get(m)
+                if front is None:
+                    fronts[m] = [c * k, stream]
+                    push(heap, -m)
+                else:
+                    front[0] += c * k
+                    front.append(stream)
+                break
+        if not heap:
+            return tuple(remainder)
         m = -pop(heap)
-        c = coeffs.pop(m, None)
-        if c is None:
-            continue
+        c, *pending = fronts.pop(m)
+        if not (c := c % p):
+            continue               # the streams cancel at m
         dm = (m >> deg_shift) & deg_mask
         if dm >= deg_cap:
             codec.too_large()
-        mp = (m & pmask) | guard
-        red, scanned = cache.get(mp, (None, 0))
-        if red is None and scanned < len(reducers):
-            for g in reducers[scanned:] if scanned else reducers:
-                if g.lmdeg <= dm and (mp - g.lm) & guard == guard:
-                    red = g
-                    break
-            cache[mp] = (red, len(reducers))
+        red = None
+        if not (head_only and remainder):
+            mp = (m & pmask) | guard
+            red, scanned = cache.get(mp, (None, 0))
+            if red is None and scanned < len(reducers):
+                for g in reducers[scanned:] if scanned else reducers:
+                    if g.lmdeg <= dm and (mp - g.lm) & guard == guard:
+                        red = g
+                        break
+                cache[mp] = (red, len(reducers))
         if red is None:
             remainder.append((m, c))
-            if head_only:
-                rest = sorted(coeffs, reverse=True)
-                for m2 in rest:
-                    if (m2 >> deg_shift) & deg_mask >= deg_cap:
-                        codec.too_large()
-                remainder += [(m2, coeffs[m2]) for m2 in rest]
-                break
             continue
-        q1 = m - red.lm_full
-        for m2, c2 in red.tail:
-            nm = m2 + q1
-            old = get(nm)
-            if old is None:
-                nc = (-c * c2) % p
-                if nc:
-                    coeffs[nm] = nc
-                    push(heap, -nm)
-            else:
-                nc = (old - c * c2) % p
-                if nc:
-                    coeffs[nm] = nc
-                else:
-                    del coeffs[nm]
+        pending.append((iter(red.tail), m - red.lm_full, -c))
         yield red
-    return tuple(remainder)
 
 
-def _reduce_full(items, reducers, codec: _Codec, p: int,
+def _reduce_full(streams, reducers, codec: _Codec, p: int,
                  cache: dict | None = None) -> tuple:
-    """:func:`_reduction` run to completion: the normal form of the items."""
-    run = _reduction(items, reducers, codec, p, cache=cache)
+    """:func:`_reduction` run to completion: the normal form."""
+    run = _reduction(streams, reducers, codec, p, cache=cache)
     while True:
         try:
             next(run)
@@ -272,8 +265,8 @@ class GroebnerBasis:
             raise RingMismatch("polynomial not over the basis ring")
 
         def reduce(codec):
-            items = [(codec.encode(m), c) for m, c in f.terms]
-            terms = _reduce_full(items, self._prepared(), codec,
+            terms = [(codec.encode(m), c) for m, c in f.terms]
+            terms = _reduce_full([(terms, 0, 1)], self._prepared(), codec,
                                  self.ring.field.p)
             return tuple((codec.decode(m), c) for m, c in terms)
 
@@ -286,8 +279,8 @@ class GroebnerBasis:
         hands over the count it kept, for its own weights."""
         weights = tuple(weights)
         if self._hilbert is None or self._hilbert[0] != weights:
-            self._hilbert = (weights, self._narrow_or_wide(
-                lambda codec: _numerator(self._head_words(), codec, weights)))
+            self._hilbert = (weights, self._narrow_or_wide(lambda codec:
+                _numerator(self._head_words(), codec, weights, {})))
         return dict(self._hilbert[1])
 
     def _narrow_or_wide(self, run):
@@ -349,11 +342,12 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return {d: c for d, c in out.items() if c}
 
 
-def _numerator(words, codec: _Codec, weights) -> dict:
+def _numerator(words, codec: _Codec, weights, memo: dict) -> dict:
     """Numerator N(t) of the Hilbert series N(t) / prod_v (1 - t^{w_v}) of
     S/M, for M spanned by the exponent words ``words`` of ``codec`` and
     variable v of weight w_v; all-ones ``weights`` give the standard
-    N(t)/(1-t)^n.
+    N(t)/(1-t)^n.  ``memo`` maps minimal generators to their numerator,
+    and may serve every call for one codec and weights.
 
     Bigatti's pivot recursion (J. Pure Appl. Algebra 119, 1997):
     N(M) = N(M + x_v) + t^{w_v} N(M : x_v) for the variable x_v in the most
@@ -367,7 +361,6 @@ def _numerator(words, codec: _Codec, weights) -> dict:
     shifts = codec._shifts
     to_one = codec.exp_bits - 1        # guard bit -> lowest bit of a field
     wdeg = codec.weigher(weights)
-    memo: dict = {}
 
     def rec(gens):
         mins = []
@@ -515,6 +508,7 @@ def _buchberger(generators, ring, codec: _Codec,
     pmask = codec.pmask
     guard = codec.guard
     exp_lcm = codec.exp_lcm
+    exp_colon = codec.exp_colon
     p = ring.field.p
 
     packed_gens = []
@@ -548,7 +542,6 @@ def _buchberger(generators, ring, codec: _Codec,
         # Hilbert-driven: excess(d) is HF_{S/in(G)}(d) - target(d), read
         # off the numerator difference ``excess_num`` over the common
         # denominator
-        exp_colon = codec.exp_colon
         excess_num = {d: -c for d, c in target.numerator.items()}
         excess_num[0] = excess_num.get(0, 0) + 1
         series = []
@@ -560,38 +553,39 @@ def _buchberger(generators, ring, codec: _Codec,
             return sum(c * series[d - e]
                        for e, c in excess_num.items() if e <= d)
 
+    live: list[_Reducer] = []  # the elements still generating pairs
+    memo: dict = {}            # one _numerator memo for the run
+
     def add_element(terms):
         """Gebauer-Moller update with the new monic element, on exponent
-        words."""
+        words: each live head g gives the colon word g : lm, and the pair's
+        lcm is colon + lm."""
         t = len(basis)
         red = _Reducer(terms[0][0], terms[1:], t, codec)
         lm = red.lm
-        live = [g for g in basis if g.alive]
-
+        # candidate new pairs by ascending lcm word, then index: a proper
+        # divisor of an lcm is a smaller word, so it is examined first
+        cand = sorted([(exp_colon(g.lm, lm), g.index) for g in live])
         if target is not None:
             # N(M + m) = N(M) - t^e N(M : m) for the minimal generators M
             # of in(G), which are the heads of the live elements
             e = wdeg(lm)
-            colon = [exp_colon(g.lm, lm) for g in live]
-            for d, c in _numerator(colon, codec, weights).items():
+            for d, c in _numerator([w for w, _ in cand], codec, weights,
+                                   memo).items():
                 c = excess_num.get(d + e, 0) - c
                 if c:
                     excess_num[d + e] = c
                 else:
                     excess_num.pop(d + e, None)
-
-        # candidate new pairs by ascending lcm word, then index: a proper
-        # divisor of an lcm is a smaller word, so it is examined first
-        cand = sorted([(exp_lcm(g.lm, lm), g.index) for g in live])
         basis.append(red)
         kept: list = []
-        for lcm, i in cand:
-            lg = lcm | guard
-            for lcm2, _ in kept:
-                if (lg - lcm2) & guard == guard:
+        for colon, i in cand:
+            cg = colon | guard
+            for colon2, _ in kept:
+                if (cg - colon2) & guard == guard:
                     break
             else:
-                kept.append((lcm, i))
+                kept.append((colon, i))
         # chain criterion against existing pairs
         for (i, j), lcm in list(pair_set.items()):
             w = lcm & pmask
@@ -599,17 +593,16 @@ def _buchberger(generators, ring, codec: _Codec,
                     and exp_lcm(basis[i].lm, lm) != w \
                     and exp_lcm(basis[j].lm, lm) != w:
                 del pair_set[(i, j)]
-        # product criterion on the survivors; only kept pairs are encoded
-        for lcm, i in kept:
-            if lcm == lm + basis[i].lm:
-                continue           # coprime heads
-            lcm = codec.encode(codec.decode(lcm))
-            pair_set[(i, t)] = lcm
+        # product criterion on the survivors: coprime iff colon = head
+        for colon, i in kept:
+            if colon == basis[i].lm:
+                continue
+            pair_set[(i, t)] = lcm = codec.times(red.lm_full, colon)
             heapq.heappush(queue, ((wdeg(lcm & pmask), lcm, t, i), i, t))
         # head-redundant old elements stop generating pairs
         for g in live:
-            if ((g.lm | guard) - lm) & guard == guard:
-                g.alive = False
+            g.alive = ((g.lm | guard) - lm) & guard != guard
+        live[:] = [g for g in live if g.alive] + [red]
 
     processed = 0
     divisors: dict = {}        # the reducer cache, one per degree batch
@@ -619,18 +612,17 @@ def _buchberger(generators, ring, codec: _Codec,
         the pair (i, j), which counts against the budget when it starts."""
         nonlocal processed
         if i < 0:
-            items = packed_gens[j]
+            streams = [(packed_gens[j], 0, 1)]
         else:
             processed += 1
             if processed > budget:
                 raise ResourceLimit(processed, budget)
             # the S-polynomial is the two shifted tails, the heads cancel
             gi, gj = basis[i], basis[j]
-            si = lcm - gi.lm_full
-            sj = lcm - gj.lm_full
-            items = [(m + si, c) for m, c in gi.tail]
-            items += [(m + sj, -c) for m, c in gj.tail]
-        return (yield from _reduction(items, basis, codec, p, True, divisors))
+            streams = [(gi.tail, lcm - gi.lm_full, 1),
+                       (gj.tail, lcm - gj.lm_full, -1)]
+        return (yield from _reduction(streams, basis, codec, p, True,
+                                      divisors))
 
     top = 0                    # largest weighted degree taken from the queue
     stopped = False            # by ``principal``, in degree top
@@ -720,7 +712,7 @@ def _interreduce(basis, ring, codec, block) -> GroebnerBasis:
     for g in minimal:
         # every term met while reducing g's tail is below g.lm, so g's own
         # head divides none of them and one shared list serves every g
-        tail = _reduce_full(g.tail, minimal, codec, p, cache=divisors)
+        tail = _reduce_full([(g.tail, 0, 1)], minimal, codec, p, divisors)
         terms = ((dec(g.lm_full), 1),) + tuple((dec(m), c) for m, c in tail)
         out.append(Polynomial(ring, terms))
     return GroebnerBasis(out, ring, codec)

@@ -211,6 +211,14 @@ class _Codec:
     def deg(self, m: int) -> int:
         return (m >> self.deg_shift) & self.deg_mask
 
+    def times(self, m: int, a: int) -> int:
+        """The packed monomial m times x^a, for the exponent word a."""
+        m += sum(c * ((a >> s) & self._exp_mask)
+                 for c, s in zip(self._coeff_vec, self._shifts))
+        if self.deg(m) >= self.deg_cap:
+            self.too_large()
+        return m
+
     # Exponent words: packed monomials masked by pmask, every field below
     # deg_cap.  (a | guard) - b keeps each field's guard bit exactly where
     # a_i >= b_i, and no borrow crosses a field.

@@ -1,7 +1,7 @@
 import pickle
 import random
 from itertools import product
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +17,8 @@ from secantlab.gb import (GroebnerBasis, HilbertTarget, Ideal,
                           _ideal_with_gb, _poly_mul, buchberger, pair_budget)
 from secantlab.homalg import minimal_free_resolution
 from secantlab.ideal_ops import secant_join
-from secantlab.poly import MonomialOrder, PolyRing, Polynomial, RingMismatch
+from secantlab.poly import (DegreeTooLarge, MonomialOrder, PolyRing,
+                            Polynomial, RingMismatch, _NeedWide)
 
 F = PrimeField(32003)
 R = PolyRing(["x", "y", "z"], F)
@@ -346,10 +347,10 @@ def _run_to_end(run):
 
 
 def _reduce(items, reducers, codec, head_only, cache=None):
-    """Remainder of the items, or with ``head_only`` their head reduction,
-    by the reducer run to its end."""
-    return _run_to_end(gb_module._reduction(items, reducers, codec, F.p,
-                                            head_only, cache))[0]
+    """Remainder of the items, one stream, or with ``head_only`` their head
+    reduction, by the reducer run to its end."""
+    return _run_to_end(gb_module._reduction([(items, 0, 1)], reducers, codec,
+                                            F.p, head_only, cache))[0]
 
 
 def test_shared_divisor_cache_keeps_the_first_divisor():
@@ -433,15 +434,24 @@ def _divide(f, divisors, head_only):
 def test_stepped_reducer_divides_as_in_turn(wide):
     # random monic reducers, appended one at a time, as in a Buchberger
     # run; the resumable reducer, run to completion with a shared or a
-    # fresh cache, gives the remainder of division in turn and pauses
-    # once per division
+    # fresh cache, gives the remainder of division in turn of the sum of
+    # its streams and pauses once per division.  The streams are one
+    # polynomial, two shifted polynomials with opposite multipliers (an
+    # S-polynomial's two halves) and a pair that cancels completely
     rng = random.Random(29)
     codec = gb_module._Codec(R, wide=wide)
     monomials = [e for e in product(range(4), repeat=3) if sum(e) <= 3]
+    one = (0, 0, 0)
 
     def random_poly():
         terms = {m: rng.randrange(1, F.p) for m in rng.sample(monomials, 4)}
         return R.from_dict(terms)
+
+    def stream(f, shift, k):
+        """k * x^shift * f as a stream, and as a Polynomial."""
+        terms = tuple((codec.encode(m), c) for m, c in f.terms)
+        packed = codec.encode(shift) - codec.encode(one)
+        return (terms, packed, k), f * R.from_dict({shift: k % F.p})
 
     polys = []
     shared = {}
@@ -449,29 +459,56 @@ def test_stepped_reducer_divides_as_in_turn(wide):
         polys.append(random_poly().monic())
         reducers = GroebnerBasis(polys, R, codec)._prepared()
         for _ in range(6):
-            f = random_poly()
-            items = [(codec.encode(m), c) for m, c in f.terms]
-            for head_only in (False, True):
-                expected, divisions = _divide(f, polys, head_only)
-                if not head_only:
-                    assert gb_module._reduce_full(
-                        items, reducers, codec, F.p, cache=shared) == tuple(
-                            (codec.encode(m), c) for m, c in expected.terms)
-                for cache in (shared, None):
-                    out, pauses = _run_to_end(gb_module._reduction(
-                        items, reducers, codec, F.p, head_only, cache))
-                    assert Polynomial(R, tuple(
-                        (codec.decode(m), c) for m, c in out)) == expected
-                    assert pauses == divisions
+            f, g = random_poly(), random_poly()
+            a, b = rng.sample(monomials[:10], 2)
+            k = rng.randrange(1, F.p)
+            cases = [[stream(f, one, 1)],
+                     [stream(f, a, k), stream(g, b, -k)],
+                     [stream(f, a, k), stream(f, a, F.p - k)]]
+            for case in cases:
+                streams = [s for s, _ in case]
+                total = sum((poly for _, poly in case), R.constant(0))
+                for head_only in (False, True):
+                    expected, divisions = _divide(total, polys, head_only)
+                    if not head_only:
+                        assert gb_module._reduce_full(
+                            streams, reducers, codec, F.p, cache=shared) \
+                            == tuple((codec.encode(m), c)
+                                     for m, c in expected.terms)
+                    for cache in (shared, None):
+                        out, pauses = _run_to_end(gb_module._reduction(
+                            streams, reducers, codec, F.p, head_only, cache))
+                        assert Polynomial(R, tuple(
+                            (codec.decode(m), c) for m, c in out)) == expected
+                        assert pauses == divisions
+
+    # under a block order a drained term can outweigh the irreducible head
+    # in total degree: t*x is drained with x^cap, which must raise as a
+    # divided term would
+    Rb = PolyRing(["t", "x"], F, MonomialOrder.block_elim(1))
+    codec = gb_module._Codec(Rb, wide=wide)
+    for top, fails in ((codec.deg_cap - 2, False), (codec.deg_cap - 1, True)):
+        terms = ((codec.encode((1, 0)), 1), (codec.encode((0, top)), 2))
+        run = gb_module._reduction(
+            [(terms, codec.encode((0, 1)) - codec.encode((0, 0)), 3)], [],
+            codec, F.p, True)
+        if fails:
+            with pytest.raises(DegreeTooLarge if wide else _NeedWide):
+                _run_to_end(run)
+        else:
+            assert [(codec.decode(m), c) for m, c in _run_to_end(run)[0]] \
+                == [((1, 1), 3), ((0, top + 1), 6)]
 
 
 def test_zero_s_polynomial_is_not_divided(monkeypatch):
     # x*f and y*f with f = y + z: the S-polynomial of their one pair
-    # reaches the reducer, whose coefficient sum cancels its two shifted
-    # tails, so it comes out () without a division
+    # reaches the reducer as two shifted tails, which cancel on the heap,
+    # so it comes out () without a division.  The run reads 8 stream
+    # terms: the generators' 4, the two tails and, when it interreduces,
+    # the two tails once more
     work = ReductionSpy(monkeypatch)
     basis = buchberger([R.parse("x*y + x*z"), R.parse("y^2 + y*z")], R)
-    assert work.steps == 0
+    assert work.steps == 0 and work.merged == 8
     assert len(work.heads) == 3 and all(work.heads[:2])
     assert work.heads[2] == ()
     assert list(basis) == [R.parse("y^2 + y*z"), R.parse("x*y + x*z")]
@@ -615,6 +652,25 @@ def test_word_arithmetic_matches_tuples(case):
     assert codec.exp_nonzero(a) == _word(
         codec, tuple(guard_bit if x else 0 for x in ea))
     assert codec.weigher(weights)(a) == sum(map(mul, weights, ea))
+    eab = tuple(map(add, ea, eb))
+    if sum(eab) < codec.deg_cap:
+        assert codec.times(codec.encode(eb), a) == codec.encode(eab)
+    else:
+        with pytest.raises(DegreeTooLarge if codec.wide else _NeedWide):
+            codec.times(codec.encode(eb), a)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_times_checks_the_degree_cap(wide):
+    # a pair's packed lcm is its head times a colon word; a product that
+    # reaches the cap must raise, as encoding it would
+    codec = gb_module._Codec(R, wide=wide)
+    cap = codec.deg_cap
+    x = _word(codec, (1, 0, 0))
+    assert codec.times(codec.encode((cap - 2, 0, 0)), x) \
+        == codec.encode((cap - 1, 0, 0))
+    with pytest.raises(DegreeTooLarge if wide else _NeedWide):
+        codec.times(codec.encode((cap - 1, 0, 0)), x)
 
 
 def _standard_count(gens, weights, d):
@@ -629,7 +685,7 @@ def _kernel_hilbert_function(gens, weights, wide, degrees):
     codec = gb_module._Codec(
         PolyRing([f"x{i}" for i in range(len(weights))], F), wide=wide)
     num = gb_module._numerator([_word(codec, g) for g in gens], codec,
-                               weights)
+                               weights, {})
     series = gb_module._series_of_denominator(weights, max(degrees) + 1)
     return [sum(c * series[d - e] for e, c in num.items() if e <= d)
             for d in degrees]

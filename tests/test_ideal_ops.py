@@ -305,44 +305,49 @@ def _driven_join_work(monkeypatch, spec):
 
 def test_elliptic_sextic_join_reduction_gate(monkeypatch):
     # Deterministic work counter: the Hilbert-driven elimination makes
-    # 1,818 division steps and 46,931 tail-term updates, interreduction
-    # included.  Reducing one S-polynomial at a time to its end, before
-    # each degree was reduced round-robin and cut at its Hilbert count,
-    # took 4,319 and 105,784; the untargeted loop made 600 reductions,
-    # 381 to zero
+    # 1,818 division steps and merges 24,227 stream terms, interreduction
+    # included.  Before the heap merge it copied every reducer's whole
+    # tail, 46,931 tail-term updates, most of them in reductions the
+    # Hilbert count then dropped.  Reducing one S-polynomial at a time to
+    # its end, before each degree was reduced round-robin and cut at its
+    # Hilbert count, took 4,319 steps and 105,784 updates; the untargeted
+    # loop made 600 reductions, 381 to zero
     R2 = PolyRing(["x", "y"], F)
     E = embed(CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1")), 6)
     work = _driven_join_work(monkeypatch, E.secant_spec(1))
     assert work.steps <= 1818
-    assert work.updates <= 46931
+    assert work.merged <= 24227
 
 
 def test_rnc6_k2_join_reduction_gate(monkeypatch):
     # Deterministic work counter: the two driven joins of the secant plane
     # variety of the rational normal sextic make 423 division steps and
-    # 3,077 tail-term updates (453 and 3,222 one S-polynomial at a time).
-    # The second join is a hypersurface and stops at its first
-    # parameter-free form; run to the end, the two made 352 reductions,
-    # 164 to zero
+    # merge 5,571 stream terms.  That is more than the 3,077 tail-term
+    # updates of the copying reducer, which did not count the generators'
+    # and S-polynomials' own terms: most reductions here run to their end.
+    # One S-polynomial at a time took 453 steps.  The second join is a
+    # hypersurface and stops at its first parameter-free form; run to the
+    # end, the two made 352 reductions, 164 to zero
     spec = rational_normal_curve(6, F).secant_spec(2)
     work = _driven_join_work(monkeypatch, spec)
     assert work.steps <= 423
-    assert work.updates <= 3077
+    assert work.merged <= 5571
 
 
 def test_elliptic_quintic_join_reduction_gate(monkeypatch):
     # Deterministic work counter: the secant variety of the elliptic
     # quintic is a hypersurface, and its driven join stops at the quintic
-    # after 317 division steps and 3,044 tail-term updates.  That is more
-    # than the 144 and 1,627 of one S-polynomial at a time, which reached
-    # the quintic sooner: round-robin advances every reduction of the
-    # quintic's degree in turn.  Run to the end, without the stop, the
-    # join makes 2,595 steps and 231,476 updates
+    # after 317 division steps and 3,558 merged stream terms (3,044
+    # tail-term updates by the copying reducer).  That is more than the
+    # 144 steps of one S-polynomial at a time, which reached the quintic
+    # sooner: round-robin advances every reduction of the quintic's degree
+    # in turn.  Run to the end, without the stop, the join makes 2,595
+    # steps and merges 116,526 stream terms (231,476 updates)
     R2 = PolyRing(["x", "y"], F)
     E = embed(CurveModel(1, F, R2.parse("y^2 - x^3 - 4*x - 1")), 5)
     work = _driven_join_work(monkeypatch, E.secant_spec(1))
     assert work.steps <= 317
-    assert work.updates <= 3044
+    assert work.merged <= 3558
 
 
 def _det(rows):
