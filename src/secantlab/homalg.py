@@ -17,9 +17,11 @@ nonzerodivisors, and the last ideal J of that prefix has the Betti table of
 I (Artinian reduction).  The strand window is the Bayer-Stillman criterion
 read off the Hilbert functions of the rest of the chain, bounded by the
 Taylor resolution of in(J); for an ACM input it is the top degree of the
-h-vector.  No free resolution is ever built, and every table is checked
-against the Hilbert numerator.  The results, :class:`HilbertData` and
-:class:`BettiTable`, are immutable ``NamedTuple`` records.
+h-vector.  One pass over the standard monomials of in(J) builds the
+strands.  No free resolution is ever built; each degree's standard
+monomials are counted against the Hilbert function, and every table is
+checked against the Hilbert numerator.  The results, :class:`HilbertData`
+and :class:`BettiTable`, are immutable ``NamedTuple`` records.
 """
 
 from __future__ import annotations
@@ -112,13 +114,14 @@ def _rank_mod(vectors, p: int) -> int:
     """Rank modulo p of a list of sparse integer vectors ``{index: coeff}``.
 
     Each vector is reduced against the pivots found so far, keyed by their
-    leading (smallest) index; a nonzero remainder becomes a new monic pivot.
+    leading (largest) index; a nonzero remainder becomes a new monic pivot.
+    On the Koszul strands the largest index fills in less than the smallest.
     """
     pivots = {}
     for vec in vectors:
         v = {i: c % p for i, c in vec.items() if c % p}
         while v:
-            lead = min(v)
+            lead = max(v)
             piv = pivots.get(lead)
             if piv is None:
                 inv = pow(v[lead], p - 2, p)
@@ -233,23 +236,6 @@ def min_generator_degree(B: BettiTable) -> int:
 # ---------------------------------------------------------------------------
 # cut chain (Artinian reduction) and certified regularity window
 # ---------------------------------------------------------------------------
-
-def _standard_monomials(lms, q: int, n: int):
-    """Monomials of degree q outside the monomial ideal given by lms."""
-    out = []
-
-    def rec(prefix, i, left):
-        if i == n - 1:
-            mon = prefix + (left,)
-            if not any(all(x <= y for x, y in zip(g, mon)) for g in lms):
-                out.append(mon)
-            return
-        for e in range(left + 1):
-            rec(prefix + (e,), i + 1, left - e)
-
-    rec((), 0, q)
-    return out
-
 
 def _strip(coeffs) -> tuple:
     coeffs = list(coeffs)
@@ -424,7 +410,7 @@ def minimal_free_resolution(I: Ideal, degree_bound=None,
     else:
         m = _regularity_window(gb, chain)
         qmax_for = lambda i: m - 1
-    B = BettiTable(n, _koszul_betti(gb, qmax_for), degree_bound)
+    B = BettiTable(n, _koszul_betti(gb, chain[0], qmax_for), degree_bound)
     _check_identities(B, hd)
     return B
 
@@ -445,50 +431,55 @@ def _check_identities(B: BettiTable, hd: HilbertData) -> None:
             f"Betti numerator {bn} differs from Hilbert numerator {hn}")
 
 
-def _koszul_betti(gb: GroebnerBasis, qmax_for) -> tuple:
+def _koszul_betti(gb: GroebnerBasis, hd: HilbertData, qmax_for) -> tuple:
     """Entries of the Betti table of S/(gb): beta_{i,i+q} for the Koszul
-    strands with q <= qmax_for(i), as ranks of the strand matrices."""
+    strands with q <= qmax_for(i), as ranks of the strand matrices.
+
+    The standard monomials form an order ideal, so one pass builds the
+    sorted bases std[q] and the tables mult[v, q] (row m: x_v * m over
+    std[q + 1]): std[q + 1] is the products x_v * m, m in std[q], that no
+    head divides, and only the other products are reduced by ``gb``.
+    Raises InternalIdentityError if std[q] does not have HF(q) elements,
+    counted by ``hd``, the Hilbert data of S/(gb).
+    """
     ring = gb.ring
     n = ring.nvars
     p = ring.field.p
     lms = [f.lm for f in gb]
     mingen = min(f.total_degree() for f in gb)
-    qmax = max(qmax_for(0), 0)
-
-    # standard monomial bases of (S/I)_q and multiplication tables
-    std = {q: _standard_monomials(lms, q, n) for q in range(qmax + 2)}
-    idx = {q: {mon: i for i, mon in enumerate(std[q])} for q in std}
-    mult = {}   # (var, q) -> list over std[q] of dict target_index -> coeff
-
-    def mult_table(v, q):
-        tab = mult.get((v, q))
-        if tab is not None:
-            return tab
-        tab = []
-        target = idx[q + 1]
-        for mon in std[q]:
-            up = tuple(e + 1 if i == v else e for i, e in enumerate(mon))
-            hit = target.get(up)
-            if hit is not None:
-                tab.append({hit: 1})
-            else:
-                f = ring.monomial(up)
-                nf = gb.normal_form(f)
-                tab.append({target[mo]: c for mo, c in nf.terms})
-        mult[(v, q)] = tab
-        return tab
+    std = [[(0,) * n]]
+    mult = {}
+    for q in range(max(qmax_for(1), 0) + 1):
+        ups = [[m[:v] + (m[v] + 1,) + m[v + 1:] for m in std[q]]
+               for v in range(n)]
+        free = {up: not any(all(x <= y for x, y in zip(g, up)) for g in lms)
+                for row in ups for up in row}
+        std.append(sorted(up for up, ok in free.items() if ok))
+        hf = hd.hilbert_function(q + 1)
+        if len(std[q + 1]) != hf:
+            raise InternalIdentityError(
+                f"{len(std[q + 1])} standard monomials in degree {q + 1}, "
+                f"but the Hilbert function is {hf}")
+        if not hf:      # (S/I)_{q+1} = 0: no strand reads these tables
+            continue
+        target = {mon: i for i, mon in enumerate(std[q + 1])}
+        for v, row in enumerate(ups):
+            mult[v, q] = [{target[up]: 1} if free[up] else
+                          {target[mo]: c for mo, c in
+                           gb.normal_form(ring.monomial(up)).terms}
+                          for up in row]
 
     def strand_columns(i, q):
         """Columns of the Koszul differential Λ^i ⊗ R_q → Λ^{i-1} ⊗ R_{q+1},
         as sparse vectors {row: coeff}."""
-        if not (1 <= i <= n and q >= 0 and std.get(q) and std.get(q + 1)):
+        if not (1 <= i <= n and q >= 0 and std[q] and std[q + 1]):
             return []
         cod_sets = {s: a for a, s in enumerate(combinations(range(n), i - 1))}
         sz = len(std[q + 1])
         cols = []
         for S in combinations(range(n), i):
             tabs = [(cod_sets[S[:k] + S[k + 1:]] * sz,
-                     1 if k % 2 == 0 else p - 1, mult_table(t, q))
+                     1 if k % 2 == 0 else p - 1, mult[t, q])
                     for k, t in enumerate(S)]
             for b in range(len(std[q])):
                 col = {}
@@ -510,12 +501,8 @@ def _koszul_betti(gb: GroebnerBasis, qmax_for) -> tuple:
     entries = {(0, 0): 1}
     for i in range(1, n + 1):
         for q in range(max(mingen - 1, 0), qmax_for(i) + 1):
-            if q + 1 not in std:
-                continue
-            dom = comb(n, i) * len(std[q])
-            if dom == 0:
-                continue
-            b = dom - rank_of(i, q) - rank_of(i + 1, q - 1)
+            b = (comb(n, i) * len(std[q])
+                 - rank_of(i, q) - rank_of(i + 1, q - 1))
             if b:
                 entries[(i, i + q)] = b
     return tuple(sorted(entries.items()))

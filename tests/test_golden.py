@@ -51,6 +51,10 @@ CASES = {
     "betti_rational_quartic_max4.json": (0, ["betti", "--ideal-file",
                                              "rational_quartic.ideal",
                                              "--max-degree", "4"]),
+    # the 3x3 minors of the 3x7 Hankel matrix (Σ_1 of the RNC of degree
+    # 8): the uncut strands of the truncated path
+    "betti_hankel8_max4.json": (0, ["betti", "--ideal-file", "hankel8.ideal",
+                                    "--max-degree", "4"]),
 }
 
 
