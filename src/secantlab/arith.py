@@ -7,6 +7,8 @@ operations that are more than one ``%``: inversion and square roots.
 
 from __future__ import annotations
 
+from math import isqrt
+
 DEFAULT_PRIME = 32003
 
 # The largest modulus PrimeField accepts: the supported range of primes,
@@ -14,38 +16,20 @@ DEFAULT_PRIME = 32003
 # this is not an arithmetic limit.
 MAX_PRIME = 5931641
 
-# Witnesses making Miller-Rabin deterministic for everything below 3.3 * 10^24,
-# far beyond any machine-word modulus we accept.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
 
 class DivisionByZero(ZeroDivisionError):
     """Inversion of the zero element."""
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for word-sized integers."""
+    """Trial division by 2 and the odd numbers up to isqrt(n): at most
+    1,218 divisions for n <= MAX_PRIME.  The work grows as sqrt(n), so
+    callers check the supported range first."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n % 2 == 0:
+        return n == 2
+    return all(n % q for q in range(3, isqrt(n) + 1, 2))
 
 
 class PrimeField:
@@ -54,11 +38,11 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"modulus must be an odd prime, got {p}")
         if p > MAX_PRIME:
             raise ValueError(f"modulus {p} exceeds the largest supported "
                              f"prime {MAX_PRIME}")
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"modulus must be an odd prime, got {p}")
         self.p = p
 
     def inv(self, a: int) -> int:

@@ -23,7 +23,7 @@ from collections import namedtuple
 from contextvars import Context
 from typing import NamedTuple
 
-from .arith import DEFAULT_PRIME, PrimeField, is_prime
+from .arith import DEFAULT_PRIME, MAX_PRIME, PrimeField, is_prime
 from .gb import Ideal, buchberger
 from .ideal_ops import (ConeParametrization, PointedIdeal, SecantSpec,
                         _subring_part)
@@ -327,7 +327,7 @@ def parse_curve_file(text: str):
         degree = int(fields["degree"])
     except ValueError:
         raise ValueError("genus, field, and degree must be integers")
-    if not is_prime(prime):
+    if prime <= MAX_PRIME and not is_prime(prime):
         raise ValueError(f"{prime} is not prime")
     field = PrimeField(prime)
     equation = None

@@ -28,9 +28,12 @@ batch of degree d, in flight or not yet started, once dim (S/in(G))_d
 equals the target's.  Since dim (S/in(G))_d >= dim (S/I)_d >= target(d),
 in(G) is then complete in degree d, so the rest would reduce to zero;
 this holds for a lower bound as much as for the exact series.  The count
-of in(G) changes only when a head is added, so it is compared then.  It
-is kept incrementally, N(M + m) = N(M) - t^e N(M : m) for a new head m of
-weight e, and a run without ``eliminate`` hands it to the returned basis.
+of in(G) changes only when a head is added, so it is compared then: a
+batch reads its excess over the target once and counts it down by one per
+head, which removes one standard monomial of degree d, itself.  The
+numerator of in(G) is kept incrementally, N(M + m) = N(M) - t^e N(M : m)
+for a new head m of weight e, and a run without ``eliminate`` hands it to
+the returned basis.
 The reduced basis is canonical for the (ideal, order) pair, so
 recomputation from any generating set of the same ideal, driven or not,
 yields identical output.
@@ -77,7 +80,8 @@ from functools import reduce
 from operator import mul, or_
 from typing import NamedTuple
 
-from .poly import PolyRing, Polynomial, RingMismatch, _Codec, _NeedWide
+from .poly import (MonomialOrder, PolyRing, Polynomial, RingMismatch, _Codec,
+                   _NeedWide)
 
 DEFAULT_PAIR_BUDGET = 2_000_000
 _PAIR_BUDGET = ContextVar("pair_budget", default=DEFAULT_PAIR_BUDGET)
@@ -297,6 +301,15 @@ class GroebnerBasis:
         codec = self._codec
         return [codec.encode(f.terms[0][0]) & codec.pmask
                 for f in self.elements]
+
+    def last_variable_regular(self) -> bool:
+        """Whether this reduced grevlex basis of I certifies the last
+        variable x a nonzerodivisor on S/I: x divides none of its heads.
+        For grevlex, in(I : x) = in(I) : x (Bayer and Stillman, Invent.
+        Math. 87, 1987), so that holds iff I : x = I.  False for any other
+        order."""
+        return (self.order == MonomialOrder.grevlex()
+                and not any(f.lm[-1] for f in self.elements))
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -566,19 +579,7 @@ def _buchberger(generators, ring, codec: _Codec,
         # candidate new pairs by ascending lcm word, then index: a proper
         # divisor of an lcm is a smaller word, so it is examined first
         cand = sorted([(exp_colon(g.lm, lm), g.index) for g in live])
-        if target is not None:
-            # N(M + m) = N(M) - t^e N(M : m) for the minimal generators M
-            # of in(G), which are the heads of the live elements
-            e = wdeg(lm)
-            for d, c in _numerator([w for w, _ in cand], codec, weights,
-                                   memo).items():
-                c = excess_num.get(d + e, 0) - c
-                if c:
-                    excess_num[d + e] = c
-                else:
-                    excess_num.pop(d + e, None)
-        basis.append(red)
-        kept: list = []
+        kept: list = []        # the minimal colon words, M : m
         for colon, i in cand:
             cg = colon | guard
             for colon2, _ in kept:
@@ -586,6 +587,18 @@ def _buchberger(generators, ring, codec: _Codec,
                     break
             else:
                 kept.append((colon, i))
+        if target is not None:
+            # N(M + m) = N(M) - t^e N(M : m) for the minimal generators M
+            # of in(G), which are the heads of the live elements
+            e = wdeg(lm)
+            for d, c in _numerator([w for w, _ in kept], codec, weights,
+                                   memo).items():
+                c = excess_num.get(d + e, 0) - c
+                if c:
+                    excess_num[d + e] = c
+                else:
+                    excess_num.pop(d + e, None)
+        basis.append(red)
         # chain criterion against existing pairs
         for (i, j), lcm in list(pair_set.items()):
             w = lcm & pmask
@@ -645,7 +658,8 @@ def _buchberger(generators, ring, codec: _Codec,
         divisors.clear()
         if target is not None:
             top = d
-            if excess(d) == 0:
+            left = excess(d)
+            if left == 0:
                 continue       # in(G) is complete in this degree
         while turns:
             run = turns.popleft()
@@ -666,8 +680,12 @@ def _buchberger(generators, ring, codec: _Codec,
             if principal and not terms[0][0] & block:
                 stopped = True     # in(G) may be incomplete in degree top
                 break
-            if target is not None and excess(d) == 0:
-                break          # the rest would reduce to zero: drop them
+            if target is not None:
+                # a new head of degree d removes exactly one standard
+                # monomial of degree d, itself
+                left -= 1
+                if left == 0:
+                    break      # the rest would reduce to zero: drop them
 
     numerator = None
     if target is not None:

@@ -20,8 +20,9 @@ Taylor resolution of in(J); for an ACM input it is the top degree of the
 h-vector.  One pass over the standard monomials of in(J) builds the
 strands.  No free resolution is ever built; each degree's standard
 monomials are counted against the Hilbert function, and every table is
-checked against the Hilbert numerator.  The results, :class:`HilbertData`
-and :class:`BettiTable`, are immutable ``NamedTuple`` records.
+checked against the Hilbert numerator, in the one form ``gb`` counts it:
+a dict degree -> nonzero coefficient.  The results, :class:`HilbertData`
+and :class:`BettiTable`, are ``NamedTuple`` records.
 """
 
 from __future__ import annotations
@@ -48,12 +49,14 @@ class ZeroIdeal(ValueError):
 class HilbertData(NamedTuple):
     """Hilbert series data of a graded quotient S/I.
 
-    ``numerator`` is N(t) with HS = N(t)/(1-t)^nvars; ``dimension`` is the
-    Krull dimension of S/I; ``degree`` is h(1) after full cancellation.
+    ``numerator`` is N(t) with HS = N(t)/(1-t)^nvars, a dict degree ->
+    coefficient of its nonzero coefficients, as ``gb`` counts it;
+    ``dimension`` is the Krull dimension of S/I; ``degree`` is h(1) after
+    full cancellation.
     """
 
     nvars: int
-    numerator: tuple
+    numerator: dict
     dimension: int
     degree: int
 
@@ -65,13 +68,13 @@ class HilbertData(NamedTuple):
     def h_degree(self) -> int:
         """Top degree of the h-vector N(t)/(1-t)^codim; for an Artinian
         S/I it is the regularity."""
-        return len(self.numerator) - 1 - (self.nvars - self.dimension)
+        return max(self.numerator, default=0) - (self.nvars - self.dimension)
 
     def hilbert_function(self, d: int) -> int:
         """dim_k (S/I)_d, expanded from the series (0 for d < 0)."""
         series = _series_of_denominator((1,) * self.nvars, d + 1)
         return sum(c * series[d - e]
-                   for e, c in enumerate(self.numerator) if e <= d)
+                   for e, c in self.numerator.items() if e <= d)
 
 
 def hilbert_data(I: Ideal) -> HilbertData:
@@ -79,31 +82,22 @@ def hilbert_data(I: Ideal) -> HilbertData:
 
     Works from the initial ideal of I's cached Groebner basis, whose
     ``hilbert_numerator`` is counted once per basis, independent of any
-    resolution machinery.
+    resolution machinery.  N(t) = (1-t)^m h(t) with h(1) != 0 for m the
+    order of the first nonzero Hasse derivative of N at t = 1,
+    N^[m](1) = sum_d C(d, m) c_d = (-1)^m h(1): the dimension is
+    nvars - m and the degree is h(1).
     """
     n = I.ring.nvars
     if I.is_zero():
-        return HilbertData(n, (1,), n, 1)
+        return HilbertData(n, {0: 1}, n, 1)
     num = I.groebner().hilbert_numerator((1,) * n)
     if not num:
         # unit ideal: S/I = 0
-        return HilbertData(n, (0,), -1, 0)
-    maxd = max(num)
-    coeffs = [num.get(d, 0) for d in range(maxd + 1)]
-    # cancel factors of (1 - t)
-    h = list(coeffs)
-    cancels = 0
-    while sum(h) == 0 and cancels < n:
-        acc = 0
-        q = []
-        for a in h[:-1]:
-            acc += a
-            q.append(acc)
-        h = q if q else [0]
-        while len(h) > 1 and h[-1] == 0:
-            h.pop()
-        cancels += 1
-    return HilbertData(n, tuple(coeffs), n - cancels, sum(h))
+        return HilbertData(n, {}, -1, 0)
+    # a nonzero N of degree D has N^[D](1), its top coefficient, nonzero
+    for m in range(max(num) + 1):
+        if h1 := sum(comb(d, m) * c for d, c in num.items()):
+            return HilbertData(n, num, n - m, (-1) ** m * h1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +231,6 @@ def min_generator_degree(B: BettiTable) -> int:
 # cut chain (Artinian reduction) and certified regularity window
 # ---------------------------------------------------------------------------
 
-def _strip(coeffs) -> tuple:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 def _cut(I: Ideal, hd: HilbertData, h: Polynomial):
     """(I + (h))/(h) and its Hilbert data, as an ideal of the grevlex ring
     without the leading variable of the linear form h.  ``hd`` is the
@@ -264,9 +251,7 @@ def _cut(I: Ideal, hd: HilbertData, h: Polynomial):
     gens = [cut_ring.from_dict({m[:v] + m[v + 1:]: c
                                 for m, c in reduce_h(f).terms})
             for f in I.generators]
-    bound = HilbertTarget((1,) * cut_ring.nvars,
-                          {d: c for d, c in enumerate(hd.numerator) if c},
-                          exact=False)
+    bound = HilbertTarget((1,) * cut_ring.nvars, hd.numerator, exact=False)
     J = _ideal_with_gb(cut_ring, gens,
                        buchberger(gens, cut_ring, target=bound))
     return J, hilbert_data(J)
@@ -277,19 +262,17 @@ def _free_cut(J: Ideal, hd: HilbertData):
     J's reduced grevlex basis when x divides none of its heads; else None,
     and None for a ring of another order (the cut ring keeps J's order).
 
-    For grevlex, in(J : x) = in(J) : x (Bayer and Stillman, Invent. Math.
-    87, 1987), so x is then a nonzerodivisor on S/J, and every head
-    survives x = 0 while every surviving tail term stays standard: the
-    basis restricted to x = 0 is the reduced basis of the cut, with the
-    same heads and so the same Hilbert numerator, one variable fewer.
+    Then x is a nonzerodivisor on S/J (``last_variable_regular``), and
+    every head survives x = 0 while every surviving tail term stays
+    standard: the basis restricted to x = 0 is the reduced basis of the
+    cut, with the same heads and so the same Hilbert numerator, one
+    variable fewer.
     """
-    ring = J.ring
-    if ring.order != MonomialOrder.grevlex():
-        return None
     gb = J.groebner()
-    last = ring.nvars - 1
-    if any(f.lm[last] for f in gb):
+    if not gb.last_variable_regular():
         return None
+    ring = J.ring
+    last = ring.nvars - 1
     cut_ring = PolyRing(ring.variables[:last], ring.field, ring.order)
     basis = [Polynomial(cut_ring, tuple(
         (m[:last], c) for m, c in f.terms if not m[last])) for f in gb]
@@ -318,7 +301,7 @@ def regular_cut(I: Ideal, hd: HilbertData, seed: int = 0):
     a zero-divisor cut gets the same basis, with fewer pairs dropped.
     """
     rng = random.Random(seed)
-    numerator = _strip(hd.numerator)
+    numerator = hd.numerator
     J, certified = I, True
     yield J, hd, certified
     while hd.dimension > 0:
@@ -329,7 +312,7 @@ def regular_cut(I: Ideal, hd: HilbertData, seed: int = 0):
                                 for v in range(ring.nvars)})
             cut = _cut(J, hd, h)
         J, hd = cut
-        certified = certified and _strip(hd.numerator) == numerator
+        certified = certified and hd.numerator == numerator
         yield J, hd, certified
 
 
@@ -423,9 +406,8 @@ def _check_identities(B: BettiTable, hd: HilbertData) -> None:
         raise InternalIdentityError(f"negative Betti numbers {negative}")
     bn, hn = betti_numerator(B), hd.numerator
     if B.truncated_at is not None:
-        pad = (0,) * (B.truncated_at + 1)
-        bn, hn = (bn + pad)[:len(pad)], (hn + pad)[:len(pad)]
-    bn, hn = _strip(bn), _strip(hn)
+        bn, hn = ({j: c for j, c in num.items() if j <= B.truncated_at}
+                  for num in (bn, hn))
     if bn != hn:
         raise InternalIdentityError(
             f"Betti numerator {bn} differs from Hilbert numerator {hn}")
@@ -508,12 +490,10 @@ def _koszul_betti(gb: GroebnerBasis, hd: HilbertData, qmax_for) -> tuple:
     return tuple(sorted(entries.items()))
 
 
-def betti_numerator(B: BettiTable):
-    """Alternating sum sum_i (-1)^i sum_j beta_{i,j} t^j as coefficients."""
-    if not B.entries:
-        return (0,)
-    maxj = max(j for (_, j), _ in B.entries)
-    coeffs = [0] * (maxj + 1)
+def betti_numerator(B: BettiTable) -> dict:
+    """Alternating sum sum_i (-1)^i sum_j beta_{i,j} t^j, a dict degree ->
+    coefficient of its nonzero coefficients."""
+    coeffs = {}
     for (i, j), v in B.entries:
-        coeffs[j] += v if i % 2 == 0 else -v
-    return tuple(coeffs)
+        coeffs[j] = coeffs.get(j, 0) + (v if i % 2 == 0 else -v)
+    return {j: c for j, c in coeffs.items() if c}

@@ -146,8 +146,8 @@ def _join_with_parametrization(param: ConeParametrization, cur: Ideal):
     chart_num = buchberger(param.constraints, param.ring).hilbert_numerator(
         param.weights)
     cur_data = hilbert_data(cur)
-    cur_num = {param.image_weight * d: c for d, c in enumerate(
-        cur_data.numerator) if c}
+    cur_num = {param.image_weight * d: c
+               for d, c in cur_data.numerator.items()}
     target = HilbertTarget(weights, _poly_mul(chart_num, cur_num))
     gb = buchberger(gens, big, target=target, eliminate=m,
                     principal=cur_data.dimension + 2 == n - 1)
@@ -167,10 +167,10 @@ def secant_join(spec: SecantSpec) -> Ideal:
     step's closed-form Hilbert series.
     The raw join comes with its reduced grevlex basis, and it is
     certified saturated when the last variable divides no leading
-    monomial of that basis.  For grevlex, in(raw : x_last) = in(raw) :
-    x_last (Bayer and Stillman, Invent. Math. 87, 1987), so the criterion
-    holds iff x_last is a nonzerodivisor on S/raw, and then raw is
-    saturated (f ∈ raw^sat gives x_last^N f ∈ raw, hence f ∈ raw).
+    monomial of that basis.  This criterion
+    (``GroebnerBasis.last_variable_regular``) holds iff x_last is a
+    nonzerodivisor on S/raw, and then raw is saturated (f ∈ raw^sat gives
+    x_last^N f ∈ raw, hence f ∈ raw).
 
     The criterion always holds, because the raw join is prime.  A step
     joining C onto V(cur) contracts J = φ(I₀) to k[x], where I₀ =
@@ -197,7 +197,7 @@ def secant_join(spec: SecantSpec) -> Ideal:
         gens = _join_with_parametrization(spec.parametrization, raw)
         # the join output is already a reduced grevlex basis
         raw = _ideal_with_gb(ring, gens)
-    if any(f.lm[-1] for f in raw.groebner()):
+    if not raw.groebner().last_variable_regular():
         raise InternalIdentityError(
             "secant join fails the saturation criterion: the last variable "
             "divides a leading monomial of its grevlex basis, so the raw "

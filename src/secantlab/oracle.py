@@ -48,11 +48,15 @@ def _warn_hypothesis(g, deg_L, k):
             HypothesisViolated, stacklevel=3)
 
 
+def _secant_degree(g: int, deg_L: int, k: int) -> int:
+    return sum(binomial(deg_L - g - k - i, k + 1 - i) * binomial(g, i)
+               for i in range(min(k + 1, g) + 1))
+
+
 def predicted_degree(g: int, deg_L: int, k: int) -> int:
     """deg Σ_k = Σ_{i=0}^{min(k+1, g)} C(deg_L - g - k - i, k+1-i) C(g, i)."""
     _warn_hypothesis(g, deg_L, k)
-    return sum(binomial(deg_L - g - k - i, k + 1 - i) * binomial(g, i)
-               for i in range(min(k + 1, g) + 1))
+    return _secant_degree(g, deg_L, k)
 
 
 def predicted_multiplicity(g: int, deg_L: int, k: int, m: int) -> int:
@@ -61,12 +65,11 @@ def predicted_multiplicity(g: int, deg_L: int, k: int, m: int) -> int:
 
     This is the degree of a smaller secant variety, Σ_{k-m-1} of the curve
     re-embedded with two base points removed per divisor point:
-    predicted_degree(g, deg_L - 2(m+1), k-m-1)."""
+    predicted_degree(g, deg_L - 2(m+1), k-m-1), and computed so."""
     if not 0 <= m <= k:
         raise ValueError("need 0 <= m <= k")
     _warn_hypothesis(g, deg_L, k)
-    return sum(binomial(deg_L - g - m - 1 - k - i, k - m - i)
-               * binomial(g, i) for i in range(min(k - m, g) + 1))
+    return _secant_degree(g, deg_L - 2 * (m + 1), k - m - 1)
 
 
 def predicted_regularity(g: int, k: int) -> tuple:

@@ -16,6 +16,22 @@ def test_is_prime_basics():
         assert not is_prime(n)
 
 
+def _sieve(lo, hi):
+    """The primes in [lo, hi), by an Eratosthenes sieve of [0, hi)."""
+    flags = bytearray([1]) * hi
+    flags[:2] = b"\0\0"
+    for q in range(2, int(hi ** 0.5) + 1):
+        if flags[q]:
+            flags[q * q::q] = bytes(len(range(q * q, hi, q)))
+    return {n for n in range(lo, hi) if flags[n]}
+
+
+def test_is_prime_agrees_with_a_sieve():
+    assert {n for n in range(10 ** 5) if is_prime(n)} == _sieve(0, 10 ** 5)
+    lo, hi = MAX_PRIME - 100, MAX_PRIME + 101
+    assert {n for n in range(lo, hi) if is_prime(n)} == _sieve(lo, hi)
+
+
 def test_default_prime_is_prime():
     assert is_prime(DEFAULT_PRIME)
 

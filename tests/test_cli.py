@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import secantlab
-from secantlab import cli, homalg, ideal_ops
+from secantlab import arith, cli, curves, homalg, ideal_ops
 from secantlab.arith import MAX_PRIME, is_prime
 from secantlab.cli import main
 from secantlab.gb import HilbertTarget, ResourceLimit
@@ -397,6 +397,24 @@ def test_first_rejected_prime_is_input_error(curve_file, capsys):
     path = curve_file("i.ideal", IDEAL.replace("32003", str(q)))
     code, _, err = run(capsys, ["betti", "--ideal-file", path])
     assert code == 2 and str(MAX_PRIME) in err and path in err
+
+
+def test_huge_field_is_rejected_before_any_primality_test(
+        curve_file, capsys, monkeypatch):
+    # trial division takes sqrt(n) steps, so a 30-digit field must fail
+    # the range check before is_prime ever sees it
+    tested = []
+    for module in (arith, curves):
+        monkeypatch.setattr(module, "is_prime",
+                            lambda n: tested.append(n) or is_prime(n))
+    q = 10 ** 29 + 9
+    path = curve_file("c.curve", f"genus: 0\nfield: {q}\ndegree: 6\n")
+    code, _, err = run(capsys, ["betti", "--file", path, "--k", "1"])
+    assert code == 2 and str(MAX_PRIME) in err
+    path = curve_file("i.ideal", IDEAL.replace("32003", str(q)))
+    code, _, err = run(capsys, ["betti", "--ideal-file", path])
+    assert code == 2 and str(MAX_PRIME) in err and path in err
+    assert tested == []
 
 
 def test_ideal_file_bad_field_is_input_error(curve_file, capsys):

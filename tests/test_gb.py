@@ -35,6 +35,18 @@ def test_reduced_basis_is_monic_and_interreduced():
                            for mon, _ in g.terms)
 
 
+def test_last_variable_regular_reads_the_grevlex_heads():
+    # z divides no head of (x^2 - y^2, xy), so it is a nonzerodivisor; it
+    # divides both heads of (xz, yz), on which it is a zero divisor; a basis
+    # of another order certifies nothing
+    regular = buchberger([R.parse("x^2 - y^2"), R.parse("x*y")], R)
+    assert regular.last_variable_regular()
+    zero_divisor = buchberger([R.parse("x*z"), R.parse("y*z")], R)
+    assert not zero_divisor.last_variable_regular()
+    lex = PolyRing(["x", "y", "z"], F, MonomialOrder.lex())
+    assert not buchberger([lex.parse("x^2")], lex).last_variable_regular()
+
+
 def test_katsura_like_system_membership():
     gens = [R.parse("x + 2*y + 2*z - 1"),
             R.parse("x^2 + 2*y^2 + 2*z^2 - x"),

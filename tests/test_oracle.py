@@ -3,6 +3,8 @@ import io
 import json
 import re
 import warnings
+from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,23 @@ def test_degree_spot_values():
     assert predicted_degree(1, 5, 1) == 5
     assert predicted_degree(1, 6, 1) == 9
     assert predicted_degree(2, 7, 1) == 13
+
+
+def test_multiplicity_is_a_smaller_secant_degree():
+    # the multiplicity formula, summed as written, against the degree of
+    # Sigma_{k-m-1} re-embedded by deg_L - 2(m+1)
+    def C(n, k):
+        return comb(n, k) if 0 <= k <= n else 0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HypothesisViolated)
+        for g, deg_L, k in product(range(6), range(30), range(5)):
+            for m in range(k + 1):
+                formula = sum(C(deg_L - g - m - 1 - k - i, k - m - i)
+                              * C(g, i) for i in range(min(k - m, g) + 1))
+                assert predicted_multiplicity(g, deg_L, k, m) == formula
+                assert formula == predicted_degree(g, deg_L - 2 * (m + 1),
+                                                   k - m - 1)
 
 
 def test_multiplicity_spot_values():
