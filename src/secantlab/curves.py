@@ -1,16 +1,19 @@
 """Curve models of genus g >= 0 over F_p and their projective embeddings.
 
 A curve is embedded by the complete linear system of O(d * P_inf): genus 0
-gives the rational normal curve directly, genus g >= 1 (the model
+gives the rational normal curve directly, cut out by the 2 x 2 minors of
+its Hankel matrix (``ideal_ops._hankel_minors``, whose (k+2)-minors give
+secant_join I(Σ_k) of the same curve), genus g >= 1 (the model
 y^2 + h(x) y = f(x), deg f = 2g + 1) uses an explicit monomial basis of
 functions with bounded pole order at infinity and realizes the image ideal
 by a weighted graph elimination.  An embedding hands
 secant_join its input through ``CurveEmbedding.secant_spec``; secant_join
 alone decides when Σ_k fills P^r.  The embedding carries a
-weighted-homogeneous cone parametrization for the join: (s, t) ->
-s^(d-i) t^i for genus 0, and for genus g >= 1 the images
-t^(d - pole) m(x, y) of weight d under the weights (2, w_y, 1) of
-(x, y, t), w_y = 2g + 1, cut out by the curve equation homogenised by t.
+weighted-homogeneous cone parametrization: (s, t) -> s^(d-i) t^i for
+genus 0, by which secant_join knows to take the minors, and for genus
+g >= 1 the images t^(d - pole) m(x, y) of weight d under the weights
+(2, w_y, 1) of (x, y, t), w_y = 2g + 1, cut out by the curve equation
+homogenised by t, through which it joins.
 :class:`CurveModel` is an immutable record built on ``namedtuple`` whose
 ``__new__`` validates the model; :class:`CurveEmbedding` is an immutable
 ``NamedTuple`` record.
@@ -26,7 +29,7 @@ from typing import NamedTuple
 from .arith import DEFAULT_PRIME, MAX_PRIME, PrimeField, is_prime
 from .gb import Ideal, buchberger
 from .ideal_ops import (ConeParametrization, PointedIdeal, SecantSpec,
-                        _subring_part)
+                        _hankel_minors, _subring_part)
 from .poly import MonomialOrder, PolyRing, Polynomial
 
 
@@ -161,26 +164,22 @@ class CurveEmbedding(NamedTuple):
 
 def rational_normal_curve(d: int, field: PrimeField | None = None
                           ) -> CurveEmbedding:
-    """Degree-d rational normal curve: 2x2 minors of the Hankel matrix
-    [[z0..z_{d-1}], [z1..z_d]] in P^d."""
+    """Degree-d rational normal curve in P^d: the 2x2 minors of the
+    Hankel matrix [[z0..z_{d-1}], [z1..z_d]], with the cone chart
+    (s, t) -> s^(d-i) t^i by which secant_join recognises it."""
     if d < 1:
         raise DegreeTooSmall("need degree >= 1")
     field = field if field is not None else PrimeField(DEFAULT_PRIME)
     model = CurveModel(0, field)
-    names = [f"z{i}" for i in range(d + 1)]
-    ring = PolyRing(names, field)
-    gens = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            gens.append(ring.gen(i) * ring.gen(j + 1)
-                        - ring.gen(i + 1) * ring.gen(j))
+    ring = PolyRing([f"z{i}" for i in range(d + 1)], field)
     pring = PolyRing(["s", "t"], field)
     s, t = pring.gen(0), pring.gen(1)
     images = tuple(s ** (d - i) * t ** i for i in range(d + 1))
     param = ConeParametrization(ring=pring, images=images,
                                 weights=(1, 1), image_weight=d)
     basis = tuple(rr_basis(model, d))
-    return CurveEmbedding(model, d, basis, d, Ideal(ring, gens), param)
+    return CurveEmbedding(model, d, basis, d,
+                          Ideal(ring, _hankel_minors(ring, 2)), param)
 
 
 def embed(model: CurveModel, d: int) -> CurveEmbedding:

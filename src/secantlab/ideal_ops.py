@@ -1,13 +1,16 @@
 """Ideal-theoretic constructions on top of the Groebner engine.
 
-The secant join through a cone chart of the curve, certified saturated by
-the last-variable criterion on its reduced grevlex basis, and tangent
-cones with Hilbert-Samuel multiplicities.  ``secant_join`` alone decides
-when Σ_k fills P^r (2k + 1 ≥ r), and answers the zero ideal there without
-a join.  The raw join is prime, so the criterion always holds: a join
-that fails it is wrong, and raises ``InternalIdentityError``.  Everything
-here is pure: input ideals are never mutated beyond their own write-once
-Groebner caches.
+Secant ideals and tangent cones with Hilbert-Samuel multiplicities.
+``secant_join`` alone decides when Σ_k fills P^r (2k + 1 ≥ r), and
+answers the zero ideal there without a join.  For the rational normal
+curve it takes I(Σ_k) from the Hankel (k+2)-minors, which generate it by
+theorem (Gruson–Peskine; Eisenbud 1988); for genus g ≥ 1 it joins the
+curve onto the running secant through the curve's cone chart.  Either
+ideal is prime, and is certified saturated by the last-variable
+criterion on its reduced grevlex basis, so the criterion always holds:
+an ideal that fails it is wrong, and raises ``InternalIdentityError``.
+Everything here is pure: input ideals are never mutated beyond their own
+write-once Groebner caches.
 The records are immutable: :class:`ConeParametrization` is a
 ``NamedTuple``, and :class:`SecantSpec` and :class:`PointedIdeal` are built
 on ``namedtuple`` with a ``__new__`` that validates before it constructs.
@@ -16,6 +19,7 @@ on ``namedtuple`` with a ``__new__`` that validates before it constructs.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .gb import (GroebnerBasis, HilbertTarget, Ideal, InternalIdentityError,
@@ -56,6 +60,27 @@ def _subring_part(gb: GroebnerBasis, keep_start: int, target: PolyRing):
         else:
             kept.append(target.from_dict(dict(terms)))
     return kept
+
+
+def _hankel_minors(ring: PolyRing, t: int) -> list:
+    """The t x t minors of the Hankel matrix (z_{i+j}) with t rows in the
+    ring's n variables, hence n - t + 1 columns: one minor per column set,
+    in lexicographic order, each expanded by the Leibniz formula straight
+    into its terms."""
+    n = ring.nvars
+    signed = [(perm, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
+              for perm in permutations(range(t))]
+    minors = []
+    for cols in combinations(range(n - t + 1), t):
+        coeffs = {}
+        for perm, sign in signed:
+            exps = [0] * n
+            for row, c in enumerate(perm):
+                exps[row + cols[c]] += 1
+            mon = tuple(exps)
+            coeffs[mon] = coeffs.get(mon, 0) + sign
+        minors.append(ring.from_dict(coeffs))
+    return minors
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +179,15 @@ def _join_with_parametrization(param: ConeParametrization, cur: Ideal):
     return _subring_part(gb, m, ring)
 
 
+def _is_rational_normal_chart(param: ConeParametrization, n: int) -> bool:
+    """The chart is the rational normal curve's in P^(n-1): two parameters,
+    no constraint, and the images s^(d-i) t^i, d = n - 1."""
+    d = n - 1
+    return (param.ring.nvars == 2 and not param.constraints
+            and param.images == tuple(param.ring.monomial((d - i, i))
+                                      for i in range(n)))
+
+
 def secant_join(spec: SecantSpec) -> Ideal:
     """Homogeneous ideal of the k-th secant variety Σ_k of V(base_ideal).
 
@@ -162,29 +196,38 @@ def secant_join(spec: SecantSpec) -> Ideal:
 
     When 2k + 1 ≥ r, Σ_k fills P^r and the answer is the zero ideal, with
     no Groebner run: C spans P^r, so Σ_k has the expected dimension
-    min(2k + 1, r).  Otherwise this joins the curve onto the running
-    secant k times, each step through the cone chart and driven by the
-    step's closed-form Hilbert series.
-    The raw join comes with its reduced grevlex basis, and it is
+    min(2k + 1, r).  For k = 0 the answer is ``base_ideal`` itself.
+
+    When the chart is the rational normal curve's, (s, t) ↦ s^(d-i) t^i
+    with no constraint, I(Σ_k) is known in closed form: it is generated
+    by the (k+2)-minors of the (k+2) x (d−k) Hankel matrix (z_{i+j})
+    (Gruson–Peskine 1982; Eisenbud, Amer. J. Math. 110, 1988).  Those
+    minors get their reduced grevlex basis from one untargeted Groebner
+    run, and no join is made.  Otherwise this joins the curve onto the
+    running secant k times, each step through the cone chart and driven
+    by the step's closed-form Hilbert series.
+
+    Either way the ideal comes with its reduced grevlex basis, and it is
     certified saturated when the last variable divides no leading
     monomial of that basis.  This criterion
     (``GroebnerBasis.last_variable_regular``) holds iff x_last is a
-    nonzerodivisor on S/raw, and then raw is saturated (f ∈ raw^sat gives
-    x_last^N f ∈ raw, hence f ∈ raw).
+    nonzerodivisor on S/I, and then I is saturated (f ∈ I^sat gives
+    x_last^N f ∈ I, hence f ∈ I).
 
-    The criterion always holds, because the raw join is prime.  A step
-    joining C onto V(cur) contracts J = φ(I₀) to k[x], where I₀ =
+    The criterion always holds, because the ideal is prime.  The Hankel
+    minors generate the prime I(Σ_k) by the theorem above.  For the join,
+    a step joining C onto V(cur) contracts J = φ(I₀) to k[x], where I₀ =
     (constraints(p)) + (cur(x)) and φ is the graded automorphism of
     ``_join_with_parametrization``; so k[p, x]/J ≅ k[p]/(constraints) ⊗
     k[x]/cur.  The constraint is the weighted homogenization of the
-    irreducible curve equation, which t does not divide (the rational
-    normal curve has none), and cur is prime: I(C) at the first step, the
-    previous step's join after it.  Both stay prime over the algebraic
-    closure of F_p, so the tensor product is a domain, and its
-    contraction, the raw join, is prime.  It vanishes on C, which spans
-    P^r, so it contains no variable, and x_last is a nonzerodivisor on
-    the domain S/raw.  A basis that fails the criterion is therefore
-    wrong, and raises ``InternalIdentityError``.
+    irreducible curve equation, which t does not divide, and cur is
+    prime: I(C) at the first step, the previous step's join after it.
+    Both stay prime over the algebraic closure of F_p, so the tensor
+    product is a domain, and its contraction, the raw join, is prime.
+    The prime vanishes on C, which spans P^r, so it contains no variable,
+    and x_last is a nonzerodivisor on the domain S/I.  A basis that fails
+    the criterion is therefore wrong, and raises
+    ``InternalIdentityError``.
     """
     ring = spec.base_ideal.ring
     if 2 * spec.k + 1 >= ring.nvars - 1:
@@ -192,16 +235,20 @@ def secant_join(spec: SecantSpec) -> Ideal:
     if spec.k == 0:
         return spec.base_ideal
 
-    raw = spec.base_ideal
-    for _ in range(spec.k):
-        gens = _join_with_parametrization(spec.parametrization, raw)
-        # the join output is already a reduced grevlex basis
-        raw = _ideal_with_gb(ring, gens)
+    if _is_rational_normal_chart(spec.parametrization, ring.nvars):
+        gb = buchberger(_hankel_minors(ring, spec.k + 2), ring)
+        raw = _ideal_with_gb(ring, list(gb), gb)
+    else:
+        raw = spec.base_ideal
+        for _ in range(spec.k):
+            gens = _join_with_parametrization(spec.parametrization, raw)
+            # the join output is already a reduced grevlex basis
+            raw = _ideal_with_gb(ring, gens)
     if not raw.groebner().last_variable_regular():
         raise InternalIdentityError(
             "secant join fails the saturation criterion: the last variable "
-            "divides a leading monomial of its grevlex basis, so the raw "
-            "join is not prime")
+            "divides a leading monomial of its grevlex basis, so the ideal "
+            "is not prime")
     return raw
 
 

@@ -1,7 +1,8 @@
 """Reference constructions for the secant join, used only as test oracles.
 
-``secant_join`` certifies its one path by the last-variable criterion,
-which always holds because the raw join is prime.  These slower routes
+``secant_join`` certifies its ideal, the rational normal curve's Hankel
+minors or the join of any other curve, by the last-variable criterion,
+which always holds because that ideal is prime.  These slower routes
 check it from outside: the full irrelevant-ideal saturation (through
 ``intersect``) and the textbook (k+1)-block join.  ``buchberger`` is bound
 here, at module level, so that a test can spy on the eliminations they

@@ -579,11 +579,25 @@ def _not_prime_join(param, cur):
     return [cur.ring.gen(0) * cur.ring.gen(4)]
 
 
+def _unsaturated_minors(ring, t):
+    # z0·(z0, ..., z4) is no secant ideal: its saturation is (z0), and z4
+    # divides the leading monomial z0·z4 of its basis
+    return [ring.gen(0) * z for z in ring.gens()]
+
+
+def _not_prime_minors(ring, t):
+    return [ring.gen(0) * ring.gen(4)]
+
+
+# the elliptic quintic's Σ_1 is a join; the rational normal curve's comes
+# from its Hankel minors
 @pytest.mark.parametrize("curve,name,patch,message", [
-    (RNC5, "HilbertTarget", _short_target, "Hilbert target"),
-    (RNC4, "_join_with_parametrization", _not_prime_join,
+    (E5, "HilbertTarget", _short_target, "Hilbert target"),
+    (E5, "_join_with_parametrization", _not_prime_join,
      "saturation criterion"),
-], ids=["target", "z0z4"])
+    (RNC4, "_hankel_minors", _unsaturated_minors, "saturation criterion"),
+    (RNC4, "_hankel_minors", _not_prime_minors, "saturation criterion"),
+], ids=["target", "z0z4", "minors_z0_all", "minors_z0z4"])
 def test_join_target_failure_is_internal_error(curve_file, capsys,
                                                monkeypatch, curve, name,
                                                patch, message):

@@ -24,6 +24,9 @@ CASES = {
                                      "--k", "1"]),
     "verify_rnc6_k2_max4.json": (0, ["verify", "--file", "rnc6.curve", "--k",
                                      "2", "--max-degree", "4"]),
+    # k = 3 from the Hankel 5-minors; the join took over two minutes
+    "verify_rnc10_k3.json": (0, ["verify", "--file", "rnc10.curve", "--k",
+                                 "3"]),
     # genus 1, k = 2: Σ_2 is the hypersurface of one septic in P^6
     "verify_elliptic7_k2.json": (0, ["verify", "--file", "elliptic7.curve",
                                      "--k", "2"]),
@@ -42,7 +45,11 @@ CASES = {
     "verify_elliptic6_k1_max6.json": (0, ["verify", "--file",
                                           "elliptic6.curve", "--k", "1",
                                           "--max-degree", "6"]),
-    "verify_rnc5_k1_budget5.json": (3, ["verify", "--file", "rnc5.curve",
+    # the basis of Σ_1's Hankel minors takes at most 5 S-pairs for d=5
+    # and more for d=6, where every row is skipped
+    "verify_rnc5_k1_budget5.json": (0, ["verify", "--file", "rnc5.curve",
+                                        "--k", "1", "--pair-budget", "5"]),
+    "verify_rnc6_k1_budget5.json": (3, ["verify", "--file", "rnc6.curve",
                                         "--k", "1", "--pair-budget", "5"]),
     "betti_twisted_cubic.json": (0, ["betti", "--ideal-file",
                                      "twisted_cubic.ideal"]),

@@ -82,7 +82,7 @@ def test_secant_contained_in_curve_ideal():
 
 
 def test_construction_strategies_agree():
-    # the iterated join against the literal (k+1)-block oracle
+    # the Hankel minors against the literal (k+1)-block oracle
     spec = rational_normal_curve(5, F).secant_spec(1)
     A = secant_join(spec)
     B = saturate_irrelevant(Ideal(spec.base_ideal.ring,
@@ -106,8 +106,9 @@ def test_saturation_certificate_needs_the_hilbert_polynomial(monkeypatch):
     # with the same dimension and degree, so the Hilbert polynomial cannot
     # tell them apart.  The last variable z4 divides the leading monomial
     # z0·z4 of its basis, so the criterion rejects the join, which is not
-    # prime and cannot come from a curve.
-    E = rational_normal_curve(4, F)
+    # prime and cannot come from a curve.  The elliptic quintic's Σ_1 is
+    # a join, in P^4 like the rational normal quartic's.
+    E = _ladder_curve(1, "y^2 - x^3 - 4*x - 1", 5)
     R = E.ideal.ring
     unsaturated = list(buchberger([R.gen(0) * z for z in R.gens()], R))
     monkeypatch.setattr(ideal_ops, "_join_with_parametrization",
@@ -134,7 +135,7 @@ def test_saturated_join_with_a_zero_divisor_last_variable(monkeypatch):
     # criterion is sufficient, not necessary, so it rejects this join.  A
     # join of a curve is prime, so this one is an error, although the
     # full saturation returns the same ideal.
-    E = rational_normal_curve(4, F)
+    E = _ladder_curve(1, "y^2 - x^3 - 4*x - 1", 5)
     R = E.ideal.ring
     monkeypatch.setattr(ideal_ops, "_join_with_parametrization",
                         lambda *args: [R.gen(0) * R.gen(4)])
@@ -142,6 +143,24 @@ def test_saturated_join_with_a_zero_divisor_last_variable(monkeypatch):
         secant_join(E.secant_spec(1))
     S = saturate_irrelevant(Ideal(R, [R.gen(0) * R.gen(4)]))
     assert [str(f) for f in S.groebner()] == ["z0*z4"]
+
+
+def _no_join(*args):
+    raise AssertionError("join step on the rational normal curve")
+
+
+@pytest.mark.parametrize("minors", [
+    lambda R, t: [R.gen(0) * z for z in R.gens()],
+    lambda R, t: [R.gen(0) * R.gen(4)],
+], ids=["z0_all", "z0z4"])
+def test_hankel_minors_that_fail_the_criterion(minors, monkeypatch):
+    # the minors path is certified by the same criterion as the join: a
+    # basis of z0·(z0, ..., z4) or of (z0·z4) in place of the rational
+    # normal quartic's cubic fails it, and no join runs instead
+    monkeypatch.setattr(ideal_ops, "_hankel_minors", minors)
+    monkeypatch.setattr(ideal_ops, "_join_with_parametrization", _no_join)
+    with pytest.raises(InternalIdentityError, match="saturation criterion"):
+        secant_join(rational_normal_curve(4, F).secant_spec(1))
 
 
 def test_pointed_ideal_validates_point():
@@ -279,9 +298,21 @@ def test_elliptic_sextic_join_basis_gate(monkeypatch):
     assert len(elim) == 1 and elim[0] <= 99
 
 
+def _join_steps(spec):
+    """Σ_k by spec.k join steps through the cone chart, as secant_join
+    computes it for genus >= 1: for the rational normal curve, the oracle
+    of its Hankel minors."""
+    cur = spec.base_ideal
+    for _ in range(spec.k):
+        cur = _ideal_with_gb(cur.ring, _join_with_parametrization(
+            spec.parametrization, cur))
+    return cur
+
+
 def _driven_join_work(monkeypatch, spec):
-    """The reducer's work in secant_join's Hilbert-driven runs, their
-    interreductions included: a ReductionSpy that watched only them."""
+    """The reducer's work in the Hilbert-driven runs of spec's join steps,
+    their interreductions included: a ReductionSpy that watched only
+    them."""
     work = ReductionSpy(monkeypatch)
     work.watching = False
 
@@ -299,7 +330,7 @@ def _driven_join_work(monkeypatch, spec):
         return basis
 
     monkeypatch.setattr(ideal_ops, "buchberger", spy)
-    secant_join(spec)
+    _join_steps(spec)
     return work
 
 
@@ -364,11 +395,28 @@ def _det(rows):
 def test_rnc_hypersurface_join_is_the_hankel_determinant(k):
     # Groebner-free oracle: Σ_k of the rational normal curve of degree
     # 2k + 2 is the hypersurface of the (k+2) x (k+2) Hankel determinant
-    # det(z_{i+j}), and the early-stopped join returns exactly that form
-    S = secant_join(rational_normal_curve(2 * k + 2, F).secant_spec(k))
-    z = S.ring.gens()
+    # det(z_{i+j}), and both the early-stopped join and secant_join's
+    # minors return exactly that form
+    spec = rational_normal_curve(2 * k + 2, F).secant_spec(k)
+    z = spec.base_ideal.ring.gens()
     hankel = [[z[i + j] for j in range(k + 2)] for i in range(k + 2)]
-    assert S.generators == (_det(hankel).monic(),)
+    det = (_det(hankel).monic(),)
+    assert _join_steps(spec).generators == det
+    assert secant_join(spec).generators == det
+
+
+@pytest.mark.parametrize("d,k", [(5, 1), (6, 1), (6, 2), (7, 1), (7, 2),
+                                 (8, 1), (8, 2), (8, 3)])
+def test_rnc_hankel_minors_basis_equals_the_join(d, k, monkeypatch):
+    # secant_join reads Σ_k of the rational normal curve off the Hankel
+    # (k+2)-minors, with no join step; the join steps, which genus >= 1
+    # still takes, give the same reduced grevlex basis term for term
+    spec = rational_normal_curve(d, F).secant_spec(k)
+    joined = [f.terms for f in _join_steps(spec).generators]
+    monkeypatch.setattr(ideal_ops, "_join_with_parametrization", _no_join)
+    S = secant_join(spec)
+    assert [f.terms for f in S.generators] == joined
+    assert list(S.groebner()) == list(S.generators)
 
 
 def _head_reduction_remainders(monkeypatch, run):
@@ -508,11 +556,7 @@ def test_driven_join_equals_untargeted(genus, equation, d, k, monkeypatch):
         return driven
 
     monkeypatch.setattr(ideal_ops, "buchberger", spy)
-    E = _ladder_curve(genus, equation, d)
-    cur = E.ideal
-    for _ in range(k):
-        cur = _ideal_with_gb(cur.ring, _join_with_parametrization(
-            E.parametrization, cur))
+    _join_steps(_ladder_curve(genus, equation, d).secant_spec(k))
     assert len(steps) == k
 
 
